@@ -34,6 +34,10 @@ class ZeroPolynomial(HpeError):
     """The zero polynomial was passed where a nonzero one is required."""
 
 
+class RootFindingFailed(HpeError):
+    """Equal-degree splitting of a root-finding product made no progress."""
+
+
 class GenerationFailed(HpeError):
     """Key generation exhausted its retry budget or the parameters admit no key."""
 

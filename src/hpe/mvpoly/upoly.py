@@ -5,6 +5,7 @@ no trailing zeros; the zero polynomial is the empty list.  The field argument
 is any object exposing add/sub/mul/neg/inv on scalars with 0 and 1 as the
 additive and multiplicative identities, so the same routines serve F_q
 coefficients during tower construction and K coefficients during decryption.
+A field whose .p is 2 gets squares by the Frobenius shortcut.
 
 Root finding follows the classic pattern: strip the squarefree product of
 linear factors with gcd(f, X^order - X), then split it recursively, using
@@ -16,7 +17,7 @@ from __future__ import annotations
 
 import random
 
-from ..errors import ZeroPolynomial
+from ..errors import RootFindingFailed, ZeroPolynomial
 
 X = [0, 1]
 
@@ -75,6 +76,16 @@ def mul(F, f: list, g: list) -> list:
     return trim(out)
 
 
+def square(F, f: list) -> list:
+    """f^2; in characteristic 2 the cross terms cancel, so f^2 = sum c_i^2 X^(2i)."""
+    if getattr(F, "p", None) != 2:
+        return mul(F, f, f)
+    out = [0] * (2 * len(f) - 1) if f else []
+    for i, c in enumerate(f):
+        out[2 * i] = F.mul(c, c)
+    return out
+
+
 def divmod_poly(F, f: list, g: list) -> tuple[list, list]:
     """Quotient and remainder of f by g; raises ZeroDivisionError on g = 0."""
     if not g:
@@ -87,7 +98,7 @@ def divmod_poly(F, f: list, g: list) -> tuple[list, list]:
         c = rem[i + dg]
         if c == 0:
             continue
-        q = F.mul(c, lead_inv)
+        q = c if lead_inv == 1 else F.mul(c, lead_inv)
         quo[i] = q
         for j in range(dg + 1):
             rem[i + j] = F.sub(rem[i + j], F.mul(q, g[j]))
@@ -113,14 +124,19 @@ def gcd(F, f: list, g: list) -> list:
 
 
 def powmod(F, f: list, e: int, m: list) -> list:
-    """f^e reduced mod m, by square and multiply."""
-    result = [1]
+    """f^e reduced mod m, by left-to-right square and multiply.
+
+    The result starts as f mod m at the top bit of e, and every later
+    multiply is by f mod m, so no step squares past the last bit.
+    """
+    if e == 0:
+        return [1]
     base = mod(F, f, m)
-    while e > 0:
-        if e & 1:
+    result = base
+    for bit in bin(e)[3:]:
+        result = mod(F, square(F, result), m)
+        if bit == "1":
             result = mod(F, mul(F, result, base), m)
-        base = mod(F, mul(F, base, base), m)
-        e >>= 1
     return result
 
 
@@ -174,7 +190,7 @@ def _split_linear(field, s: list, rng: random.Random, out: set) -> None:
             t = mod(field, scale(field, X, c), s)
             acc = t
             for _ in range(order.bit_length() - 2):
-                t = mod(field, mul(field, t, t), s)
+                t = mod(field, square(field, t), s)
                 acc = add(field, acc, t)
             d = gcd(field, acc, s)
         else:
@@ -185,4 +201,4 @@ def _split_linear(field, s: list, rng: random.Random, out: set) -> None:
             _split_linear(field, d, rng, out)
             _split_linear(field, divmod_poly(field, s, d)[0], rng, out)
             return
-    raise RuntimeError("equal-degree splitting failed to make progress")
+    raise RootFindingFailed("equal-degree splitting failed to make progress")

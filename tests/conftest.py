@@ -1,9 +1,15 @@
 import random
 
 import pytest
+from hypothesis import settings
 
 from hpe import KeyGenParams, keygen
 from hpe.core.alphabet import hex16
+
+# Property tests draw the same examples on every run and carry no per-example
+# deadline, so a slow or busy host cannot make them flake.
+settings.register_profile("hpe", derandomize=True, deadline=None, database=None)
+settings.load_profile("hpe")
 
 
 @pytest.fixture(scope="session")

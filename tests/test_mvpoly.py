@@ -3,7 +3,8 @@ import random
 import numpy as np
 import pytest
 
-from hpe.errors import SingularMatrix, VariableMismatch, ZeroPolynomial
+from hpe.errors import (HpeError, RootFindingFailed, SingularMatrix,
+                        VariableMismatch, ZeroPolynomial)
 from hpe.fields import base_field, build_extension
 from hpe.mvpoly import upoly
 from hpe.mvpoly.linalg import (LinearSystem, Solution, identity, inverse,
@@ -92,6 +93,39 @@ def test_upoly_powmod_matches_direct():
         for _ in range(e):
             direct = upoly.mod(field, upoly.mul(field, direct, f), g)
         assert upoly.powmod(field, f, e, g) == direct
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (4, 3), (3, 3)])
+def test_upoly_square_and_powmod_in_each_characteristic(q, n):
+    # Characteristic 2 squares by the Frobenius shortcut; powmod must agree
+    # with repeated multiplication either way.
+    field = build_extension(q, n)
+    rng = random.Random(10)
+    g = _random_poly(field, rng, 5)
+    for _ in range(10):
+        f = _random_poly(field, rng, rng.randrange(6))
+        assert upoly.square(field, f) == _naive_mul(field, f, f)
+        direct = [1]
+        for e in range(10):
+            assert upoly.powmod(field, f, e, g) == direct
+            direct = upoly.mod(field, upoly.mul(field, direct, f), g)
+    assert upoly.square(field, []) == []
+
+
+class _NeverSplits(random.Random):
+    """An rng whose draws are all 0: the trace of 0*X is 0, which never splits."""
+
+    def randrange(self, *args, **kwargs):
+        return 0
+
+
+def test_roots_raises_hpe_error_when_splitting_stalls():
+    field = build_extension(2, 8)
+    f = upoly.mul(field, [3, 1], [5, 1])
+    with pytest.raises(RootFindingFailed) as info:
+        upoly.roots(field, f, _NeverSplits())
+    assert isinstance(info.value, HpeError)
+    assert upoly.roots(field, f, random.Random(1)) == {3, 5}
 
 
 def test_roots_of_constructed_product():
