@@ -11,7 +11,7 @@ from .core.alphabet import (Alphabet, base4, default_alphabet, hex16,
                             make_alphabet, text64)
 from .core.keygen import expand_keypair, keygen, sample_private
 from .core.keys import (AffinePair, KeyGenParams, PrivateKey,
-                        PrivatePolynomial, PublicKey, TermTable)
+                        PrivatePolynomial, PublicKey)
 from .core.protocol import (batch_zero_mask, decrypt, decrypt_messages,
                             decrypt_raw, encrypt, encrypt_raw,
                             exhaustive_invert, private_relation_check)
@@ -23,9 +23,9 @@ from .fields import (BaseField, ExtensionField, base_field, build_extension,
 from .imattack import (BilinearRelation, IMKeyPair, IMPublicKey, default_theta,
                        harvest_relations, im_decrypt, im_encrypt, im_keygen,
                        patarin_attack, random_quadratic_public)
-from .mvpoly.linalg import LinearSystem, Solution, nullspace, solve, solve_linear
+from .mvpoly.linalg import Solution, nullspace, solve
 from .mvpoly.multipoly import MultiPoly
-from .sigs import (HashParams, Signature, hash_to_y, sign, signcrypt,
-                   unsigncrypt, verify)
+from .sigs import (Signature, hash_to_y, sign, signcrypt, unsigncrypt,
+                   verify)
 
 __version__ = "0.1.0"

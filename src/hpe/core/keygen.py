@@ -10,7 +10,7 @@ from ..fields import build_extension
 from . import linearize
 from .alphabet import default_alphabet
 from .keys import (AffinePair, KeyGenParams, PrivateKey, PrivatePolynomial,
-                   PublicKey, TermTable)
+                   PublicKey)
 
 _REGEN_BUDGET = 40
 
@@ -102,7 +102,7 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
 
     Each monomial of f becomes a product of Frobenius twists of the two
     affine images; expanding those products coordinatewise and reducing
-    x^q = x yields n equations linear in y.
+    x^q = x yields n equations linear in y, merged into one flat table.
     """
     base = field.base
     n = field.n
@@ -128,15 +128,13 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
     for b, xth in priv.pure:
         flats.append(factors_for(b, xth, None))
 
-    use_masks = base.q == 2 and n <= 48
-    if use_masks:
-        parts = [linearize.records_q2(fl, n, nvars) for fl in flats]
-        merged = linearize.merge_q2(parts, n)
+    if base.q == 2:
+        records, merge = linearize.records_q2, linearize.merge_q2
     else:
-        parts = [linearize.records_general(field, fl, n, nvars) for fl in flats]
-        merged = linearize.merge_general(parts, field, n)
-    tables = [TermTable.from_records(base, n, rec) for rec in merged]
-    return PublicKey(base, n, priv.t(), tables, alphabet)
+        records, merge = linearize.records_general, linearize.merge_general
+    parts = [records(field, fl, n, nvars) for fl in flats]
+    slot, coeff, xpart = merge(field, parts, n)
+    return PublicKey(base, n, priv.t(), slot, coeff, xpart, alphabet)
 
 
 def keygen(params: KeyGenParams, rng: random.Random | None = None,

@@ -1,12 +1,54 @@
-"""Key material: private polynomial, affine masks, public equation tables."""
+"""Key material: private polynomial, affine masks, and the public key.
+
+The public key is n equations in (x, y), each linear in y.  All their
+terms sit in one flat table sorted by (equation, y, x part).  A term is a
+slot eq * (n + 1) + y + 1 (y = -1 for a term with no y factor), a uint8
+coefficient, and an x part: a uint64 bitmask over the n x-variables when
+q = 2 (every coefficient is then 1), otherwise a row of n exponents
+already reduced by x^q = x.
+
+One kernel evaluates the table.  At each x of a batch it computes every
+term's value with the x part (a mask test for q = 2, power_table and
+mul_table gathers otherwise) and sums the values into their slots over
+F_q, giving each equation as a row over (1, y_0..y_{n-1}).  The linear
+system for encryption, the values at (x, y) and the batch zero test of
+exhaustive search are all those rows times (1, y).
+"""
 
 from dataclasses import dataclass
 
 import numpy as np
 
 from ..errors import FormatError, VariableMismatch
-from ..mvpoly.linalg import LinearSystem, inverse, matvec, random_invertible
+from ..mvpoly.linalg import (inverse, matvec, random_invertible,
+                             segment_sums)
 from ..mvpoly.multipoly import MultiPoly
+
+# q = 2 x parts are uint64 bitmasks, and linearize.merge_q2 packs a term's
+# slot above its mask in one uint64, so q = 2 keys stop at 48 variables.
+MAX_MASK_VARS = 48
+
+
+def x_part(q: int, n: int, exps) -> np.ndarray:
+    """x parts of terms from their (T, n) x-exponent rows."""
+    if q == 2:
+        bits = np.asarray(exps, dtype=np.uint64) << np.arange(n, dtype=np.uint64)
+        return np.bitwise_or.reduce(bits, axis=1)
+    return np.asarray(exps, dtype=np.uint8)
+
+
+def merge_terms(base, slot, coeff, xpart) -> tuple:
+    """The canonical table of unordered terms: sorted by (slot, x part),
+    terms with the same slot and x part added over F_q, zero sums dropped."""
+    xpart = np.asarray(xpart)
+    order = np.lexsort((*np.atleast_2d(xpart.T)[::-1], slot))
+    slot, coeff, xpart = np.asarray(slot)[order], np.asarray(coeff)[order], xpart[order]
+    cols = np.atleast_2d(xpart.T)  # one row per x-part column
+    new = np.ones(len(slot), dtype=bool)
+    new[1:] = (slot[1:] != slot[:-1]) | (cols[:, 1:] != cols[:, :-1]).any(axis=0)
+    first = np.nonzero(new)[0]
+    sums = segment_sums(base, coeff, first)
+    return slot[first[sums != 0]], sums[sums != 0], xpart[first[sums != 0]]
 
 
 @dataclass(frozen=True)
@@ -35,6 +77,9 @@ class KeyGenParams:
             raise VariableMismatch("degX_max must lie in [2, 64]")
         if self.n_monomials < 1:
             raise VariableMismatch("need at least one mixed monomial")
+        if self.q == 2 and self.n > MAX_MASK_VARS:
+            raise VariableMismatch(
+                "q=2 keys support at most %d variables" % MAX_MASK_VARS)
 
 
 @dataclass(frozen=True)
@@ -177,207 +222,101 @@ class AffinePair:
         return matvec(self.base, self.b_inv, shifted)
 
 
-class TermTable:
-    """Sparse monomial table for one public equation in (x, y).
+class PublicKey:
+    """Public encryption key: the flat term table plus the message alphabet.
 
-    Every monomial is linear in y by construction, so a term is a y index
-    (-1 for none), an x part, and a coefficient.  For q = 2 the x part is
-    a bitmask over the n x-variables and all coefficients are 1; otherwise
-    it is a row of per-variable exponents already reduced by x^q = x.
+    slot, coeff and xpart run in parallel over the terms of all n
+    equations, sorted by (slot, x part); bounds[k]:bounds[k + 1] is the
+    range of equation k.  See the module docstring for the layout.
     """
 
-    def __init__(self, base, n: int, y_idx, xpart, coeffs=None):
-        self.base = base
-        self.n = n
-        self.q2 = base.q == 2
-        self.y_idx = np.ascontiguousarray(y_idx, dtype=np.int64)
-        if self.q2:
-            self.xmask = np.ascontiguousarray(xpart, dtype=np.uint64)
-            self.coeffs = np.ones(len(self.y_idx), dtype=np.uint8)
-        else:
-            self.xexp = np.ascontiguousarray(xpart, dtype=np.uint8)
-            if self.xexp.shape != (len(self.y_idx), n):
-                raise VariableMismatch("exponent rows do not match term count")
-            self.coeffs = np.ascontiguousarray(coeffs, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return len(self.y_idx)
-
-    @classmethod
-    def from_records(cls, base, n: int, records) -> "TermTable":
-        """Build from merged expansion output for one equation."""
-        if base.q == 2:
-            y_idx, xmask = records
-            return cls(base, n, y_idx, xmask)
-        items = sorted(records.items())
-        y_idx = np.array([k[0] for k, _ in items], dtype=np.int64)
-        xexp = np.array([k[1] for k, _ in items], dtype=np.uint8).reshape(-1, n)
-        coeffs = np.array([c for _, c in items], dtype=np.uint8)
-        return cls(base, n, y_idx, xexp, coeffs)
-
-    def iter_terms(self):
-        """Yield (coeff, exps) with exps over the 2n variables x then y."""
-        for i in range(len(self.y_idx)):
-            exps = [0] * (2 * self.n)
-            if self.q2:
-                mask = int(self.xmask[i])
-                for b in range(self.n):
-                    if mask >> b & 1:
-                        exps[b] = 1
-            else:
-                for b in range(self.n):
-                    exps[b] = int(self.xexp[i, b])
-            y = int(self.y_idx[i])
-            if y >= 0:
-                exps[self.n + y] = 1
-            yield int(self.coeffs[i]), tuple(exps)
-
-    def to_multipoly(self) -> MultiPoly:
-        return MultiPoly(self.base, 2 * self.n, dict(
-            (exps, c) for c, exps in self.iter_terms()
-        ))
-
-    @classmethod
-    def from_multipoly(cls, mp: MultiPoly, n: int) -> "TermTable":
-        """Strict conversion: exponents must already be in canonical
-        reduced form (every exponent below q, at most one linear y)."""
-        base = mp.base
-        records: dict = {}
-        add = base.add
-        for exps, c in mp.terms.items():
-            if len(exps) != 2 * n:
-                raise FormatError("equation arity does not match key size")
-            if any(e >= base.q for e in exps[:n]):
-                raise FormatError("x exponent not reduced by x^q = x")
-            ys = [j for j in range(n) if exps[n + j]]
-            if len(ys) > 1 or any(exps[n + j] > 1 for j in ys):
-                raise FormatError("public equation is not linear in y")
-            y = ys[0] if ys else -1
-            key = (y, tuple(int(e) for e in exps[:n]))
-            val = add(records.get(key, 0), c)
-            if val:
-                records[key] = val
-            else:
-                records.pop(key, None)
-        if base.q == 2:
-            recs = sorted(
-                (y, sum(1 << b for b in range(n) if exps[b]))
-                for y, exps in records
-            )
-            y_idx = np.array([y for y, _ in recs], dtype=np.int64)
-            xmask = np.array([m for _, m in recs], dtype=np.uint64)
-            return cls(base, n, y_idx, xmask)
-        return cls.from_records(base, n, records)
-
-    def _x_values(self, x_vec: np.ndarray) -> np.ndarray:
-        """Per-term value of coeff * x-monomial as an int64 array."""
-        if self.q2:
-            packed = np.uint64(0)
-            for b in range(self.n):
-                if x_vec[b]:
-                    packed |= np.uint64(1) << np.uint64(b)
-            return ((self.xmask & packed) == self.xmask).astype(np.int64)
-        pt = self.base.power_table()
-        acc = self.coeffs.astype(np.int64)
-        p = self.base.p
-        if self.base.r == 1:
-            for i in range(self.n):
-                acc = acc * pt[x_vec[i], self.xexp[:, i]] % p
-        else:
-            mt = self.base.mul_table
-            for i in range(self.n):
-                acc = mt[acc, pt[x_vec[i], self.xexp[:, i]]].astype(np.int64)
-        return acc
-
-    def linear_row(self, x_vec: np.ndarray) -> np.ndarray:
-        """Collapse x to get the equation as a row over (1, y_0..y_{n-1}).
-
-        Entry 0 is the constant part, entry j+1 the coefficient of y_j.
-        """
-        vals = self._x_values(x_vec)
-        if self.base.r == 1:
-            sums = np.bincount(
-                self.y_idx + 1, weights=vals, minlength=self.n + 1
-            )
-            return (sums.astype(np.int64) % self.base.p).astype(np.uint8)
-        row = np.zeros(self.n + 1, dtype=np.uint8)
-        add = self.base.add
-        for i in range(len(vals)):
-            j = int(self.y_idx[i]) + 1
-            row[j] = add(int(row[j]), int(vals[i]))
-        return row
-
-    def eval_at(self, x_vec: np.ndarray, y_vec: np.ndarray) -> int:
-        row = self.linear_row(x_vec)
-        if self.base.r == 1:
-            total = int(row[0]) + int(
-                row[1:].astype(np.int64) @ np.asarray(y_vec, dtype=np.int64)
-            )
-            return total % self.base.p
-        acc = int(row[0])
-        for j in range(self.n):
-            acc = self.base.add(acc, self.base.mul(int(row[j + 1]), int(y_vec[j])))
-        return acc
-
-    def has_y(self) -> bool:
-        return bool((self.y_idx >= 0).any())
-
-    def x_degree(self) -> int:
-        if len(self.y_idx) == 0:
-            return 0
-        if self.q2:
-            if hasattr(np, "bitwise_count"):
-                return int(np.bitwise_count(self.xmask).max(initial=0))
-            return max((int(m).bit_count() for m in self.xmask), default=0)
-        return int(self.xexp.sum(axis=1).max(initial=0))
-
-
-class PublicKey:
-    """Public encryption key: n equation tables plus the message alphabet."""
-
-    def __init__(self, base, n: int, t: int, tables: list, alphabet):
+    def __init__(self, base, n: int, t: int, slot, coeff, xpart, alphabet):
         self.base = base
         self.q = base.q
         self.n = n
         self.t = t
-        self.tables = tables
+        self.slot = np.ascontiguousarray(slot, dtype=np.int64)
+        self.coeff = np.ascontiguousarray(coeff, dtype=np.uint8)
+        self.xpart = np.ascontiguousarray(xpart)
         self.alphabet = alphabet
-        self._equations = None
-        if len(tables) != n:
-            raise VariableMismatch("expected %d equations, got %d" % (n, len(tables)))
-
-    def equations(self) -> list:
-        if self._equations is None:
-            self._equations = [tb.to_multipoly() for tb in self.tables]
-        return self._equations
-
-    def linear_system(self, x_vec: np.ndarray) -> LinearSystem:
-        """The system the ciphertext x imposes on the randomness y."""
-        mat = np.zeros((self.n, self.n), dtype=np.uint8)
-        rhs = np.zeros(self.n, dtype=np.uint8)
-        neg = self.base.neg_table
-        for k, tb in enumerate(self.tables):
-            row = tb.linear_row(x_vec)
-            mat[k] = row[1:]
-            rhs[k] = neg[row[0]]
-        return LinearSystem(self.base, mat, rhs)
-
-    def eval_at(self, x_vec: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
-        out = np.zeros(self.n, dtype=np.uint8)
-        for k, tb in enumerate(self.tables):
-            out[k] = tb.eval_at(x_vec, y_vec)
-        return out
+        if not len(self.slot) == len(self.coeff) == len(self.xpart):
+            raise VariableMismatch("term table columns differ in length")
+        self.bounds = np.searchsorted(self.slot, np.arange(n + 1) * (n + 1))
+        self._starts = np.flatnonzero(np.diff(self.slot, prepend=-1))
 
     def term_count(self) -> int:
-        return sum(len(tb) for tb in self.tables)
+        return len(self.slot)
+
+    def _x_exponents(self, lo: int, hi: int) -> np.ndarray:
+        """(hi - lo, n) x-exponent rows of terms lo..hi-1."""
+        part = self.xpart[lo:hi]
+        if self.q == 2:
+            octets = part.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
+            return np.unpackbits(octets, axis=1, bitorder="little")[:, : self.n]
+        return part
+
+    def equation_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """Coefficients and (T, 2n) exponent rows, x then y, of equation k."""
+        lo, hi = self.bounds[k], self.bounds[k + 1]
+        exps = np.zeros((hi - lo, 2 * self.n), dtype=np.uint8)
+        exps[:, : self.n] = self._x_exponents(lo, hi)
+        y = self.slot[lo:hi] - k * (self.n + 1) - 1
+        has_y = np.nonzero(y >= 0)[0]
+        exps[has_y, self.n + y[has_y]] = 1
+        return self.coeff[lo:hi], exps
+
+    def equations(self) -> list:
+        """The equations as 2n-variable MultiPolys (a bridge for oracles)."""
+        out = []
+        for k in range(self.n):
+            coeffs, exps = self.equation_terms(k)
+            terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+            out.append(MultiPoly(self.base, 2 * self.n, terms))
+        return out
+
+    def _rows(self, xs: np.ndarray) -> np.ndarray:
+        """The kernel: every equation collapsed at each x of an (m, n)
+        batch, as (m, n, n + 1) rows over (1, y_0..y_{n-1})."""
+        m, n = xs.shape
+        if self.q == 2:
+            # all coefficients are 1; a monomial is 1 iff its mask is in x
+            vals = (self.xpart & x_part(2, n, xs)[:, None]) == self.xpart
+        else:
+            # products index mul_table flat at a * q + b; holding every
+            # value times q makes each factor one add and one take
+            pt, q = self.base.power_table(), self.q
+            scaled = self.base.mul_table.ravel().astype(np.intp) * q
+            vals = np.broadcast_to(self.coeff * np.intp(q), (m, len(self.coeff)))
+            for i in range(n):
+                factor = np.take(pt[xs[:, i]], self.xpart[:, i], axis=1)
+                vals = scaled.take(vals + factor)
+            vals = vals // q
+        rows = np.zeros((m, n * (n + 1)), dtype=np.uint8)
+        rows[:, self.slot[self._starts]] = segment_sums(self.base, vals, self._starts)
+        return rows.reshape(m, n, n + 1)
+
+    def linear_system(self, x_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(matrix, rhs) of the system the ciphertext x imposes on y."""
+        rows = self._rows(np.asarray(x_vec, dtype=np.uint8).reshape(1, self.n))[0]
+        return rows[:, 1:], self.base.neg_table[rows[:, 0]]
+
+    def eval_at(self, x_vec: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
+        """The n equation values at (x, y), rows . (1, y); an (m, n) batch
+        of x gives (m, n) values."""
+        x = np.asarray(x_vec, dtype=np.uint8)
+        rows = self._rows(x.reshape(-1, self.n)).reshape(-1, self.n + 1)
+        one_y = np.insert(np.asarray(y_vec, dtype=np.uint8), 0, 1)
+        vals = matvec(self.base, rows, one_y)
+        return vals.reshape(x.shape[:-1] + (self.n,))
 
     def shape_violations(self) -> list:
         """Structural defects, empty for a well-formed key."""
         out = []
-        for k, tb in enumerate(self.tables):
-            if not tb.has_y():
+        for k in range(self.n):
+            lo, hi = self.bounds[k], self.bounds[k + 1]
+            if not (self.slot[lo:hi] % (self.n + 1)).any():
                 out.append("equation %d has no y variable" % k)
-            deg = tb.x_degree()
+            deg = int(self._x_exponents(lo, hi).sum(axis=1).max(initial=0))
             if deg < 2:
                 out.append("equation %d is linear in x" % k)
             if deg > self.t:

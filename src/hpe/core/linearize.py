@@ -12,7 +12,8 @@ sum are the public equations.
 The contraction runs per output coordinate as a flat matrix product, in
 float64 so BLAS does the work; every intermediate is an integer below 2^53,
 so the arithmetic is exact before the reduction mod q.  Non-prime base
-fields take a table-driven fallback over the same structure.
+fields take a table-driven fallback over the same structure.  The nonzero
+tensor entries become columns of the public key's flat term table.
 """
 
 from __future__ import annotations
@@ -20,6 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mvpoly import linalg
+from .keys import merge_terms
 
 # ---------------------------------------------------------------------------
 # factor matrices
@@ -101,125 +103,65 @@ def _expand_generic(field, coords: np.ndarray, factors: list[np.ndarray]) -> np.
 # ---------------------------------------------------------------------------
 # tensor -> sparse terms
 
-# Monomial records are (coordinate k, y index or -1, x part, coefficient).
-# For q = 2 the x part is a bitmask and batches stay in numpy; otherwise it
-# is a tuple of per-variable exponents, already reduced by x^q = x.
+# Records are flat term-table columns (see core.keys): a slot
+# k * (n + 1) + y + 1 for coordinate k and y index y (-1 for none), a
+# coefficient, and an x part, already reduced by x^q = x.
 
 
-def records_q2(flat: np.ndarray, n: int, nvars: int) -> tuple[np.ndarray, ...]:
-    """Nonzero monomials of a flat q=2 tensor as (k, y_idx, xmask) arrays."""
-    d = 0
-    size = flat.shape[1]
-    big = nvars + 1
-    while big**d < size:
-        d += 1
-    k_arr, pos = np.nonzero(flat)
-    if d == 0:
-        return (
-            k_arr.astype(np.int64),
-            np.full(len(k_arr), -1, dtype=np.int64),
-            np.zeros(len(k_arr), dtype=np.uint64),
-        )
-    slots = np.stack(np.unravel_index(pos, (big,) * d))
-    is_y = (slots >= n) & (slots < 2 * n)
-    y_count = is_y.sum(axis=0)
-    if y_count.size and int(y_count.max(initial=0)) > 1:
-        raise AssertionError("a monomial acquired two y factors")
-    y_idx = np.where(y_count > 0, (slots * is_y).sum(axis=0) - n, -1)
-    clipped = np.where(slots < n, slots, 0).astype(np.uint64)
-    xbits = np.where(slots < n, np.uint64(1) << clipped, np.uint64(0))
-    xmask = np.bitwise_or.reduce(xbits, axis=0)
-    return k_arr.astype(np.int64), y_idx.astype(np.int64), xmask
-
-
-def merge_q2(parts: list[tuple[np.ndarray, ...]], n: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Combine per-term q=2 records into per-equation (y_idx, xmask) arrays.
-
-    Coefficients are parities of the record multiplicities.  Returns one
-    (y_idx, xmask) pair per coordinate equation, sorted canonically.
-    """
-    k_all = np.concatenate([p[0] for p in parts])
-    y_all = np.concatenate([p[1] for p in parts])
-    m_all = np.concatenate([p[2] for p in parts])
-    empty = (np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint64))
-    if n <= 48:
-        # Pack (k, y+1, mask) into one uint64 so a single unique pass
-        # dedups everything; the group label needs at most 12 bits here.
-        group = (k_all * (n + 2) + y_all + 1).astype(np.uint64)
-        combined = (group << np.uint64(n)) | m_all
-        uniq, counts = np.unique(combined, return_counts=True)
-        keep = uniq[(counts & 1) == 1]
-        kk = (keep >> np.uint64(n)).astype(np.int64)
-        eq_k, eq_y = kk // (n + 2), kk % (n + 2) - 1
-        eq_m = keep & np.uint64((1 << n) - 1)
-        bounds = np.searchsorted(eq_k, np.arange(n + 1))
-        return [
-            (eq_y[bounds[k]:bounds[k + 1]], eq_m[bounds[k]:bounds[k + 1]])
-            for k in range(n)
-        ]
-    out = []
-    for k in range(n):
-        sel = k_all == k
-        ys, ms = y_all[sel], m_all[sel]
-        eq_y, eq_m = [], []
-        for g in range(-1, n):
-            gsel = ys == g
-            if not gsel.any():
-                continue
-            uniq, counts = np.unique(ms[gsel], return_counts=True)
-            keep = uniq[(counts & 1) == 1]
-            eq_y.append(np.full(len(keep), g, dtype=np.int64))
-            eq_m.append(keep)
-        out.append(
-            (np.concatenate(eq_y), np.concatenate(eq_m)) if eq_y else empty
-        )
-    return out
-
-
-def records_general(field, flat: np.ndarray, n: int, nvars: int) -> list[dict]:
-    """Nonzero monomials of a flat tensor as per-equation dicts, any q."""
-    q = field.q
+def _monomials(flat: np.ndarray, n: int, nvars: int):
+    """Nonzero entries of a flat tensor: (k, position, per-factor variable
+    slots of shape (d, count), y index or -1)."""
     big = nvars + 1
     d = 0
     while big**d < flat.shape[1]:
         d += 1
-    out: list[dict] = [dict() for _ in range(n)]
-    add = field.base.add
     k_arr, pos = np.nonzero(flat)
-    slots_all = np.unravel_index(pos, (big,) * d) if d else ()
-    for idx in range(len(k_arr)):
-        k = int(k_arr[idx])
-        y_idx = -1
-        exps = [0] * n
-        for s in range(d):
-            slot = int(slots_all[s][idx])
-            if slot < n:
-                exps[slot] += 1
-            elif slot < 2 * n:
-                if y_idx != -1:
-                    raise AssertionError("a monomial acquired two y factors")
-                y_idx = slot - n
-        key = (
-            y_idx,
-            tuple(0 if e == 0 else (e - 1) % (q - 1) + 1 for e in exps),
-        )
-        val = add(out[k].get(key, 0), int(flat[k, pos[idx]]))
-        if val:
-            out[k][key] = val
-        else:
-            out[k].pop(key, None)
-    return out
+    slots = np.array([pos // big ** (d - 1 - s) % big for s in range(d)],
+                     dtype=np.int64).reshape(d, len(pos))
+    is_y = (slots >= n) & (slots < 2 * n)
+    if int(is_y.sum(axis=0).max(initial=0)) > 1:
+        raise AssertionError("a monomial acquired two y factors")
+    y_idx = np.where(is_y.any(axis=0), (slots * is_y).sum(axis=0) - n, -1)
+    return k_arr, pos, slots, y_idx
 
 
-def merge_general(parts: list[list[dict]], field, n: int) -> list[dict]:
-    out: list[dict] = [dict() for _ in range(n)]
-    add = field.base.add
-    for part in parts:
-        for k in range(n):
-            for key, coeff in part[k].items():
-                val = add(out[k].get(key, 0), coeff)
-                if val:
-                    out[k][key] = val
-                else:
-                    out[k].pop(key, None)
-    return out
+def records_q2(field, flat: np.ndarray, n: int, nvars: int) -> tuple:
+    """(slot, x bitmask) of the nonzero monomials of a flat q=2 tensor."""
+    k_arr, _, slots, y_idx = _monomials(flat, n, nvars)
+    clipped = np.where(slots < n, slots, 0).astype(np.uint64)
+    xbits = np.where(slots < n, np.uint64(1) << clipped, np.uint64(0))
+    xmask = np.bitwise_or.reduce(xbits, axis=0)
+    return k_arr * (n + 1) + y_idx + 1, xmask
+
+
+def merge_q2(field, parts: list[tuple], n: int) -> tuple:
+    """Combine q=2 records into the canonical (slot, coeff, xmask) table.
+
+    Coefficients are parities of the record multiplicities.  Each record
+    packs into one uint64, slot above mask, so a single unique pass sorts
+    and counts them; MAX_MASK_VARS keeps that within 64 bits.
+    """
+    slot = np.concatenate([p[0] for p in parts]).astype(np.uint64)
+    mask = np.concatenate([p[1] for p in parts])
+    uniq, counts = np.unique((slot << np.uint64(n)) | mask, return_counts=True)
+    keep = uniq[(counts & 1) == 1]
+    return ((keep >> np.uint64(n)).astype(np.int64),
+            np.ones(len(keep), dtype=np.uint8),
+            keep & np.uint64((1 << n) - 1))
+
+
+def records_general(field, flat: np.ndarray, n: int, nvars: int) -> tuple:
+    """(slot, coeff, x exponent rows) of the nonzero monomials of a flat
+    tensor, any q; exponents e > 0 reduce to (e - 1) % (q - 1) + 1."""
+    k_arr, pos, slots, y_idx = _monomials(flat, n, nvars)
+    exps = np.zeros((len(pos), n), dtype=np.uint8)
+    for row in slots:
+        sel = np.nonzero(row < n)[0]
+        exps[sel, row[sel]] += 1
+    exps = np.where(exps > 0, (exps - 1) % (field.q - 1) + 1, 0)
+    return k_arr * (n + 1) + y_idx + 1, flat[k_arr, pos], exps
+
+
+def merge_general(field, parts: list[tuple], n: int) -> tuple:
+    """Combine records into the canonical (slot, coeff, exponent rows) table."""
+    return merge_terms(field.base, *(np.concatenate(col) for col in zip(*parts)))

@@ -10,6 +10,7 @@ from ..mvpoly import linalg
 from ..mvpoly.upoly import roots as upoly_roots
 
 _DEFAULT_TRIALS = 10
+_BATCH_CELLS = 1 << 18  # rows x terms per batch_zero_mask chunk
 
 
 def encrypt_raw(pk, x_vec: np.ndarray, rng: random.Random):
@@ -20,12 +21,13 @@ def encrypt_raw(pk, x_vec: np.ndarray, rng: random.Random):
     is inconsistent, which is the expected failure mode.
     """
     x_vec = np.asarray(x_vec, dtype=np.uint8)
-    system = pk.linear_system(x_vec)
-    sol = linalg.solve(pk.base, system.matrix, system.rhs)
+    matrix, rhs = pk.linear_system(x_vec)
+    sol = linalg.solve(pk.base, matrix, rhs)
     if sol is None:
         return None
     y = sol.sample(pk.base, rng)
-    assert not pk.eval_at(x_vec, y).any(), "solver returned a non-solution"
+    assert np.array_equal(linalg.matvec(pk.base, matrix, y), rhs), \
+        "solver returned a non-solution"
     return y
 
 
@@ -141,43 +143,16 @@ def private_relation_check(sk, u: int, v: int):
 
 
 def batch_zero_mask(pk, digits: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
-    """Which rows of a (m, n) digit matrix satisfy every public equation."""
+    """Which rows of a (m, n) digit matrix satisfy every public equation.
+
+    Evaluates in chunks of rows so that rows times terms stays bounded.
+    """
     digits = np.asarray(digits, dtype=np.uint8)
-    y_vec = np.asarray(y_vec, dtype=np.uint8)
-    m = digits.shape[0]
-    ok = np.ones(m, dtype=bool)
-    base = pk.base
-    packed = None
-    if base.q == 2:
-        packed = (
-            digits.astype(np.uint64) << np.arange(pk.n, dtype=np.uint64)
-        ).sum(axis=1)
-    for tb in pk.tables:
-        if tb.q2:
-            weight = np.where(tb.y_idx < 0, 1, y_vec[tb.y_idx]).astype(bool)
-            masks = tb.xmask[weight]
-            hits = (masks[None, :] & packed[:, None]) == masks[None, :]
-            vals = hits.sum(axis=1) & 1
-        elif base.r == 1:
-            pt = base.power_table()
-            w = np.where(tb.y_idx < 0, 1, y_vec[tb.y_idx]).astype(np.int64)
-            w = w * tb.coeffs.astype(np.int64) % base.p
-            acc = np.ones((m, len(tb)), dtype=np.int64)
-            for i in range(pk.n):
-                acc = acc * pt[digits[:, i]][:, tb.xexp[:, i]] % base.p
-            vals = acc @ w % base.p
-        else:
-            pt = base.power_table()
-            mul_t, add_t = base.mul_table, base.add_table
-            w = np.where(tb.y_idx < 0, 1, y_vec[tb.y_idx]).astype(np.uint8)
-            w = mul_t[w, tb.coeffs]
-            acc = np.broadcast_to(w, (m, len(tb))).copy()
-            for i in range(pk.n):
-                acc = mul_t[acc, pt[digits[:, i]][:, tb.xexp[:, i]]]
-            vals = np.zeros(m, dtype=np.uint8)
-            for t in range(acc.shape[1]):
-                vals = add_t[vals, acc[:, t]]
-        ok &= vals == 0
+    ok = np.empty(len(digits), dtype=bool)
+    step = max(1, _BATCH_CELLS // max(1, pk.term_count()))
+    for lo in range(0, len(digits), step):
+        vals = pk.eval_at(digits[lo:lo + step], y_vec)
+        ok[lo:lo + step] = ~vals.any(axis=1)
     return ok
 
 

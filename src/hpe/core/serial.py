@@ -10,10 +10,10 @@ import numpy as np
 
 from ..errors import FormatError
 from ..fields import base_field, parse_descriptor
-from ..mvpoly.multipoly import MultiPoly
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair
-from .keys import AffinePair, PrivateKey, PrivatePolynomial, PublicKey, TermTable
+from .keys import (MAX_MASK_VARS, AffinePair, PrivateKey, PrivatePolynomial,
+                   PublicKey, merge_terms, x_part)
 
 MAGIC = "HPE1"
 
@@ -32,10 +32,12 @@ def parse_vector(text: str, q: int, n: int) -> np.ndarray:
 def dump_public(pk: PublicKey) -> str:
     out = ["%s %d %d %d" % (MAGIC, pk.q, pk.n, pk.t)]
     out.extend(pk.alphabet.to_lines())
-    for k, tb in enumerate(pk.tables):
-        out.append("EQ %d %d" % (k, len(tb)))
-        for coeff, exps in tb.iter_terms():
-            out.append("%d : %s" % (coeff, " ".join(map(str, exps))))
+    digits = [str(v) for v in range(pk.q)]
+    for k in range(pk.n):
+        coeffs, exps = pk.equation_terms(k)
+        out.append("EQ %d %d" % (k, len(coeffs)))
+        for c, row in zip(coeffs.tolist(), exps.tolist()):
+            out.append("%d : %s" % (c, " ".join([digits[e] for e in row])))
     return "\n".join(out) + "\n"
 
 
@@ -67,6 +69,28 @@ def _split_alphabet(lines: list, pos: int):
         raise FormatError("bad alphabet block") from exc
 
 
+def _parse_terms(lines: list, k: int, n: int, q: int) -> tuple:
+    """(slot, coeff, x exponent rows) of the term lines of equation k."""
+    coeffs, rows = [], []
+    for line in lines:
+        coeff_s, sep, exps_s = line.partition(":")
+        try:
+            coeffs.append(int(coeff_s))
+            rows.append([int(e) for e in exps_s.split()])
+        except ValueError as exc:
+            raise FormatError("bad term line: %r" % line) from exc
+        if not sep or len(rows[-1]) != 2 * n or not 0 < coeffs[-1] < q:
+            raise FormatError("malformed term: %r" % line)
+    exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
+    x, y = exps[:, :n], exps[:, n:]
+    if ((x < 0) | (x >= q)).any():
+        raise FormatError("x exponent not reduced by x^q = x in equation %d" % k)
+    if ((y < 0) | (y > 1)).any() or (y.sum(axis=1) > 1).any():
+        raise FormatError("equation %d is not linear in y" % k)
+    slot = k * (n + 1) + np.where(y.any(axis=1), y.argmax(axis=1) + 1, 0)
+    return slot, np.array(coeffs, dtype=np.uint8), x
+
+
 def load_public(text: str) -> PublicKey:
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -74,9 +98,11 @@ def load_public(text: str) -> PublicKey:
     q, n, t = _parse_header(lines[0])
     if len(lines) > 1 and lines[1].startswith("F "):
         raise FormatError("this is a private key file, not a public one")
+    if q == 2 and n > MAX_MASK_VARS:
+        raise FormatError("q=2 keys support at most %d variables" % MAX_MASK_VARS)
     alphabet, pos = _split_alphabet(lines, 1)
     base = base_field(q)
-    tables = []
+    cols = []
     while pos < len(lines):
         parts = lines[pos].split()
         if parts[0] != "EQ" or len(parts) != 3:
@@ -85,29 +111,18 @@ def load_public(text: str) -> PublicKey:
             k, nterms = int(parts[1]), int(parts[2])
         except ValueError as exc:
             raise FormatError("bad equation header: %r" % lines[pos]) from exc
-        if k != len(tables):
+        if k != len(cols):
             raise FormatError("equations out of order at %r" % lines[pos])
-        pos += 1
-        terms = {}
-        for _ in range(nterms):
-            if pos >= len(lines):
-                raise FormatError("equation %d is truncated" % k)
-            line = lines[pos]
-            pos += 1
-            try:
-                coeff_s, exps_s = line.split(":")
-                coeff = int(coeff_s)
-                exps = tuple(int(e) for e in exps_s.split())
-            except ValueError as exc:
-                raise FormatError("bad term line: %r" % line) from exc
-            if len(exps) != 2 * n or not 0 < coeff < q:
-                raise FormatError("malformed term: %r" % line)
-            terms[exps] = base.add(terms.get(exps, 0), coeff)
-        mp = MultiPoly(base, 2 * n, terms)
-        tables.append(TermTable.from_multipoly(mp, n))
-    if len(tables) != n:
-        raise FormatError("expected %d equations, found %d" % (n, len(tables)))
-    return PublicKey(base, n, t, tables, alphabet)
+        if nterms < 0 or pos + 1 + nterms > len(lines):
+            raise FormatError("equation %d is truncated" % k)
+        slot, coeff, x = _parse_terms(lines[pos + 1:pos + 1 + nterms], k, n, q)
+        cols.append((slot, coeff, x_part(q, n, x)))
+        pos += 1 + nterms
+    if len(cols) != n:
+        raise FormatError("expected %d equations, found %d" % (n, len(cols)))
+    slot, coeff, xpart = merge_terms(
+        base, *(np.concatenate(col) for col in zip(*cols)))
+    return PublicKey(base, n, t, slot, coeff, xpart, alphabet)
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:

@@ -46,22 +46,8 @@ class IMPublicKey:
         xs = np.asarray(xs, dtype=np.uint8)
         m = xs.shape[0]
         xt = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
-        if self.base.r == 1:
-            qd = self.quad.astype(np.int64)
-            vals = np.einsum("kab,ma,mb->mk", qd, xt.astype(np.int64),
-                             xt.astype(np.int64))
-            return (vals % self.base.p).astype(np.uint8)
-        add_t, mul_t = self.base.add_table, self.base.mul_table
-        out = np.zeros((m, self.n), dtype=np.uint8)
-        for k in range(self.n):
-            acc = np.zeros(m, dtype=np.uint8)
-            for a in range(self.n + 1):
-                for b in range(self.n + 1):
-                    c = int(self.quad[k, a, b])
-                    if c:
-                        acc = add_t[acc, mul_t[c, mul_t[xt[:, a], xt[:, b]]]]
-            out[:, k] = acc
-        return out
+        pairs = self.base.mul_table[xt[:, :, None], xt[:, None, :]].reshape(m, -1)
+        return linalg.matmul(self.base, pairs, self.quad.reshape(self.n, -1).T)
 
     def quad_polys(self) -> list:
         """The forms as 2n-variable polynomials, ciphertext side explicit."""
@@ -151,27 +137,11 @@ def im_keygen(q: int, n: int, theta: int | None = None,
         field, affine.a_mat, affine.c_vec, n, 0)
     flat = linearize.expand_product(
         field, 1, [linearize.frobenius_factor(field, theta, x_factor), x_factor])
-    nsq = (n + 1) ** 2
-    const_slot = nsq - 1
-    if base.r == 1:
-        w = flat.astype(np.int64)
-        quad_flat = affine.b_inv.astype(np.int64) @ w % base.p
-        shift = affine.b_inv.astype(np.int64) @ affine.d_vec.astype(np.int64)
-        quad_flat[:, const_slot] = (
-            quad_flat[:, const_slot] - shift) % base.p
-        quad = quad_flat.astype(np.uint8).reshape(n, n + 1, n + 1)
-    else:
-        add_t, mul_t, neg_t = base.add_table, base.mul_table, base.neg_table
-        quad_flat = np.zeros((n, nsq), dtype=np.uint8)
-        for i in range(n):
-            for k in range(n):
-                c = int(affine.b_inv[i, k])
-                if c:
-                    quad_flat[i] = add_t[quad_flat[i], mul_t[c, flat[k]]]
-        shift = linalg.matvec(base, affine.b_inv, affine.d_vec)
-        quad_flat[:, const_slot] = add_t[
-            quad_flat[:, const_slot], neg_t[shift]]
-        quad = quad_flat.reshape(n, n + 1, n + 1)
+    const_slot = (n + 1) ** 2 - 1
+    quad_flat = linalg.matmul(base, affine.b_inv, flat)
+    shift = linalg.matvec(base, affine.b_inv, affine.d_vec)
+    quad_flat[:, const_slot] = base.sub_table[quad_flat[:, const_slot], shift]
+    quad = quad_flat.reshape(n, n + 1, n + 1)
     return IMKeyPair(field, theta, h, h_prime, affine, IMPublicKey(base, n, quad))
 
 
@@ -221,25 +191,13 @@ class BilinearRelation:
 
     def eval(self, base, x_vec, y_vec) -> int:
         row = _monomial_rows(base, np.asarray(x_vec, dtype=np.uint8)[None, :],
-                             np.asarray(y_vec, dtype=np.uint8)[None, :])[0]
-        if base.r == 1:
-            return int(
-                row.astype(np.int64) @ self.vector.astype(np.int64) % base.p)
-        acc = 0
-        for a, b in zip(row, self.vector):
-            acc = base.add(acc, base.mul(int(a), int(b)))
-        return acc
+                             np.asarray(y_vec, dtype=np.uint8)[None, :])
+        return int(linalg.matvec(base, row, self.vector)[0])
 
 
 def _monomial_rows(base, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     m, n = xs.shape
     ones = np.ones((m, 1), dtype=np.uint8)
-    if base.r == 1:
-        xy = (
-            xs[:, :, None].astype(np.int64) * ys[:, None, :].astype(np.int64)
-        ) % base.p
-        return np.concatenate(
-            [xy.reshape(m, n * n).astype(np.uint8), xs, ys, ones], axis=1)
     xy = base.mul_table[xs[:, :, None], ys[:, None, :]].reshape(m, n * n)
     return np.concatenate([xy, xs, ys, ones], axis=1)
 
@@ -298,35 +256,15 @@ def patarin_attack(pk: IMPublicKey, relations: list, y_target: np.ndarray,
     base = pk.base
     n = pk.n
     y = np.asarray(y_target, dtype=np.uint8)
-    if not relations:
-        # No constraints at all: the candidate space is the full domain.
-        mat = np.zeros((0, n), dtype=np.uint8)
-        rhs = np.zeros(0, dtype=np.uint8)
-    elif base.r == 1:
-        p = base.p
-        yl = y.astype(np.int64)
-        mat = np.stack([
-            (rel.gamma.astype(np.int64) @ yl + rel.delta) % p
-            for rel in relations
-        ]).astype(np.uint8)
-        rhs = np.array([
-            (-(rel.epsilon.astype(np.int64) @ yl + rel.zeta)) % p
-            for rel in relations
-        ], dtype=np.uint8)
-    else:
-        neg_t = base.neg_table
-        mat = np.zeros((len(relations), n), dtype=np.uint8)
-        rhs = np.zeros(len(relations), dtype=np.uint8)
-        for r, rel in enumerate(relations):
-            for i in range(n):
-                acc = int(rel.delta[i])
-                for j in range(n):
-                    acc = base.add(acc, base.mul(int(rel.gamma[i, j]), int(y[j])))
-                mat[r, i] = acc
-            acc = rel.zeta
-            for j in range(n):
-                acc = base.add(acc, base.mul(int(rel.epsilon[j]), int(y[j])))
-            rhs[r] = neg_t[acc]
+    # With no relations the system is empty and every x is a candidate.
+    gamma = np.array([rel.gamma for rel in relations], dtype=np.uint8)
+    delta = np.array([rel.delta for rel in relations], dtype=np.uint8)
+    eps = np.array([rel.epsilon for rel in relations], dtype=np.uint8)
+    zeta = np.array([rel.zeta for rel in relations], dtype=np.uint8)
+    gamma_y = linalg.matvec(base, gamma.reshape(-1, n), y).reshape(-1, n)
+    mat = base.add_table[gamma_y, delta.reshape(-1, n)]
+    eps_y = linalg.matvec(base, eps.reshape(-1, n), y)
+    rhs = base.neg_table[base.add_table[eps_y, zeta]]
     sol = linalg.solve(base, mat, rhs)
     if sol is None:
         return []

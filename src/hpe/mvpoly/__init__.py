@@ -1,15 +1,13 @@
 """Sparse multivariate polynomials, univariate root finding, and F_q linear algebra."""
 
 from . import linalg, upoly
-from .linalg import LinearSystem, Solution, nullspace, solve_linear
+from .linalg import Solution, nullspace
 from .multipoly import MultiPoly
 
 __all__ = [
-    "LinearSystem",
     "MultiPoly",
     "Solution",
     "linalg",
     "nullspace",
-    "solve_linear",
     "upoly",
 ]

@@ -89,11 +89,26 @@ def inverse(base, m: np.ndarray) -> np.ndarray:
     return red[:, n:].copy()
 
 
-def nullspace(base, m: np.ndarray) -> list[np.ndarray]:
-    """Basis of the right kernel of m, one vector per free column."""
-    m = as_matrix(m)
-    red, pivots = rref(base, m)
-    cols = m.shape[1]
+def segment_sums(base, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """F_q sums of the runs values[..., starts[i]:starts[i + 1]] along the
+    last axis; the last run ends with the array.
+
+    Elements add digit by digit in base p, so every base-p digit is summed
+    as an integer and reduced mod p (one digit, the values, for prime q).
+    """
+    p, out = base.p, 0
+    for d in range(base.r):
+        if d < base.r - 1:
+            values, digit = np.divmod(values, p)
+        else:
+            digit = values  # the top digit is all that the divisions left
+        sums = np.add.reduceat(digit, starts, axis=-1, dtype=np.int64)
+        out = out + sums % p * p**d
+    return np.asarray(out, dtype=np.uint8)
+
+
+def _kernel_basis(base, red: np.ndarray, pivots: list, cols: int) -> list[np.ndarray]:
+    """One kernel vector per free column among the first cols of an rref."""
     pivot_cols = {c for _, c in pivots}
     neg_t = base.neg_table
     basis = []
@@ -106,6 +121,13 @@ def nullspace(base, m: np.ndarray) -> list[np.ndarray]:
             vec[c] = neg_t[red[r, fc]]
         basis.append(vec)
     return basis
+
+
+def nullspace(base, m: np.ndarray) -> list[np.ndarray]:
+    """Basis of the right kernel of m, one vector per free column."""
+    m = as_matrix(m)
+    red, pivots = rref(base, m)
+    return _kernel_basis(base, red, pivots, m.shape[1])
 
 
 @dataclass
@@ -136,15 +158,6 @@ class Solution:
         yield from stack
 
 
-@dataclass
-class LinearSystem:
-    """The system matrix @ x = rhs over the given base field."""
-
-    base: object
-    matrix: np.ndarray
-    rhs: np.ndarray
-
-
 def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
     """Solve a x = b; None when inconsistent (a value, not an error)."""
     a = as_matrix(a)
@@ -159,25 +172,7 @@ def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
     particular = np.zeros(cols, dtype=np.uint8)
     for r, c in pivots:
         particular[c] = red[r, cols]
-    sub = red[:, :cols]
-    pivot_cols = {c for _, c in pivots}
-    neg_t = base.neg_table
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[fc] = 1
-        for r, c in pivots:
-            vec[c] = neg_t[sub[r, fc]]
-        basis.append(vec)
-    return Solution(particular, basis)
-
-
-def solve_linear(system: LinearSystem, rng: random.Random | None = None) -> Solution | None:
-    """Solve a LinearSystem; rng is accepted for signature parity with samplers."""
-    del rng  # the particular solution is deterministic; use Solution.sample
-    return solve(system.base, system.matrix, system.rhs)
+    return Solution(particular, _kernel_basis(base, red, pivots, cols))
 
 
 def random_matrix(base, shape: tuple[int, int], rng: random.Random) -> np.ndarray:

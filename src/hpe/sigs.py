@@ -23,18 +23,6 @@ _SALT_BUDGET = 64
 _ENUM_CAP = 4096
 
 
-@dataclass(frozen=True)
-class HashParams:
-    """Counter-expanded SHA-256 squeezed into n digits base q."""
-
-    q: int
-    n: int
-    algorithm: str = "sha256"
-
-    def digest(self, message, salt: int = 0) -> np.ndarray:
-        return hash_to_y(message, salt, self.q, self.n)
-
-
 def hash_to_y(message, salt: int, q: int, n: int) -> np.ndarray:
     """Deterministic n-digit base-q vector from a message and salt.
 
@@ -169,8 +157,8 @@ def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray,
     alphabet = sk_receiver.alphabet
     msgs = set()
     for x_b in decrypt_raw(sk_receiver, y_vec):
-        system = pk_sender.linear_system(x_b)
-        sol = linalg.solve(base, system.matrix, system.rhs)
+        matrix, rhs = pk_sender.linear_system(x_b)
+        sol = linalg.solve(base, matrix, rhs)
         if sol is None or sol.count(base) > enum_cap:
             continue
         for candidate in sol.enumerate(base):

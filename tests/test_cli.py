@@ -45,6 +45,16 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
     assert "parameter error" in err
 
 
+def test_oversized_q2_is_a_parameter_error(capsys, tmp_path):
+    # Refused by KeyGenParams.check before any expansion work.
+    pub, priv = str(tmp_path / "k.pub"), str(tmp_path / "k.key")
+    capsys.readouterr()
+    assert main(["keygen", "--q", "2", "--n", "49", "--pub", pub,
+                 "--priv", priv]) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hpe: parameter error:")
+
+
 def test_keygen_writes_versioned_files(keydir, capsys):
     pub = (keydir / "a.pub").read_text()
     priv = (keydir / "a.key").read_text()

@@ -7,7 +7,7 @@ import pytest
 
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core.alphabet import base4, default_alphabet, hex16
-from hpe.core.keys import AffinePair, PrivatePolynomial
+from hpe.core.keys import MAX_MASK_VARS, AffinePair, PrivatePolynomial
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import build_extension
 from hpe.mvpoly.linalg import identity
@@ -24,6 +24,12 @@ def _identity_affine(field):
     return AffinePair(field.base, identity(n), zero, identity(n), zero)
 
 
+def _x_degrees(pk):
+    """Largest x-degree of a term, per public equation."""
+    return [max((sum(e[:pk.n]) for e in eq.terms), default=0)
+            for eq in pk.equations()]
+
+
 def test_params_validation():
     KeyGenParams(q=2, n=8).check()
     with pytest.raises(VariableMismatch):
@@ -36,6 +42,11 @@ def test_params_validation():
         KeyGenParams(q=2, n=8, degX_max=65).check()
     with pytest.raises(VariableMismatch):
         KeyGenParams(q=2, n=8, n_monomials=0).check()
+    # q = 2 x parts are 64-bit masks: at most MAX_MASK_VARS variables.
+    KeyGenParams(q=2, n=MAX_MASK_VARS).check()
+    KeyGenParams(q=3, n=MAX_MASK_VARS + 1).check()
+    with pytest.raises(VariableMismatch):
+        KeyGenParams(q=2, n=MAX_MASK_VARS + 1).check()
 
 
 @pytest.mark.parametrize("q,weight,cap,n", [(2, 2, 9, 8), (3, 2, 9, 5), (2, 3, 9, 6)])
@@ -117,9 +128,11 @@ def test_expansion_of_cubic_times_y_identity_masks():
 
 
 def test_expansion_matches_private_eval_random_key():
+    # (5, 3) and (9, 3) sum digits over odd p, (8, 3) three digits over p = 2.
     rng = random.Random(43)
-    for q, n in ((2, 6), (3, 4), (4, 3)):
-        params = KeyGenParams(q=q, n=n)
+    for q, n, degx in ((2, 6, 9), (3, 4, 9), (4, 3, 9), (5, 3, 9), (8, 3, 9),
+                       (9, 3, 10)):
+        params = KeyGenParams(q=q, n=n, degX_max=degx)
         field = build_extension(q, n)
         priv = sample_private(params, field, rng)
         affine = AffinePair.sample(field.base, n, rng)
@@ -144,11 +157,10 @@ def test_expansion_against_generic_substitution():
     alph = default_alphabet(2, 12)
     direct = expand_keypair(field, priv, affine, alph)
     plain = expand_keypair(field, priv, _identity_affine(field), alph)
-    for k in range(n):
-        mp = plain.tables[k].to_multipoly()
+    for mp, want in zip(plain.equations(), direct.equations()):
         mp = mp.substitute_affine(affine.a_mat, affine.c_vec, (0, n))
         mp = mp.substitute_affine(affine.b_mat, affine.d_vec, (n, n))
-        assert mp.normalize_exponents() == direct.tables[k].to_multipoly()
+        assert mp.normalize_exponents() == want
 
 
 def test_repeated_level_factor_collapses_to_linear():
@@ -159,8 +171,7 @@ def test_repeated_level_factor_collapses_to_linear():
     rng = random.Random(53)
     affine = AffinePair.sample(field.base, 4, rng)
     pk = expand_keypair(field, priv, affine, base4())
-    for tb in pk.tables:
-        assert tb.x_degree() <= 1
+    assert max(_x_degrees(pk)) <= 1
     for _ in range(60):
         x = np.array([rng.randrange(2) for _ in range(4)], dtype=np.uint8)
         y = np.array([rng.randrange(2) for _ in range(4)], dtype=np.uint8)
@@ -173,12 +184,12 @@ def test_repeated_level_factor_collapses_to_linear():
 def test_keygen_shapes_at_small_size():
     pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9, n_monomials=3,
                                  seed=5))
-    assert len(pk.tables) == 8
+    assert len(pk.equations()) == 8
     assert pk.t == 3 and sk.priv.t() == 3
     assert pk.shape_violations() == []
-    for tb in pk.tables:
-        assert tb.has_y()
-        assert 2 <= tb.x_degree() <= pk.t
+    for eq, deg in zip(pk.equations(), _x_degrees(pk)):
+        assert any(sum(e[8:]) for e in eq.terms)
+        assert 2 <= deg <= pk.t
 
 
 def test_keygen_deterministic_under_seed():
@@ -228,4 +239,4 @@ def test_public_equations_lazy_view(pair16):
     eqs = pk.equations()
     assert len(eqs) == 16
     assert eqs[0].nvars == 32
-    assert pk.term_count() == sum(len(tb) for tb in pk.tables)
+    assert pk.term_count() == sum(len(eq.terms) for eq in eqs)

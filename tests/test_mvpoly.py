@@ -7,9 +7,9 @@ from hpe.errors import (HpeError, RootFindingFailed, SingularMatrix,
                         VariableMismatch, ZeroPolynomial)
 from hpe.fields import base_field, build_extension
 from hpe.mvpoly import upoly
-from hpe.mvpoly.linalg import (LinearSystem, Solution, identity, inverse,
-                               matmul, matvec, nullspace, rank, random_invertible,
-                               random_matrix, rref, solve, solve_linear)
+from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
+                               rank, random_invertible, random_matrix, rref,
+                               solve)
 from hpe.mvpoly.multipoly import MultiPoly
 
 
@@ -311,18 +311,6 @@ def test_solution_count_and_enumerate():
     # Sampling stays inside the enumerated set.
     for _ in range(10):
         assert tuple(int(d) for d in sol.sample(base, rng)) in seen
-
-
-def test_solve_linear_wrapper():
-    base = base_field(2)
-    rng = random.Random(16)
-    a = random_matrix(base, (4, 4), rng)
-    x = np.array([1, 0, 1, 1], dtype=np.uint8)
-    b = matvec(base, a, x)
-    sol = solve_linear(LinearSystem(base, a, b), rng)
-    assert sol is not None
-    got = sol.sample(base, rng)
-    assert np.array_equal(matvec(base, a, got), b)
 
 
 def test_random_invertible_is_invertible():

@@ -214,9 +214,11 @@ def test_relation_check_exhaustive_small():
 
 def test_batch_zero_mask_matches_rowwise_eval():
     rng = random.Random(75)
-    for q, n in ((2, 12), (3, 4), (4, 3)):
+    for q, n, degx in ((2, 12, 9), (3, 4, 9), (4, 3, 9), (5, 3, 9), (8, 3, 9),
+                       (9, 3, 10)):
         field = build_extension(q, n)
-        priv = keygen_mod.sample_private(KeyGenParams(q=q, n=n), field, rng)
+        priv = keygen_mod.sample_private(
+            KeyGenParams(q=q, n=n, degX_max=degx), field, rng)
         affine = AffinePair.sample(field.base, n, rng)
         pk = keygen_mod.expand_keypair(field, priv, affine,
                                        default_alphabet(q, n) if q != 2

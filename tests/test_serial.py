@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import numpy as np
@@ -7,6 +8,15 @@ from hpe import (KeyGenParams, dump_private, dump_public, dump_signature,
                  dump_vector, keygen, load_private, load_public,
                  parse_signature, parse_vector)
 from hpe.errors import FormatError
+
+# SHA-256 of dump_public(keygen(KeyGenParams(q, n, seed=s))[0]), recorded
+# before the public key moved to one flat term table; any change in term
+# order or formatting shows here.
+PINNED_PUBLIC_DIGESTS = {
+    (2, 12, 103): "bb52e3cdb6f2965550f9b92fd89b3b2a7f829d82aef43b7789f06d50e6632b2d",
+    (3, 5, 635): "6b66820052465c8f2cc0c74f1098717f990e70e9ab68bf9a04bab7a58ec8c43e",
+    (4, 4, 644): "1b850c26f54b2e19fedfdd9d4278775385e0c56d784807103ca52a37af6dc97b",
+}
 
 
 def test_vector_round_trip_compact_digits():
@@ -99,6 +109,52 @@ def test_public_key_strictness(pair12):
     # Truncating an equation breaks the term count.
     with pytest.raises(FormatError):
         load_public(_mutate_lines(text, first_term, None))
+
+
+def test_public_key_strictness_exponent_rows():
+    # q = 3 stores exponent rows, not bitmasks; the same rules apply.
+    pk, _ = keygen(KeyGenParams(q=3, n=5, seed=635))
+    text = dump_public(pk)
+    lines = text.splitlines()
+    first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
+    coeff, exps = lines[first_term].split(":")
+    digits = exps.split()
+    for pos, value in ((0, "3"), (-1, "2")):
+        bad_digits = list(digits)
+        bad_digits[pos] = value
+        bad = _mutate_lines(text, first_term,
+                            "%s : %s" % (coeff, " ".join(bad_digits)))
+        with pytest.raises(FormatError):
+            load_public(bad)
+    with pytest.raises(FormatError):
+        load_public(_mutate_lines(text, first_term, "3 :%s" % exps))
+    # A repeated term line merges: 1 + 1 = 2, and 2 + 1 = 0 drops the term.
+    eq_idx = first_term - 1
+    k, count = lines[eq_idx].split()[1:]
+    for add, merged in (("1", 2), ("2", None)):
+        twice = lines[:eq_idx] + ["EQ %s %d" % (k, int(count) + 1)]
+        twice += ["1 :%s" % exps, add + " :%s" % exps] + lines[first_term + 1:]
+        again = load_public("\n".join(twice) + "\n")
+        terms = again.equations()[int(k)].terms
+        key = tuple(int(e) for e in digits)
+        assert terms.get(key) == merged
+        assert again.term_count() == pk.term_count() - (merged is None)
+
+
+@pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
+def test_public_key_format_pinned(q, n, seed):
+    text = dump_public(keygen(KeyGenParams(q=q, n=n, seed=seed))[0])
+    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
+    assert digest == PINNED_PUBLIC_DIGESTS[(q, n, seed)]
+    assert dump_public(load_public(text)) == text
+
+
+def test_public_key_rejects_oversized_q2(pair12):
+    # q = 2 keys stop at MAX_MASK_VARS variables; a header beyond it is
+    # refused before any term is read.
+    text = dump_public(pair12[0])
+    with pytest.raises(FormatError, match="at most 48"):
+        load_public(text.replace("HPE1 2 12 3", "HPE1 2 49 3", 1))
 
 
 def test_public_key_equation_order_enforced(pair12):

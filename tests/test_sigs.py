@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from hpe import (HashParams, KeyGenParams, Signature, hash_to_y, keygen, sign,
-                 signcrypt, unsigncrypt, verify)
+from hpe import (KeyGenParams, Signature, hash_to_y, keygen, sign, signcrypt,
+                 unsigncrypt, verify)
 from hpe.core.alphabet import hex16
 from hpe.errors import (NoValidCandidate, SigncryptionFailed,
                         VariableMismatch)
@@ -97,11 +97,6 @@ def test_hash_digit_frequencies_unbiased():
     total = sum(counts)
     for c in counts:
         assert abs(c / total - 1 / 3) < 0.02
-
-
-def test_hash_params_wrapper():
-    hp = HashParams(q=2, n=16)
-    assert np.array_equal(hp.digest("m", 4), hash_to_y("m", 4, 2, 16))
 
 
 def test_sign_verify_round_trip(pair16):
