@@ -3,8 +3,6 @@
 import functools
 import random
 
-import numpy as np
-
 from ..errors import GenerationFailed
 from ..fields import build_extension
 from . import linearize
@@ -101,38 +99,29 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
     """Turn (f, A, B) into the published coordinate equations.
 
     Each monomial of f becomes a product of Frobenius twists of the two
-    affine images; expanding those products coordinatewise and reducing
+    affine images, one x twist per base-q digit of its X exponent and the
+    y twist last; expanding those products coordinatewise and reducing
     x^q = x yields n equations linear in y, merged into one flat table.
     """
     base = field.base
     n = field.n
-    nvars = 2 * n
-    x_factor = linearize.affine_block_matrix(
-        field, affine.a_mat, affine.c_vec, nvars, 0)
-    y_factor = linearize.affine_block_matrix(
-        field, affine.b_mat, affine.d_vec, nvars, n)
-
-    const_flat = np.zeros((n, 1), dtype=np.uint8)
-    if priv.const:
-        const_flat[:, 0] = field.coords(priv.const)
-
-    def factors_for(coeff, xth, yth):
-        fs = [linearize.frobenius_factor(field, t, x_factor) for t in xth]
-        if yth is not None:
-            fs.append(linearize.frobenius_factor(field, yth, y_factor))
-        return linearize.expand_product(field, coeff, fs)
-
-    flats = [const_flat]
-    for a, xth, yth in priv.mixed:
-        flats.append(factors_for(a, xth, yth))
-    for b, xth in priv.pure:
-        flats.append(factors_for(b, xth, None))
+    x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
+    y_factor = linearize.affine_block_matrix(field, affine.b_mat, affine.d_vec)
 
     if base.q == 2:
         records, merge = linearize.records_q2, linearize.merge_q2
     else:
         records, merge = linearize.records_general, linearize.merge_general
-    parts = [records(field, fl, n, nvars) for fl in flats]
+    terms = [*priv.mixed, *((b, xth, None) for b, xth in priv.pure),
+             (priv.const, (), None)]
+    parts = []
+    for coeff, xth, yth in terms:
+        fs = [linearize.frobenius_factor(field, t, x_factor)
+              for t in linearize.x_levels(base.q, n, xth)]
+        if yth is not None:
+            fs.append(linearize.frobenius_factor(field, yth, y_factor))
+        flat = linearize.expand_product(field, coeff, fs)
+        parts.append(records(field, flat, n, yth is not None))
     slot, coeff, xpart = merge(field, parts, n)
     return PublicKey(base, n, priv.t(), slot, coeff, xpart, alphabet)
 

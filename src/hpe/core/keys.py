@@ -311,15 +311,22 @@ class PublicKey:
 
     def shape_violations(self) -> list:
         """Structural defects, empty for a well-formed key."""
+        n, slots = self.n, self.slot[self._starts]
+        has_y = np.bincount(slots // (n + 1), slots % (n + 1) > 0, minlength=n)
+        if self.q == 2:
+            degs = np.bitwise_count(self.xpart)
+        else:
+            degs = self.xpart.sum(axis=1, dtype=np.int64)
+        filled = self.bounds[:-1] < self.bounds[1:]  # an empty equation has degree 0
+        deg = np.zeros(n, dtype=np.int64)
+        deg[filled] = np.maximum.reduceat(degs, self.bounds[:-1][filled])
         out = []
-        for k in range(self.n):
-            lo, hi = self.bounds[k], self.bounds[k + 1]
-            if not (self.slot[lo:hi] % (self.n + 1)).any():
+        for k in range(n):
+            if not has_y[k]:
                 out.append("equation %d has no y variable" % k)
-            deg = int(self._x_exponents(lo, hi).sum(axis=1).max(initial=0))
-            if deg < 2:
+            if deg[k] < 2:
                 out.append("equation %d is linear in x" % k)
-            if deg > self.t:
+            if deg[k] > self.t:
                 out.append("equation %d exceeds x-degree %d" % (k, self.t))
         return out
 

@@ -1,19 +1,25 @@
 """Coordinate expansion of products over K into equations over F_q.
 
-A private relation is a sum of terms a * u^(q^t1) * .. * u^(q^td) * v^(q^s).
-With u = A x + c and v = B y + d, each q-power factor is an element of K
-whose coordinate vector is affine in the symbolic variables: its n x N
-factor matrix holds, per coordinate, the coefficients over the homogenized
-variable vector w = (x_1..x_n, y_1..y_n, 1).  Multiplying factors through
-the multiplication tensor turns the coordinates of the running product into
-dense degree-d coefficient tensors over w, and the n coordinates of the full
-sum are the public equations.
+A private relation is a sum of terms a * X^e * Y^(q^s) with e a sum of
+q-powers.  With u = A x + c and v = B y + d, each q-power factor is an
+element of K whose coordinate vector is affine in one block of variables:
+its n x (n + 1) factor matrix holds, per coordinate, the coefficients over
+(x_1..x_n, 1) for a power of u, or over (y_1..y_n, 1) for the power of v.
+The X factors are the base-q digits of e: levels are taken mod n, since
+u^(q^n) = u, and q equal levels carry into one factor a level higher, so
+u^(q^t)^q is one factor u^(q^(t+1)).  The y factor comes last.
 
-The contraction runs per output coordinate as a flat matrix product, in
-float64 so BLAS does the work; every intermediate is an integer below 2^53,
-so the arithmetic is exact before the reduction mod q.  Non-prime base
-fields take a table-driven fallback over the same structure.  The nonzero
-tensor entries become columns of the public key's flat term table.
+Multiplying factors through the multiplication tensor turns the coordinates
+of the running product into dense coefficient tensors over the factors'
+blocks, (n + 1)^d columns for d factors: the base-(n + 1) digit of factor
+s is its variable, n for its constant, and with a y factor the last digit
+is the y index.  The n coordinates of the full sum are the public equations.
+
+The contraction is one flat matrix product per factor, in float64 so BLAS
+does the work; every intermediate is an integer below 2^53, so the
+arithmetic is exact before the reduction mod q.  Non-prime base fields
+take a table-driven fallback over the same structure.  The nonzero tensor
+entries become columns of the public key's flat term table.
 """
 
 from __future__ import annotations
@@ -27,17 +33,25 @@ from .keys import merge_terms
 # factor matrices
 
 
-def affine_block_matrix(field, mat, shift, nvars: int, offset: int) -> np.ndarray:
-    """Factor matrix of m @ vars + shift over a homogenized variable vector.
+def affine_block_matrix(field, mat, shift) -> np.ndarray:
+    """Factor matrix of mat @ block + shift over one variable block.
 
-    nvars counts the symbolic variables; the constant slot is index nvars.
-    offset places the block (0 for the x block, n for the y block).
+    Columns 0..n-1 are the block's variables (x for u = A x + c, y for
+    v = B y + d) and column n is the constant.
     """
-    n = field.n
-    out = np.zeros((n, nvars + 1), dtype=np.uint8)
-    out[:, offset : offset + n] = np.asarray(mat, dtype=np.uint8)
-    out[:, nvars] = np.asarray(shift, dtype=np.uint8).reshape(-1)
-    return out
+    return np.column_stack([np.asarray(mat, dtype=np.uint8),
+                            np.asarray(shift, dtype=np.uint8).reshape(-1)])
+
+
+def x_levels(q: int, n: int, thetas) -> list:
+    """Frobenius levels of the X factors of X^(sum q^t for t in thetas):
+    the base-q digits of the exponent, so q equal levels carry into one
+    level higher.  u^(q^n) = u, so the exponent counts mod q^n - 1 and the
+    levels mod n."""
+    e = sum(q ** (t % n) for t in thetas)
+    if e:
+        e = (e - 1) % (q**n - 1) + 1
+    return [t for t in range(n) for _ in range(e // q**t % q)]
 
 
 def frobenius_factor(field, theta: int, factor: np.ndarray) -> np.ndarray:
@@ -51,13 +65,12 @@ def frobenius_factor(field, theta: int, factor: np.ndarray) -> np.ndarray:
 
 
 def expand_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
-    """Coordinate tensors of coeff * product(factors), flat shape (n, N^d).
+    """Coordinate tensors of coeff * product(factors), flat shape (n, (n+1)^d).
 
-    Each factor is an n x N matrix of affine coordinates; the result row k
-    is the dense coefficient tensor of coordinate k over d copies of the
-    homogenized variable vector.
+    Each factor is an n x (n + 1) block matrix of affine coordinates; the
+    result row k is the dense coefficient tensor of coordinate k over the
+    d factors' blocks, first factor in the most significant digit.
     """
-    n = field.n
     coords = np.array(field.coords(coeff), dtype=np.uint8)
     if field.r == 1:
         return _expand_prime(field, coords, factors)
@@ -71,13 +84,9 @@ def _expand_prime(field, coords: np.ndarray, factors: list[np.ndarray]) -> np.nd
     for fmat in factors:
         big = fmat.shape[1]
         d = np.einsum("ijk,jb->ikb", tensor, fmat.astype(np.int64)) % p
-        d = d.astype(np.float64)
-        r = g.shape[1]
-        out = np.empty((n, r * big), dtype=np.float64)
-        gt = np.ascontiguousarray(g.T)
-        for k in range(n):
-            out[k] = np.mod(gt @ d[:, k, :], p).reshape(-1)
-        g = out
+        prod = g.T @ d.reshape(n, n * big).astype(np.float64)
+        prod -= p * np.floor(prod / p)  # exact, and faster than np.mod
+        g = prod.reshape(-1, n, big).transpose(1, 0, 2).reshape(n, -1)
     return g.astype(np.uint8)
 
 
@@ -108,30 +117,31 @@ def _expand_generic(field, coords: np.ndarray, factors: list[np.ndarray]) -> np.
 # coefficient, and an x part, already reduced by x^q = x.
 
 
-def _monomials(flat: np.ndarray, n: int, nvars: int):
-    """Nonzero entries of a flat tensor: (k, position, per-factor variable
-    slots of shape (d, count), y index or -1)."""
-    big = nvars + 1
+def _monomials(flat: np.ndarray, n: int, has_y: bool):
+    """Nonzero entries of a flat tensor: (k, position, slot) per entry, and
+    per column the x digits of shape (x factors, columns), where digit n is
+    a factor's constant.  has_y says the last factor is the y factor."""
+    big = n + 1
     d = 0
     while big**d < flat.shape[1]:
         d += 1
+    cols = np.arange(flat.shape[1])
+    digits = np.array([cols // big ** (d - 1 - s) % big for s in range(d)],
+                      dtype=np.int64).reshape(d, len(cols))
     k_arr, pos = np.nonzero(flat)
-    slots = np.array([pos // big ** (d - 1 - s) % big for s in range(d)],
-                     dtype=np.int64).reshape(d, len(pos))
-    is_y = (slots >= n) & (slots < 2 * n)
-    if int(is_y.sum(axis=0).max(initial=0)) > 1:
-        raise AssertionError("a monomial acquired two y factors")
-    y_idx = np.where(is_y.any(axis=0), (slots * is_y).sum(axis=0) - n, -1)
-    return k_arr, pos, slots, y_idx
+    slot = k_arr * big
+    if has_y:
+        slot += ((digits[-1] + 1) % big)[pos]
+        digits = digits[:-1]
+    return k_arr, pos, slot, digits
 
 
-def records_q2(field, flat: np.ndarray, n: int, nvars: int) -> tuple:
+def records_q2(field, flat: np.ndarray, n: int, has_y: bool) -> tuple:
     """(slot, x bitmask) of the nonzero monomials of a flat q=2 tensor."""
-    k_arr, _, slots, y_idx = _monomials(flat, n, nvars)
-    clipped = np.where(slots < n, slots, 0).astype(np.uint64)
-    xbits = np.where(slots < n, np.uint64(1) << clipped, np.uint64(0))
-    xmask = np.bitwise_or.reduce(xbits, axis=0)
-    return k_arr * (n + 1) + y_idx + 1, xmask
+    _, pos, slot, digits = _monomials(flat, n, has_y)
+    xbits = np.where(digits < n, np.uint64(1) << (digits % n).astype(np.uint64),
+                     np.uint64(0))
+    return slot, np.bitwise_or.reduce(xbits, axis=0)[pos]
 
 
 def merge_q2(field, parts: list[tuple], n: int) -> tuple:
@@ -150,16 +160,15 @@ def merge_q2(field, parts: list[tuple], n: int) -> tuple:
             keep & np.uint64((1 << n) - 1))
 
 
-def records_general(field, flat: np.ndarray, n: int, nvars: int) -> tuple:
+def records_general(field, flat: np.ndarray, n: int, has_y: bool) -> tuple:
     """(slot, coeff, x exponent rows) of the nonzero monomials of a flat
     tensor, any q; exponents e > 0 reduce to (e - 1) % (q - 1) + 1."""
-    k_arr, pos, slots, y_idx = _monomials(flat, n, nvars)
-    exps = np.zeros((len(pos), n), dtype=np.uint8)
-    for row in slots:
-        sel = np.nonzero(row < n)[0]
-        exps[sel, row[sel]] += 1
+    k_arr, pos, slot, digits = _monomials(flat, n, has_y)
+    exps = np.zeros((digits.shape[1], n + 1), dtype=np.uint8)
+    for row in digits:
+        exps[np.arange(len(row)), row] += 1
     exps = np.where(exps > 0, (exps - 1) % (field.q - 1) + 1, 0)
-    return k_arr * (n + 1) + y_idx + 1, flat[k_arr, pos], exps
+    return slot, flat[k_arr, pos], exps[pos, :n]
 
 
 def merge_general(field, parts: list[tuple], n: int) -> tuple:

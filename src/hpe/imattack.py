@@ -133,8 +133,7 @@ def im_keygen(q: int, n: int, theta: int | None = None,
     base = field.base
     affine = AffinePair.sample(base, n, rng)
 
-    x_factor = linearize.affine_block_matrix(
-        field, affine.a_mat, affine.c_vec, n, 0)
+    x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
     flat = linearize.expand_product(
         field, 1, [linearize.frobenius_factor(field, theta, x_factor), x_factor])
     const_slot = (n + 1) ** 2 - 1

@@ -7,7 +7,8 @@ import pytest
 
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core.alphabet import base4, default_alphabet, hex16
-from hpe.core.keys import MAX_MASK_VARS, AffinePair, PrivatePolynomial
+from hpe.core.keys import (MAX_MASK_VARS, AffinePair, PrivatePolynomial,
+                           PublicKey)
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import build_extension
 from hpe.mvpoly.linalg import identity
@@ -146,11 +147,11 @@ def test_expansion_matches_private_eval_random_key():
             assert np.array_equal(pk.eval_at(x, y), want)
 
 
-def test_expansion_against_generic_substitution():
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
+def test_expansion_against_generic_substitution(q, n):
     # Expanding under masks must agree with expanding under identity masks
     # and then composing each equation with the affine maps symbolically.
     rng = random.Random(47)
-    q, n = 2, 6
     field = build_extension(q, n)
     priv = sample_private(KeyGenParams(q=q, n=n), field, rng)
     affine = AffinePair.sample(field.base, n, rng)
@@ -181,6 +182,38 @@ def test_repeated_level_factor_collapses_to_linear():
         assert np.array_equal(pk.eval_at(x, y), want)
 
 
+@pytest.mark.parametrize("q,n,pure", [
+    (2, 6, ((1, 1, 2), (5, 5))),     # u^8 and u^64 = u^(2^5 * 2) = u
+    (3, 4, ((0, 0, 0), (3, 3, 3))),  # u^3 and u^(3 * 27) = u
+    (4, 3, ((0, 0, 0, 0), (0, 2))),  # u^4 and u^17
+    (2, 5, ((0, 1, 2, 3, 4), (0, 0, 4, 4))),  # u^31 and u^34 = u^3
+])
+def test_repeated_and_wrapping_levels_carry(q, n, pure):
+    # q equal Frobenius levels carry into one level higher, and level n
+    # wraps to level 0; the expanded key must still equal f under the masks.
+    field = build_extension(q, n)
+    rng = random.Random(59)
+    priv = PrivatePolynomial(
+        mixed=((field.random_nonzero(rng), (0, n - 1), 1),),
+        pure=tuple((field.random_nonzero(rng), xth) for xth in pure),
+        const=field.random_nonzero(rng))
+    affine = AffinePair.sample(field.base, n, rng)
+    pk = expand_keypair(field, priv, affine, default_alphabet(2, 12))
+    for _ in range(60):
+        x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
+        y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
+        u = field.from_coords(affine.map_x(x))
+        v = field.from_coords(affine.map_y(y))
+        want = np.array(field.coords(priv.eval(field, u, v)), dtype=np.uint8)
+        assert np.array_equal(pk.eval_at(x, y), want)
+    # u = 0 exercises a full exponent u^(q^n - 1), which is not the constant 1
+    x0 = affine.unmap_u(np.zeros(n, dtype=np.uint8))
+    y0 = np.zeros(n, dtype=np.uint8)
+    want = np.array(field.coords(priv.eval(field, 0, field.from_coords(
+        affine.map_y(y0)))), dtype=np.uint8)
+    assert np.array_equal(pk.eval_at(x0, y0), want)
+
+
 def test_keygen_shapes_at_small_size():
     pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9, n_monomials=3,
                                  seed=5))
@@ -190,6 +223,45 @@ def test_keygen_shapes_at_small_size():
     for eq, deg in zip(pk.equations(), _x_degrees(pk)):
         assert any(sum(e[8:]) for e in eq.terms)
         assert 2 <= deg <= pk.t
+
+
+def _shape_oracle(pk):
+    """shape_violations, read equation by equation from the MultiPoly view."""
+    out = []
+    for k, (eq, deg) in enumerate(zip(pk.equations(), _x_degrees(pk))):
+        if not any(sum(e[pk.n:]) for e in eq.terms):
+            out.append("equation %d has no y variable" % k)
+        if deg < 2:
+            out.append("equation %d is linear in x" % k)
+        if deg > pk.t:
+            out.append("equation %d exceeds x-degree %d" % (k, pk.t))
+    return out
+
+
+@pytest.mark.parametrize("q,n", [(2, 5), (3, 4)])
+def test_shape_violations_match_per_equation_oracle(q, n):
+    field = build_extension(q, n)
+    rng = random.Random(61)
+    affine = AffinePair.sample(field.base, n, rng)
+    a, b = field.random_nonzero(rng), field.random_nonzero(rng)
+    privs = [
+        PrivatePolynomial(pure=((a, (0, 1)),), const=b),  # no y
+        PrivatePolynomial(mixed=((a, (), 0),), pure=((b, (2,)),)),  # x-linear
+        PrivatePolynomial(mixed=((a, (0, 1), 2),), pure=((b, (0, 1, 2)),)),
+    ]
+    seen = set()
+    for priv in privs:
+        pk = expand_keypair(field, priv, affine, default_alphabet(2, 12))
+        # t = 1 makes every quadratic equation too deep; dropping the odd
+        # equations leaves empty ones
+        keep = pk.slot // (n + 1) % 2 == 0
+        sub = PublicKey(pk.base, n, 1, pk.slot[keep], pk.coeff[keep],
+                        pk.xpart[keep], pk.alphabet)
+        for key in (pk, sub):
+            got = key.shape_violations()
+            assert got == _shape_oracle(key)
+            seen.update(msg.split(" ", 2)[2] for msg in got)
+    assert seen == {"has no y variable", "is linear in x", "exceeds x-degree 1"}
 
 
 def test_keygen_deterministic_under_seed():

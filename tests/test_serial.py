@@ -11,8 +11,12 @@ from hpe.errors import FormatError
 
 # SHA-256 of dump_public(keygen(KeyGenParams(q, n, seed=s))[0]), recorded
 # before the public key moved to one flat term table; any change in term
-# order or formatting shows here.
+# order or formatting shows here.  The q=2 n=32 keys, recorded before the
+# key expansion moved to block-local factors, carry repeated Frobenius
+# levels (seed 1 has the pure term u^(2+2+4) = u^8).
 PINNED_PUBLIC_DIGESTS = {
+    (2, 32, 1): "b9597b4c9a665924f63c1cc52e87e0ce40cb0c30190a845b182c024b8b136900",
+    (2, 32, 3): "d71f73b08195b60d29b385d1cf9cf02167d1d2e142402a0ba196269aaf2fea86",
     (2, 12, 103): "bb52e3cdb6f2965550f9b92fd89b3b2a7f829d82aef43b7789f06d50e6632b2d",
     (3, 5, 635): "6b66820052465c8f2cc0c74f1098717f990e70e9ab68bf9a04bab7a58ec8c43e",
     (4, 4, 644): "1b850c26f54b2e19fedfdd9d4278775385e0c56d784807103ca52a37af6dc97b",
