@@ -15,11 +15,11 @@ blocks, (n + 1)^d columns for d factors: the base-(n + 1) digit of factor
 s is its variable, n for its constant, and with a y factor the last digit
 is the y index.  The n coordinates of the full sum are the public equations.
 
-The contraction is one flat matrix product per factor, in float64 so BLAS
-does the work; every intermediate is an integer below 2^53, so the
-arithmetic is exact before the reduction mod q.  Non-prime base fields
-take a table-driven fallback over the same structure.  The nonzero tensor
-entries become columns of the public key's flat term table.
+The contraction is one flat float64 product over F_p per factor, on base-p
+digits and the base field's multiply-by matrices, so BLAS does the work for
+every q; every intermediate is an integer below 2^53, so the arithmetic is
+exact before the reduction mod p.  The nonzero tensor entries become columns
+of the public key's flat term table.
 """
 
 from __future__ import annotations
@@ -71,42 +71,22 @@ def expand_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
     result row k is the dense coefficient tensor of coordinate k over the
     d factors' blocks, first factor in the most significant digit.
     """
-    coords = np.array(field.coords(coeff), dtype=np.uint8)
-    if field.r == 1:
-        return _expand_prime(field, coords, factors)
-    return _expand_generic(field, coords, factors)
-
-
-def _expand_prime(field, coords: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
-    p, n = field.p, field.n
-    tensor = field.tensor.astype(np.int64)
-    g = coords.reshape(n, 1).astype(np.float64)
-    for fmat in factors:
-        big = fmat.shape[1]
-        d = np.einsum("ijk,jb->ikb", tensor, fmat.astype(np.int64)) % p
-        prod = g.T @ d.reshape(n, n * big).astype(np.float64)
-        prod -= p * np.floor(prod / p)  # exact, and faster than np.mod
-        g = prod.reshape(-1, n, big).transpose(1, 0, 2).reshape(n, -1)
-    return g.astype(np.uint8)
-
-
-def _expand_generic(field, coords: np.ndarray, factors: list[np.ndarray]) -> np.ndarray:
     base, n = field.base, field.n
-    add_t, mul_t = base.add_table, base.mul_table
-    nz = np.nonzero(field.tensor)
-    entries = list(zip(nz[0].tolist(), nz[1].tolist(), nz[2].tolist()))
-    g = coords.reshape(n, 1)
+    p, r = base.p, base.r
+    # row (i, k) of zmul @ fmat: coordinate k of z^i times each column's element
+    zmul = field.tensor.transpose(0, 2, 1).reshape(n * n, n)
+    # running product as float64 base-p digits, rows (k, s), one column per
+    # monomial of the factors so far
+    g = base.mul_matrices[list(field.coords(coeff)), 0].reshape(n * r, 1)
     for fmat in factors:
         big = fmat.shape[1]
-        r = g.shape[1]
-        out = np.zeros((n, r * big), dtype=np.uint8)
-        for i, j, k in entries:
-            t = int(field.tensor[i, j, k])
-            row = mul_t[t, fmat[j]] if t != 1 else fmat[j]
-            contrib = mul_t[g[i][:, None], row[None, :]]
-            out[k] = add_t[out[k], contrib.reshape(-1)]
-        g = out
-    return g
+        d = linalg.matmul(base, zmul, fmat).reshape(n, n, big)
+        # w[(i, s), (k, s', b)]: digit s' of (digit s of coordinate i) * d[i, k, b]
+        w = base.mul_matrices[d].transpose(0, 3, 1, 4, 2).reshape(n * r, n * r * big)
+        prod = g.T @ w
+        prod -= p * np.floor(prod / p)  # exact, and faster than np.mod
+        g = prod.reshape(-1, n * r, big).transpose(1, 0, 2).reshape(n * r, -1)
+    return linalg.pack_digits(base, g.reshape(n, r, -1))
 
 
 # ---------------------------------------------------------------------------

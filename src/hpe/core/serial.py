@@ -8,7 +8,7 @@ equations are re-expanded on load rather than stored twice.
 
 import numpy as np
 
-from ..errors import FormatError
+from ..errors import FormatError, InvalidDegree, InvalidOrder, NotIrreducible
 from ..fields import base_field, parse_descriptor
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair
@@ -33,12 +33,16 @@ def dump_public(pk: PublicKey) -> str:
     out = ["%s %d %d %d" % (MAGIC, pk.q, pk.n, pk.t)]
     out.extend(pk.alphabet.to_lines())
     digits = [str(v) for v in range(pk.q)]
+    # One string per equation, so the per-term strings of only one equation
+    # are alive at a time; at n=32 they alone take more memory than the text.
     for k in range(pk.n):
         coeffs, exps = pk.equation_terms(k)
-        out.append("EQ %d %d" % (k, len(coeffs)))
+        lines = ["EQ %d %d" % (k, len(coeffs))]
         for c, row in zip(coeffs.tolist(), exps.tolist()):
-            out.append("%d : %s" % (c, " ".join([digits[e] for e in row])))
-    return "\n".join(out) + "\n"
+            lines.append("%d : %s" % (c, " ".join([digits[e] for e in row])))
+        out.append("\n".join(lines))
+    out.append("")  # the final newline, without a second copy of the text
+    return "\n".join(out)
 
 
 def _parse_header(line: str):
@@ -101,7 +105,10 @@ def load_public(text: str) -> PublicKey:
     if q == 2 and n > MAX_MASK_VARS:
         raise FormatError("q=2 keys support at most %d variables" % MAX_MASK_VARS)
     alphabet, pos = _split_alphabet(lines, 1)
-    base = base_field(q)
+    try:
+        base = base_field(q)
+    except InvalidOrder as exc:
+        raise FormatError("bad key header: %s" % exc) from exc
     cols = []
     while pos < len(lines):
         parts = lines[pos].split()
@@ -172,6 +179,8 @@ def load_private(text: str) -> PrivateKey:
         field = parse_descriptor(lines[1])
     except (ValueError, IndexError) as exc:
         raise FormatError("bad field descriptor: %r" % lines[1]) from exc
+    except (InvalidOrder, InvalidDegree, NotIrreducible) as exc:
+        raise FormatError("bad field descriptor: %s" % exc) from exc
     if field.q != q or field.n != n:
         raise FormatError("field descriptor does not match key header")
     alphabet, pos = _split_alphabet(lines, 2)

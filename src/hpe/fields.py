@@ -1,8 +1,9 @@
 """The two-level field tower F_p <= F_q <= K used by every scheme here.
 
-Scalars of F_q (q = p^r <= 256) are integers 0..q-1; for r > 1 the base-p
-digits of the integer are the coordinates in F_p[w]/(w-modulus).  All scalar
-arithmetic is table-driven so linear algebra can gather rows directly.
+Scalars of F_q (q = p^r <= 256) are integers 0..q-1 whose base-p digits
+are the coordinates in F_p[w]/(modulus_p), w being the element p.  Each
+scalar's r x r "multiply by" matrix over F_p yields every scalar table and
+lets an F_q matrix product run as one product over F_p.
 
 Elements of K = F_q[z]/(modulus), deg n, are integers 0..q^n-1 whose base-q
 digits are the coordinates in the polynomial basis 1, z, .., z^(n-1).  The
@@ -66,47 +67,13 @@ def prime_power_split(q: int) -> tuple[int, int]:
     return p, r
 
 
-def _fp_poly_mul(p: int, f: tuple, g: tuple) -> tuple:
-    out = [0] * (len(f) + len(g) - 1)
-    for i, a in enumerate(f):
-        for j, b in enumerate(g):
-            out[i + j] = (out[i + j] + a * b) % p
-    return tuple(out)
-
-
-def _fp_poly_mod(p: int, f: tuple, m: tuple) -> tuple:
-    rem = list(f)
-    dm = len(m) - 1
-    lead_inv = pow(m[-1], p - 2, p)
-    for i in range(len(rem) - dm - 1, -1, -1):
-        c = rem[i + dm] * lead_inv % p
-        if c:
-            for j in range(dm + 1):
-                rem[i + j] = (rem[i + j] - c * m[j]) % p
-    return tuple(rem[:dm])
-
-
-def _fp_least_irreducible(p: int, r: int) -> tuple:
-    """Least monic irreducible of degree r over F_p, by exhaustive trial division."""
-    divisors = []
-    for d in range(1, r // 2 + 1):
-        for enc in range(p**d):
-            coeffs = tuple((enc // p**i) % p for i in range(d)) + (1,)
-            divisors.append(coeffs)
-    for enc in range(p**r):
-        cand = tuple((enc // p**i) % p for i in range(r)) + (1,)
-        if cand[0] == 0:
-            continue
-        for div in divisors:
-            if not any(_fp_poly_mod(p, cand, div)):
-                break
-        else:
-            return cand
-    raise NotIrreducible("no irreducible of degree %d over F_%d" % (r, p))
-
-
 class BaseField:
-    """F_q for q = p^r <= 256, with dense scalar operation tables."""
+    """F_q for q = p^r <= 256, with dense scalar operation tables.
+
+    Row t of mul_matrices[a] holds the base-p digits of a * w^t, w the
+    element p, so b's digits times mul_matrices[a] mod p are a * b's; they
+    are float64 so that F_q products go straight to BLAS.
+    """
 
     def __init__(self, q: int):
         p, r = prime_power_split(q)
@@ -116,40 +83,33 @@ class BaseField:
         self.r = r
         self.q = q
         self.order = q
-        self.modulus_p = _fp_least_irreducible(p, r) if r > 1 else None
+        self.modulus_p = _least_irreducible(base_field(p), r) if r > 1 else None
         self._build_tables()
-
-    def _unpack_p(self, a: int) -> tuple:
-        return tuple((a // self.p**i) % self.p for i in range(self.r))
-
-    def _pack_p(self, coeffs) -> int:
-        return sum(int(c) % self.p * self.p**i for i, c in enumerate(coeffs[: self.r]))
 
     def _build_tables(self) -> None:
         p, r, q = self.p, self.r, self.q
-        add = np.zeros((q, q), dtype=np.uint8)
-        mul = np.zeros((q, q), dtype=np.uint8)
-        for a in range(q):
-            ta = self._unpack_p(a)
-            for b in range(q):
-                tb = self._unpack_p(b)
-                add[a, b] = self._pack_p([(x + y) % p for x, y in zip(ta, tb)])
-                if r == 1:
-                    mul[a, b] = a * b % p
-                else:
-                    prod = _fp_poly_mul(p, ta, tb)
-                    mul[a, b] = self._pack_p(_fp_poly_mod(p, prod, self.modulus_p))
-        neg = np.zeros(q, dtype=np.uint8)
-        for a in range(q):
-            neg[a] = self._pack_p([(-x) % p for x in self._unpack_p(a)])
+        weights = p ** np.arange(r)
+        digits = np.arange(q)[:, None] // weights % p
+        rows = [digits]
+        for _ in range(1, r):
+            # a * w^t is a * w^(t-1) shifted up one digit, the top digit folded
+            # back through the monic modulus: w^r = -(m_0 + .. + m_(r-1) w^(r-1))
+            prev = rows[-1]
+            shifted = np.concatenate([np.zeros((q, 1), dtype=prev.dtype), prev[:, :-1]], axis=1)
+            rows.append((shifted - prev[:, -1:] * np.array(self.modulus_p[:r])) % p)
+        mats = np.stack(rows, axis=1)
+        add = (digits[:, None] + digits[None, :]) % p @ weights
+        mul = np.einsum("bt,atj->abj", digits, mats) % p @ weights
+        neg = -digits % p @ weights
+        add, mul, neg = (t.astype(np.uint8) for t in (add, mul, neg))
         sub = add[:, neg]
-        inv = np.zeros(q, dtype=np.uint8)
-        for a in range(1, q):
-            inv[a] = int(np.nonzero(mul[a] == 1)[0][0])
-        for t in (add, sub, mul, neg, inv):
+        inv = np.argmax(mul == 1, axis=1).astype(np.uint8)
+        mats = mats.astype(np.float64)
+        for t in (add, sub, mul, neg, inv, mats):
             t.flags.writeable = False
         self.add_table, self.sub_table = add, sub
         self.mul_table, self.neg_table, self.inv_table = mul, neg, inv
+        self.mul_matrices = mats
 
     def add(self, a: int, b: int) -> int:
         return int(self.add_table[a, b])
@@ -259,8 +219,6 @@ def _apply_linear(fp: BaseField, mat: np.ndarray, packed: np.ndarray) -> np.ndar
     Row k of mat is the image of the k-th digit's unit vector.  For p = 2
     packed addition is XOR, so the image is the XOR of per-byte tables;
     otherwise the digits are unpacked in blocks and multiplied through.
-    The products are integer matmuls: BLAS threads cost more than they save
-    on operands this small.
     """
     p = fp.p
     weights = np.array([p**k for k in range(len(mat))], dtype=np.int64)
@@ -418,9 +376,7 @@ class ExtensionField:
         """
         p, r, n, base = self.p, self.r, self.n, self.base
         stride = 2 * r - 1
-        scalar_digits = np.array(
-            [[(c // p**j) % p for j in range(r)] for c in range(self.q)], dtype=np.int64
-        )
+        scalar_digits = base.mul_matrices[:, 0].astype(np.int64)
         digits = np.zeros((self.q, stride), dtype=np.int64)
         digits[:, :r] = scalar_digits
         rows = []

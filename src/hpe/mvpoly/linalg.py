@@ -1,8 +1,8 @@
 """Exact linear algebra over F_q, vectorized through the scalar tables.
 
-Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  Row
-operations are whole-row table gathers (add/sub/mul tables of the base
-field), so one code path serves every supported field order, prime or not.
+Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  A
+product is one product over F_p for every q (see matmul); row operations are
+whole-row gathers from the add/sub/mul tables of the base field.
 Pivoting is deterministic: columns in order, first nonzero row, free
 variables set to zero in particular solutions.
 """
@@ -26,13 +26,28 @@ def identity(n: int) -> np.ndarray:
 
 
 def matmul(base, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Matrix product over the base field."""
-    if base.r == 1:
-        return ((a.astype(np.int64) @ b.astype(np.int64)) % base.p).astype(np.uint8)
-    add_t, mul_t = base.add_table, base.mul_table
-    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
-    for j in range(a.shape[1]):
-        out = add_t[out, mul_t[a[:, j][:, None], b[j][None, :]]]
+    """Matrix product over the base field, one float64 product over F_p.
+
+    The left operand's base-p digits multiply the regular representations
+    base.mul_matrices of the right operand's entries; every partial sum is
+    an integer below 2^53, so BLAS is exact before the reduction mod p.
+    """
+    p, r = base.p, base.r
+    (m, k), cols = a.shape, b.shape[1]
+    left = base.mul_matrices[:, 0].take(a, axis=0).reshape(m, k * r)
+    right = base.mul_matrices.take(b, axis=0).transpose(0, 2, 3, 1).reshape(k * r, r * cols)
+    out = left @ right
+    out -= p * np.floor(out / p)  # exact, and faster than np.mod
+    return pack_digits(base, out.reshape(m, r, cols))
+
+
+def pack_digits(base, digits: np.ndarray) -> np.ndarray:
+    """Scalars from their base-p digits (each below p) along the
+    second-to-last axis; the values fit in uint8, so uint8 arithmetic is exact."""
+    digits = digits.astype(np.uint8)
+    out = digits[..., -1, :]
+    for s in range(base.r - 2, -1, -1):
+        out = out * base.p + digits[..., s, :]
     return out
 
 

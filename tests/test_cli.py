@@ -155,6 +155,29 @@ def test_missing_files_are_data_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("kind,idx,line", [
+    ("key", 1, "F 2 2 1 1 1"),
+    ("key", 1, "F 2 2 4 0 0 0 0 1"),
+    ("pub", 0, "HPE1 6 4 3"),
+])
+def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
+                                                    kind, idx, line):
+    # A key file naming a field that cannot exist is malformed input (65),
+    # not a parameter error (64) or a protocol failure (1).
+    lines = (keydir / ("a." + kind)).read_text().splitlines()
+    lines[idx] = line
+    key = _write(tmp_path / ("bad." + kind), "\n".join(lines) + "\n")
+    msg = _write(tmp_path / "m.txt", "Go\n")
+    capsys.readouterr()
+    if kind == "key":
+        argv = ["sign", "--priv", key, "--in", msg]
+    else:
+        argv = ["encrypt", "--pub", key, "--in", msg]
+    assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 65
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
 def test_message_outside_alphabet_is_data_error(keydir, tmp_path, capsys):
     msg = _write(tmp_path / "m.txt", "naïve\n")
     rc = main(["encrypt", "--pub", str(keydir / "a.pub"), "--seed", "1",

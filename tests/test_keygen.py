@@ -147,13 +147,14 @@ def test_expansion_matches_private_eval_random_key():
             assert np.array_equal(pk.eval_at(x, y), want)
 
 
-@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3)])
+@pytest.mark.parametrize("q,n", [(2, 6), (3, 4), (4, 3), (8, 3), (9, 3)])
 def test_expansion_against_generic_substitution(q, n):
     # Expanding under masks must agree with expanding under identity masks
     # and then composing each equation with the affine maps symbolically.
+    # The least mixed X exponent is 1 + q, so q = 9 needs degX_max = 10.
     rng = random.Random(47)
     field = build_extension(q, n)
-    priv = sample_private(KeyGenParams(q=q, n=n), field, rng)
+    priv = sample_private(KeyGenParams(q=q, n=n, degX_max=max(9, q + 1)), field, rng)
     affine = AffinePair.sample(field.base, n, rng)
     alph = default_alphabet(2, 12)
     direct = expand_keypair(field, priv, affine, alph)

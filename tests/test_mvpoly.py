@@ -2,6 +2,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpe.errors import (HpeError, RootFindingFailed, SingularMatrix,
                         VariableMismatch, ZeroPolynomial)
@@ -286,13 +288,35 @@ def test_inverse_round_trip():
         inverse(base_field(2), np.zeros((2, 2), dtype=np.uint8))
 
 
-def test_matmul_matches_numpy_for_prime():
-    rng = random.Random(14)
-    base = base_field(7)
-    a = random_matrix(base, (3, 5), rng)
-    b = random_matrix(base, (5, 2), rng)
-    want = (a.astype(np.int64) @ b.astype(np.int64)) % 7
-    assert np.array_equal(matmul(base, a, b).astype(np.int64), want)
+def _naive_matmul(base, a, b):
+    out = np.zeros((a.shape[0], b.shape[1]), dtype=np.uint8)
+    for i in range(a.shape[0]):
+        for k in range(b.shape[1]):
+            acc = 0
+            for j in range(a.shape[1]):
+                acc = base.add_table[acc, base.mul_table[a[i, j], b[j, k]]]
+            out[i, k] = acc
+    return out
+
+
+# Zero rows arise in patarin_attack with no relations; a zero inner
+# dimension gives the zero matrix.
+@example(q=7, shape=(0, 5, 1), seed=0)
+@example(q=9, shape=(3, 0, 2), seed=0)
+@example(q=256, shape=(2, 3, 0), seed=0)
+@settings(max_examples=80)
+@given(q=st.sampled_from([2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 256]),
+       shape=st.tuples(st.integers(0, 6), st.integers(0, 6), st.integers(0, 6)),
+       seed=st.integers(0, 2**32 - 1))
+def test_matmul_matches_naive_loop(q, shape, seed):
+    base = base_field(q)
+    rng = np.random.default_rng(seed)
+    m, k, c = shape
+    a = rng.integers(0, q, size=(m, k), dtype=np.uint8)
+    b = rng.integers(0, q, size=(k, c), dtype=np.uint8)
+    got = matmul(base, a, b)
+    assert got.dtype == np.uint8 and got.shape == (m, c)
+    assert np.array_equal(got, _naive_matmul(base, a, b))
 
 
 def test_solution_count_and_enumerate():

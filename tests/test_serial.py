@@ -13,13 +13,18 @@ from hpe.errors import FormatError
 # before the public key moved to one flat term table; any change in term
 # order or formatting shows here.  The q=2 n=32 keys, recorded before the
 # key expansion moved to block-local factors, carry repeated Frobenius
-# levels (seed 1 has the pure term u^(2+2+4) = u^8).
+# levels (seed 1 has the pure term u^(2+2+4) = u^8).  The q=8 and q=9 keys,
+# recorded while prime-power fields still expanded through a table-driven
+# loop of their own, cover r > 1 with p = 2 and odd p; q=9 needs
+# degX_max = 10 for its least mixed X exponent 1 + q.
 PINNED_PUBLIC_DIGESTS = {
     (2, 32, 1): "b9597b4c9a665924f63c1cc52e87e0ce40cb0c30190a845b182c024b8b136900",
     (2, 32, 3): "d71f73b08195b60d29b385d1cf9cf02167d1d2e142402a0ba196269aaf2fea86",
     (2, 12, 103): "bb52e3cdb6f2965550f9b92fd89b3b2a7f829d82aef43b7789f06d50e6632b2d",
     (3, 5, 635): "6b66820052465c8f2cc0c74f1098717f990e70e9ab68bf9a04bab7a58ec8c43e",
     (4, 4, 644): "1b850c26f54b2e19fedfdd9d4278775385e0c56d784807103ca52a37af6dc97b",
+    (8, 4, 808): "fe5e5cb7fee6e381cdd42030a24df6cae09c9973b88a507a52fcdedf6bbb2009",
+    (9, 4, 909): "f234dc4251314e392f39d2395ac92abe1f0e68c7eef4d5ebbbd978d478ecf4ef",
 }
 
 
@@ -147,7 +152,8 @@ def test_public_key_strictness_exponent_rows():
 
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
 def test_public_key_format_pinned(q, n, seed):
-    text = dump_public(keygen(KeyGenParams(q=q, n=n, seed=seed))[0])
+    params = KeyGenParams(q=q, n=n, seed=seed, degX_max=max(9, q + 1))
+    text = dump_public(keygen(params)[0])
     digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
     assert digest == PINNED_PUBLIC_DIGESTS[(q, n, seed)]
     assert dump_public(load_public(text)) == text
@@ -187,6 +193,27 @@ def test_private_key_strictness(pair12):
     a_idx = next(i for i, ln in enumerate(lines) if ln == "A")
     with pytest.raises(FormatError):
         load_private("\n".join(lines[:a_idx]) + "\n")
+
+
+# Files whose header or field descriptor names a field that cannot exist:
+# the order is no prime power, the degree is below 2, or the modulus is
+# reducible.  The field layer's parameter errors surface as FormatError.
+BAD_FIELD_LINES = (
+    ("private", 1, "F 2 2 1 1 1"),
+    ("private", 1, "F 2 2 4 0 0 0 0 1"),
+    ("public", 0, "HPE1 6 4 3"),
+)
+
+
+@pytest.mark.parametrize("kind,idx,line", BAD_FIELD_LINES)
+def test_impossible_field_is_format_error(pair12, kind, idx, line):
+    pk, sk = pair12
+    if kind == "private":
+        with pytest.raises(FormatError, match="bad field descriptor"):
+            load_private(_mutate_lines(dump_private(sk), idx, line))
+    else:
+        with pytest.raises(FormatError, match="not a prime power"):
+            load_public(_mutate_lines(dump_public(pk), idx, line))
 
 
 def test_signature_round_trip():
