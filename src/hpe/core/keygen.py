@@ -147,6 +147,6 @@ def keygen(params: KeyGenParams, rng: random.Random | None = None,
         public = expand_keypair(field, priv, affine, alphabet)
         if public.shape_violations():
             continue
-        return public, PrivateKey(field, priv, affine, public)
+        return public, PrivateKey(field, priv, affine, alphabet, public)
     raise GenerationFailed(
         "no well-shaped key after %d attempts" % _REGEN_BUDGET)

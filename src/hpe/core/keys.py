@@ -332,18 +332,31 @@ class PublicKey:
 
 
 class PrivateKey:
-    """Private key: the field tower, hidden relation, and affine masks.
+    """Private key: the field tower, hidden relation, affine masks and the
+    message alphabet.
 
-    Keeps the matching public key alongside so a holder can re-derive
-    and cross-check the published equations.
+    Decryption and signing need only those.  The matching public key is
+    expanded from them on first use of public, unless the constructor was
+    given it (keygen has it at hand).
     """
 
     def __init__(self, field, priv: PrivatePolynomial, affine: AffinePair,
-                 public: PublicKey):
+                 alphabet, public: PublicKey | None = None):
         self.field = field
         self.priv = priv
         self.affine = affine
-        self.public = public
+        self.alphabet = alphabet
+        self._public = public
+
+    @property
+    def public(self) -> PublicKey:
+        if self._public is None:
+            # serial imports this module; the expansion is looked up there
+            # by name so that a wrapper installed on serial sees the call
+            from . import serial
+            self._public = serial.expand_keypair(
+                self.field, self.priv, self.affine, self.alphabet)
+        return self._public
 
     @property
     def base(self):
@@ -352,7 +365,3 @@ class PrivateKey:
     @property
     def n(self) -> int:
         return self.field.n
-
-    @property
-    def alphabet(self):
-        return self.public.alphabet

@@ -159,11 +159,15 @@ def test_missing_files_are_data_errors(tmp_path, capsys):
     ("key", 1, "F 2 2 1 1 1"),
     ("key", 1, "F 2 2 4 0 0 0 0 1"),
     ("pub", 0, "HPE1 6 4 3"),
+    ("pub", 0, "HPE1 2 16 0"),
+    ("pub", 0, "HPE1 2 16 -1"),
+    ("key", 0, "HPE1 2 16 1"),
 ])
 def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
                                                     kind, idx, line):
-    # A key file naming a field that cannot exist is malformed input (65),
-    # not a parameter error (64) or a protocol failure (1).
+    # A key file naming a field that cannot exist, or a weight t below 2,
+    # is malformed input (65), not a parameter error (64) or a protocol
+    # failure (1).
     lines = (keydir / ("a." + kind)).read_text().splitlines()
     lines[idx] = line
     key = _write(tmp_path / ("bad." + kind), "\n".join(lines) + "\n")

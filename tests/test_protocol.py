@@ -205,7 +205,7 @@ def test_relation_check_exhaustive_small():
     affine = AffinePair.sample(field.base, 4, rng)
     pk = keygen_mod.expand_keypair(field, priv, affine, default_alphabet(2, 4))
     from hpe.core.keys import PrivateKey
-    sk = PrivateKey(field, priv, affine, pk)
+    sk = PrivateKey(field, priv, affine, pk.alphabet, pk)
     for u in range(16):
         for v in range(16):
             hidden, public = private_relation_check(sk, u, v)
