@@ -113,10 +113,14 @@ class Alphabet:
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Alphabet":
         head = lines[0].split()
+        if len(head) != 4 or head[0] != "ALPHABET":
+            raise ValueError("expected 'ALPHABET q e count', got %r" % lines[0])
         q, e, count = int(head[1]), int(head[2]), int(head[3])
         synonyms: dict[str, list[tuple]] = {}
         for line in lines[1 : 1 + count]:
             parts = line.split()
+            if parts[0] != "L":
+                raise ValueError("expected a letter line 'L ...', got %r" % line)
             ch = chr(int(parts[1]))
             synonyms[ch] = [_parse_digits(s, q, e) for s in parts[2:]]
         return cls(q, e, synonyms)

@@ -101,17 +101,14 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
     Each monomial of f becomes a product of Frobenius twists of the two
     affine images, one x twist per base-q digit of its X exponent and the
     y twist last; expanding those products coordinatewise and reducing
-    x^q = x yields n equations linear in y, merged into one flat table.
+    x^q = x yields n equations linear in y, summed into the key's
+    coefficient blocks.
     """
     base = field.base
     n = field.n
     x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
     y_factor = linearize.affine_block_matrix(field, affine.b_mat, affine.d_vec)
 
-    if base.q == 2:
-        records, merge = linearize.records_q2, linearize.merge_q2
-    else:
-        records, merge = linearize.records_general, linearize.merge_general
     terms = [*priv.mixed, *((b, xth, None) for b, xth in priv.pure),
              (priv.const, (), None)]
     parts = []
@@ -121,9 +118,9 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
         if yth is not None:
             fs.append(linearize.frobenius_factor(field, yth, y_factor))
         flat = linearize.expand_product(field, coeff, fs)
-        parts.append(records(field, flat, n, yth is not None))
-    slot, coeff, xpart = merge(field, parts, n)
-    return PublicKey(base, n, priv.t(), slot, coeff, xpart, alphabet)
+        parts.append(linearize.records_general(field, flat, n, yth is not None))
+    blocks = linearize.merge_general(field, parts, n)
+    return PublicKey(base, n, priv.t(), *blocks, alphabet)
 
 
 def keygen(params: KeyGenParams, rng: random.Random | None = None,

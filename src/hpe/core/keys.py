@@ -1,18 +1,18 @@
 """Key material: private polynomial, affine masks, and the public key.
 
-The public key is n equations in (x, y), each linear in y.  All their
-terms sit in one flat table sorted by (equation, y, x part).  A term is a
-slot eq * (n + 1) + y + 1 (y = -1 for a term with no y factor), a uint8
-coefficient, and an x part: a uint64 bitmask over the n x-variables when
-q = 2 (every coefficient is then 1), otherwise a row of n exponents
-already reduced by x^q = x.
+The public key is n equations in (x, y), each linear in y, held as two
+coefficient blocks over F_q: C0 (n, M0) for the terms with no y, and
+Cy (n, n, My) for the terms of equation k with y_j.  Each block has its own
+monomial table (mono0, monoy): the x monomials that occur in it, as rows of
+n exponents reduced by x^q = x, in HPE1 term order (monomial_basis).  The
+nonzero entries of C0[k] and then Cy[k] are equation k's terms in file order.
 
-One kernel evaluates the table.  At each x of a batch it computes every
-term's value with the x part (a mask test for q = 2, power_table and
-mul_table gathers otherwise) and sums the values into their slots over
-F_q, giving each equation as a row over (1, y_0..y_{n-1}).  The linear
-system for encryption, the values at (x, y) and the batch zero test of
-exhaustive search are all those rows times (1, y).
+One kernel evaluates the key.  At each x of a batch it computes the value
+of every monomial (at most t mul_table gathers over the homogenized
+(x, 1)) and multiplies the values by C0 and Cy, giving each equation as a
+row over (1, y_0..y_{n-1}).  The linear system for encryption, the values
+at (x, y) and the batch zero test of exhaustive search are all those rows
+times (1, y).
 """
 
 from dataclasses import dataclass
@@ -20,35 +20,39 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, VariableMismatch
-from ..mvpoly.linalg import (inverse, matvec, random_invertible,
-                             segment_sums)
+from ..mvpoly import linalg
+from ..mvpoly.linalg import inverse, matvec, random_invertible
 from ..mvpoly.multipoly import MultiPoly
 
-# q = 2 x parts are uint64 bitmasks, and linearize.merge_q2 packs a term's
-# slot above its mask in one uint64, so q = 2 keys stop at 48 variables.
-MAX_MASK_VARS = 48
 
+def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
+    """(table, index): the distinct x-exponent rows in HPE1 term order, and
+    the position in the table of each given row.
 
-def x_part(q: int, n: int, exps) -> np.ndarray:
-    """x parts of terms from their (T, n) x-exponent rows."""
-    if q == 2:
-        bits = np.asarray(exps, dtype=np.uint64) << np.arange(n, dtype=np.uint64)
-        return np.bitwise_or.reduce(bits, axis=1)
-    return np.asarray(exps, dtype=np.uint8)
-
-
-def merge_terms(base, slot, coeff, xpart) -> tuple:
-    """The canonical table of unordered terms: sorted by (slot, x part),
-    terms with the same slot and x part added over F_q, zero sums dropped."""
-    xpart = np.asarray(xpart)
-    order = np.lexsort((*np.atleast_2d(xpart.T)[::-1], slot))
-    slot, coeff, xpart = np.asarray(slot)[order], np.asarray(coeff)[order], xpart[order]
-    cols = np.atleast_2d(xpart.T)  # one row per x-part column
-    new = np.ones(len(slot), dtype=bool)
-    new[1:] = (slot[1:] != slot[:-1]) | (cols[:, 1:] != cols[:, :-1]).any(axis=0)
-    first = np.nonzero(new)[0]
-    sums = segment_sums(base, coeff, first)
-    return slot[first[sums != 0]], sums[sums != 0], xpart[first[sums != 0]]
+    The order compares exponent rows lexicographically, x_0 first; for
+    q = 2 it starts at x_{n-1}, the order of the bitmasks the format was
+    first written from.  Rows pack into base-q uint64 keys, one per run of
+    digits that fits, most significant first, so one lexsort orders them.
+    """
+    rows = np.asarray(rows, dtype=np.uint8)
+    digits = rows[:, ::-1] if q == 2 else rows
+    width = 1
+    while q ** (width + 1) <= 1 << 64:
+        width += 1
+    keys = []
+    for lo in range(0, digits.shape[1], width):
+        key = np.zeros(len(rows), dtype=np.uint64)
+        for col in digits[:, lo:lo + width].T:
+            key = key * np.uint64(q) + col
+        keys.append(key)
+    keys = np.stack(keys)
+    order = np.lexsort(keys[::-1])
+    keys = keys[:, order]
+    new = np.ones(len(rows), dtype=bool)
+    new[1:] = (keys[:, 1:] != keys[:, :-1]).any(axis=0)
+    index = np.empty(len(rows), dtype=np.intp)
+    index[order] = np.cumsum(new) - 1
+    return rows[order[new]], index
 
 
 @dataclass(frozen=True)
@@ -77,9 +81,6 @@ class KeyGenParams:
             raise VariableMismatch("degX_max must lie in [2, 64]")
         if self.n_monomials < 1:
             raise VariableMismatch("need at least one mixed monomial")
-        if self.q == 2 and self.n > MAX_MASK_VARS:
-            raise VariableMismatch(
-                "q=2 keys support at most %d variables" % MAX_MASK_VARS)
 
 
 @dataclass(frozen=True)
@@ -223,47 +224,59 @@ class AffinePair:
 
 
 class PublicKey:
-    """Public encryption key: the flat term table plus the message alphabet.
+    """Public encryption key: the coefficient blocks plus the message alphabet.
 
-    slot, coeff and xpart run in parallel over the terms of all n
-    equations, sorted by (slot, x part); bounds[k]:bounds[k + 1] is the
-    range of equation k.  See the module docstring for the layout.
+    mono0 (M0, n) and C0 (n, M0) hold the terms with no y, monoy (My, n)
+    and Cy (n, n, My) the terms with a y; see the module docstring.
+    The constructor drops monomials whose coefficients are all zero.
     """
 
-    def __init__(self, base, n: int, t: int, slot, coeff, xpart, alphabet):
+    def __init__(self, base, n: int, t: int, mono0, C0, monoy, Cy, alphabet):
         self.base = base
         self.q = base.q
         self.n = n
         self.t = t
-        self.slot = np.ascontiguousarray(slot, dtype=np.int64)
-        self.coeff = np.ascontiguousarray(coeff, dtype=np.uint8)
-        self.xpart = np.ascontiguousarray(xpart)
         self.alphabet = alphabet
-        if not len(self.slot) == len(self.coeff) == len(self.xpart):
-            raise VariableMismatch("term table columns differ in length")
-        self.bounds = np.searchsorted(self.slot, np.arange(n + 1) * (n + 1))
-        self._starts = np.flatnonzero(np.diff(self.slot, prepend=-1))
+        C0, Cy = C0.reshape(n, len(mono0)), Cy.reshape(n, n, len(monoy))
+        keep0, keepy = C0.any(axis=0), Cy.any(axis=(0, 1))
+        self.mono0, self.C0 = mono0[keep0], C0[:, keep0]
+        self.monoy, self.Cy = monoy[keepy], Cy[:, :, keepy]
+        self._kernel = None
+
+    @classmethod
+    def from_terms(cls, base, n: int, t: int, slot, coeff, x_rows,
+                   alphabet) -> "PublicKey":
+        """The key of a list of terms in any order: a slot k * (n + 1) + y + 1
+        for equation k and y index y (-1 for none), a coefficient and an
+        x-exponent row each.  Repeated terms add over F_q."""
+        slot = np.asarray(slot, dtype=np.int64)
+        coeff = np.asarray(coeff, dtype=np.uint8)
+        x_rows = np.asarray(x_rows, dtype=np.uint8).reshape(len(slot), n)
+        k, y = np.divmod(slot, n + 1)
+        free = y == 0
+        mono0, i0 = monomial_basis(base.q, x_rows[free])
+        monoy, iy = monomial_basis(base.q, x_rows[~free])
+        C0 = linalg.scatter_sums(
+            base, [(k[free] * len(mono0) + i0, coeff[free])], n * len(mono0))
+        cell = k[~free] * n + y[~free] - 1
+        Cy = linalg.scatter_sums(
+            base, [(cell * len(monoy) + iy, coeff[~free])], n * n * len(monoy))
+        return cls(base, n, t, mono0, C0, monoy, Cy, alphabet)
 
     def term_count(self) -> int:
-        return len(self.slot)
-
-    def _x_exponents(self, lo: int, hi: int) -> np.ndarray:
-        """(hi - lo, n) x-exponent rows of terms lo..hi-1."""
-        part = self.xpart[lo:hi]
-        if self.q == 2:
-            octets = part.astype("<u8", copy=False).view(np.uint8).reshape(-1, 8)
-            return np.unpackbits(octets, axis=1, bitorder="little")[:, : self.n]
-        return part
+        return int(np.count_nonzero(self.C0) + np.count_nonzero(self.Cy))
 
     def equation_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and (T, 2n) exponent rows, x then y, of equation k."""
-        lo, hi = self.bounds[k], self.bounds[k + 1]
-        exps = np.zeros((hi - lo, 2 * self.n), dtype=np.uint8)
-        exps[:, : self.n] = self._x_exponents(lo, hi)
-        y = self.slot[lo:hi] - k * (self.n + 1) - 1
-        has_y = np.nonzero(y >= 0)[0]
-        exps[has_y, self.n + y[has_y]] = 1
-        return self.coeff[lo:hi], exps
+        """Coefficients and (T, 2n) exponent rows, x then y, of equation k,
+        in file order."""
+        n = self.n
+        (m0,) = np.nonzero(self.C0[k])
+        ys, my = np.nonzero(self.Cy[k])
+        exps = np.zeros((len(m0) + len(my), 2 * n), dtype=np.uint8)
+        exps[: len(m0), :n] = self.mono0[m0]
+        exps[len(m0):, :n] = self.monoy[my]
+        exps[np.arange(len(m0), len(exps)), n + ys] = 1
+        return np.concatenate([self.C0[k, m0], self.Cy[k, ys, my]]), exps
 
     def equations(self) -> list:
         """The equations as 2n-variable MultiPolys (a bridge for oracles)."""
@@ -274,26 +287,36 @@ class PublicKey:
             out.append(MultiPoly(self.base, 2 * self.n, terms))
         return out
 
+    def _blocks(self) -> list:
+        """Per block: its monomials as (degree, M) indices into the
+        homogenized (x, 1), index n standing for the 1, and the float64
+        right operand of its coefficients, built on first use."""
+        if self._kernel is None:
+            n = self.n
+            self._kernel = []
+            for mono, coeffs in ((self.mono0, self.C0),
+                                 (self.monoy, self.Cy.reshape(n * n, -1))):
+                # factor j of a monomial is the first variable whose
+                # running exponent sum passes j, or n once they all stop
+                ends = np.cumsum(mono, axis=1)
+                degree = max(1, int(ends[:, -1].max(initial=0)))
+                factors = np.array([(ends <= j).sum(axis=1) for j in range(degree)])
+                self._kernel.append((factors, linalg.operand(self.base, coeffs.T)))
+        return self._kernel
+
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         """The kernel: every equation collapsed at each x of an (m, n)
         batch, as (m, n, n + 1) rows over (1, y_0..y_{n-1})."""
         m, n = xs.shape
-        if self.q == 2:
-            # all coefficients are 1; a monomial is 1 iff its mask is in x
-            vals = (self.xpart & x_part(2, n, xs)[:, None]) == self.xpart
-        else:
-            # products index mul_table flat at a * q + b; holding every
-            # value times q makes each factor one add and one take
-            pt, q = self.base.power_table(), self.q
-            scaled = self.base.mul_table.ravel().astype(np.intp) * q
-            vals = np.broadcast_to(self.coeff * np.intp(q), (m, len(self.coeff)))
-            for i in range(n):
-                factor = np.take(pt[xs[:, i]], self.xpart[:, i], axis=1)
-                vals = scaled.take(vals + factor)
-            vals = vals // q
-        rows = np.zeros((m, n * (n + 1)), dtype=np.uint8)
-        rows[:, self.slot[self._starts]] = segment_sums(self.base, vals, self._starts)
-        return rows.reshape(m, n, n + 1)
+        mul = self.base.mul_table
+        xh = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
+        out = []
+        for factors, right in self._blocks():
+            vals = xh[:, factors[0]]
+            for idx in factors[1:]:
+                vals = mul[vals, xh[:, idx]]
+            out.append(linalg.times(self.base, vals, right))
+        return np.concatenate([out[0][:, :, None], out[1].reshape(m, n, n)], axis=2)
 
     def linear_system(self, x_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(matrix, rhs) of the system the ciphertext x imposes on y."""
@@ -311,15 +334,12 @@ class PublicKey:
 
     def shape_violations(self) -> list:
         """Structural defects, empty for a well-formed key."""
-        n, slots = self.n, self.slot[self._starts]
-        has_y = np.bincount(slots // (n + 1), slots % (n + 1) > 0, minlength=n)
-        if self.q == 2:
-            degs = np.bitwise_count(self.xpart)
-        else:
-            degs = self.xpart.sum(axis=1, dtype=np.int64)
-        filled = self.bounds[:-1] < self.bounds[1:]  # an empty equation has degree 0
-        deg = np.zeros(n, dtype=np.int64)
-        deg[filled] = np.maximum.reduceat(degs, self.bounds[:-1][filled])
+        n = self.n
+        has_y = self.Cy.any(axis=(1, 2))
+        deg0 = np.where(self.C0 != 0, self.mono0.sum(axis=1), 0)
+        degy = np.where(self.Cy != 0, self.monoy.sum(axis=1), 0)
+        # an empty equation has degree 0
+        deg = np.maximum(deg0.max(axis=1, initial=0), degy.max(axis=(1, 2), initial=0))
         out = []
         for k in range(n):
             if not has_y[k]:

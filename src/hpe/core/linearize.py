@@ -18,8 +18,13 @@ is the y index.  The n coordinates of the full sum are the public equations.
 The contraction is one flat float64 product over F_p per factor, on base-p
 digits and the base field's multiply-by matrices, so BLAS does the work for
 every q; every intermediate is an integer below 2^53, so the arithmetic is
-exact before the reduction mod p.  The nonzero tensor entries become columns
-of the public key's flat term table.
+exact before the reduction mod p.
+
+The public key's coefficient blocks are folded from the tensors column by
+column: the x digits of a column reduce (x^q = x) to one x monomial, the
+monomials of all columns make up the key's monomial tables, and every
+tensor entry adds into the coefficient of its equation, y slot and
+monomial.  The x digits are canonicalized once per column, not per entry.
 """
 
 from __future__ import annotations
@@ -27,7 +32,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..mvpoly import linalg
-from .keys import merge_terms
+from . import keys
 
 # ---------------------------------------------------------------------------
 # factor matrices
@@ -90,67 +95,48 @@ def expand_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# tensor -> sparse terms
-
-# Records are flat term-table columns (see core.keys): a slot
-# k * (n + 1) + y + 1 for coordinate k and y index y (-1 for none), a
-# coefficient, and an x part, already reduced by x^q = x.
-
-
-def _monomials(flat: np.ndarray, n: int, has_y: bool):
-    """Nonzero entries of a flat tensor: (k, position, slot) per entry, and
-    per column the x digits of shape (x factors, columns), where digit n is
-    a factor's constant.  has_y says the last factor is the y factor."""
-    big = n + 1
-    d = 0
-    while big**d < flat.shape[1]:
-        d += 1
-    cols = np.arange(flat.shape[1])
-    digits = np.array([cols // big ** (d - 1 - s) % big for s in range(d)],
-                      dtype=np.int64).reshape(d, len(cols))
-    k_arr, pos = np.nonzero(flat)
-    slot = k_arr * big
-    if has_y:
-        slot += ((digits[-1] + 1) % big)[pos]
-        digits = digits[:-1]
-    return k_arr, pos, slot, digits
-
-
-def records_q2(field, flat: np.ndarray, n: int, has_y: bool) -> tuple:
-    """(slot, x bitmask) of the nonzero monomials of a flat q=2 tensor."""
-    _, pos, slot, digits = _monomials(flat, n, has_y)
-    xbits = np.where(digits < n, np.uint64(1) << (digits % n).astype(np.uint64),
-                     np.uint64(0))
-    return slot, np.bitwise_or.reduce(xbits, axis=0)[pos]
-
-
-def merge_q2(field, parts: list[tuple], n: int) -> tuple:
-    """Combine q=2 records into the canonical (slot, coeff, xmask) table.
-
-    Coefficients are parities of the record multiplicities.  Each record
-    packs into one uint64, slot above mask, so a single unique pass sorts
-    and counts them; MAX_MASK_VARS keeps that within 64 bits.
-    """
-    slot = np.concatenate([p[0] for p in parts]).astype(np.uint64)
-    mask = np.concatenate([p[1] for p in parts])
-    uniq, counts = np.unique((slot << np.uint64(n)) | mask, return_counts=True)
-    keep = uniq[(counts & 1) == 1]
-    return ((keep >> np.uint64(n)).astype(np.int64),
-            np.ones(len(keep), dtype=np.uint8),
-            keep & np.uint64((1 << n) - 1))
+# tensors -> coefficient blocks
 
 
 def records_general(field, flat: np.ndarray, n: int, has_y: bool) -> tuple:
-    """(slot, coeff, x exponent rows) of the nonzero monomials of a flat
-    tensor, any q; exponents e > 0 reduce to (e - 1) % (q - 1) + 1."""
-    k_arr, pos, slot, digits = _monomials(flat, n, has_y)
-    exps = np.zeros((digits.shape[1], n + 1), dtype=np.uint8)
-    for row in digits:
-        exps[np.arange(len(row)), row] += 1
+    """(x rows, values) of a flat tensor: one x-exponent row per column of
+    the x factors' digits, reduced by x^q = x (e > 0 becomes
+    (e - 1) % (q - 1) + 1), and the entries as (n, x columns, slots) with
+    slot 0 for no y and slot j + 1 for y_j.  has_y says the last factor is
+    the y factor."""
+    big = n + 1
+    vals = flat.reshape(n, -1, big if has_y else 1)
+    cols = np.arange(vals.shape[1])
+    xd = round(np.log(len(cols)) / np.log(big))  # there are big**xd columns
+    exps = np.zeros((len(cols), big), dtype=np.uint8)
+    for s in range(xd):
+        exps[cols, cols // big**s % big] += 1
     exps = np.where(exps > 0, (exps - 1) % (field.q - 1) + 1, 0)
-    return slot, flat[k_arr, pos], exps[pos, :n]
+    # the y factor's digit n is its constant, which carries no y
+    return exps[:, :n], np.roll(vals, 1, axis=2)
 
 
 def merge_general(field, parts: list[tuple], n: int) -> tuple:
-    """Combine records into the canonical (slot, coeff, exponent rows) table."""
-    return merge_terms(field.base, *(np.concatenate(col) for col in zip(*parts)))
+    """(mono0, C0, monoy, Cy) of the sum of the parts' tensors.
+
+    The x rows of the parts' columns make up each block's monomial table,
+    and every tensor entry adds into the coefficient its column maps to."""
+    out = []
+    for ys, cells in ((slice(0, 1), n), (slice(1, None), n * n)):
+        used = [(rows, vals[:, :, ys]) for rows, vals in parts if vals.shape[2] > ys.start]
+        mono, index = keys.monomial_basis(
+            field.q, np.concatenate([np.zeros((0, n), np.uint8), *(r for r, _ in used)]))
+        ends = np.cumsum([len(rows) for rows, _ in used])
+        pairs = []
+        for col, (_, vals) in zip(np.split(index, ends[:-1]), used):
+            # entry (k, column, y) is cell k * (y count) + y of the block
+            cell = np.arange(n)[:, None, None] * vals.shape[2] + np.arange(vals.shape[2])
+            pairs.append((cell * len(mono) + col[:, None], vals))
+        out += [mono, linalg.scatter_sums(field.base, pairs, cells * len(mono))]
+    return tuple(out)
+
+
+# Names that perfbench/tracing.py's layer map wraps; expand_keypair calls
+# records_general and merge_general for every q.
+records_q2 = records_general
+merge_q2 = merge_general

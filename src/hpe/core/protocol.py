@@ -10,7 +10,7 @@ from ..mvpoly import linalg
 from ..mvpoly.upoly import roots as upoly_roots
 
 _DEFAULT_TRIALS = 10
-_BATCH_CELLS = 1 << 18  # rows x terms per batch_zero_mask chunk
+_BATCH_CELLS = 1 << 18  # rows x key monomials per batch_zero_mask chunk
 
 
 def encrypt_raw(pk, x_vec: np.ndarray, rng: random.Random):
@@ -145,11 +145,12 @@ def private_relation_check(sk, u: int, v: int):
 def batch_zero_mask(pk, digits: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
     """Which rows of a (m, n) digit matrix satisfy every public equation.
 
-    Evaluates in chunks of rows so that rows times terms stays bounded.
+    Evaluates in chunks of rows so that rows times the key's monomials,
+    the size of the kernel's monomial values, stays bounded.
     """
     digits = np.asarray(digits, dtype=np.uint8)
     ok = np.empty(len(digits), dtype=bool)
-    step = max(1, _BATCH_CELLS // max(1, pk.term_count()))
+    step = max(1, _BATCH_CELLS // max(1, len(pk.mono0) + len(pk.monoy)))
     for lo in range(0, len(digits), step):
         vals = pk.eval_at(digits[lo:lo + step], y_vec)
         ok[lo:lo + step] = ~vals.any(axis=1)

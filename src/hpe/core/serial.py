@@ -7,7 +7,9 @@ A public key file (HPE1) is the header 'HPE1 q n t', the alphabet block,
 then per equation k a line 'EQ k T' and T term lines 'c : e_1 .. e_2n'
 (coefficient, then the exponents of x_1..x_n, y_1..y_n).  The term lines
 are written and read as byte arrays, one equation at a time, with no
-Python work per term; a term token is decimal ASCII digits.
+Python work per term; a term token is decimal ASCII digits.  Writing walks
+the nonzero coefficients of the key (PublicKey.equation_terms); reading
+adds the terms into the key's coefficient blocks (PublicKey.from_terms).
 
 A private key file stores the field tower, the alphabet, the hidden
 relation and the masks, not the public equations: a loaded PrivateKey
@@ -23,8 +25,7 @@ from ..errors import (FormatError, InvalidDegree, InvalidOrder, NotIrreducible,
 from ..fields import base_field, parse_descriptor
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it here)
-from .keys import (MAX_MASK_VARS, AffinePair, PrivateKey, PrivatePolynomial,
-                   PublicKey, merge_terms, x_part)
+from .keys import AffinePair, PrivateKey, PrivatePolynomial, PublicKey
 
 MAGIC = "HPE1"
 
@@ -208,8 +209,6 @@ def load_public(text: str) -> PublicKey:
     second = next(lines, "")
     if second.startswith("F "):
         raise FormatError("this is a private key file, not a public one")
-    if q == 2 and n > MAX_MASK_VARS:
-        raise FormatError("q=2 keys support at most %d variables" % MAX_MASK_VARS)
     alphabet = _read_alphabet(second, lines)
     try:
         base = base_field(q)
@@ -233,13 +232,11 @@ def load_public(text: str) -> PublicKey:
             raise FormatError("equations out of order at %r" % head)
         body = np.frombuffer(data, dtype=np.uint8, count=stop - eol - 1,
                              offset=eol + 1)
-        slot, coeff, x = _parse_terms(body, k, n, q, t, nterms)
-        cols.append((slot, coeff, x_part(q, n, x)))
+        cols.append(_parse_terms(body, k, n, q, t, nterms))
     if len(cols) != n:
         raise FormatError("expected %d equations, found %d" % (n, len(cols)))
-    slot, coeff, xpart = merge_terms(
-        base, *(np.concatenate(col) for col in zip(*cols)))
-    return PublicKey(base, n, t, slot, coeff, xpart, alphabet)
+    return PublicKey.from_terms(
+        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet)
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:

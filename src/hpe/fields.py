@@ -139,18 +139,6 @@ class BaseField:
             e >>= 1
         return out
 
-    def power_table(self) -> np.ndarray:
-        """q x q table of a^e for 0 <= e < q, built on first use."""
-        cached = getattr(self, "_power_table", None)
-        if cached is None:
-            pt = np.zeros((self.q, self.q), dtype=np.uint8)
-            pt[:, 0] = 1
-            for e in range(1, self.q):
-                pt[:, e] = self.mul_table[pt[:, e - 1], np.arange(self.q)]
-            pt.setflags(write=False)
-            self._power_table = cached = pt
-        return cached
-
     def elements(self) -> range:
         return range(self.q)
 

@@ -32,13 +32,24 @@ def matmul(base, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     base.mul_matrices of the right operand's entries; every partial sum is
     an integer below 2^53, so BLAS is exact before the reduction mod p.
     """
+    return times(base, a, operand(base, b))
+
+
+def operand(base, b: np.ndarray) -> np.ndarray:
+    """The float64 right operand of b in matmul, to reuse across products."""
+    r = base.r
+    k, cols = b.shape
+    return base.mul_matrices.take(b, axis=0).transpose(0, 2, 3, 1).reshape(k * r, r * cols)
+
+
+def times(base, a: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """a times the matrix whose operand(base, b) is right, over the base field."""
     p, r = base.p, base.r
-    (m, k), cols = a.shape, b.shape[1]
+    m, k = a.shape
     left = base.mul_matrices[:, 0].take(a, axis=0).reshape(m, k * r)
-    right = base.mul_matrices.take(b, axis=0).transpose(0, 2, 3, 1).reshape(k * r, r * cols)
     out = left @ right
     out -= p * np.floor(out / p)  # exact, and faster than np.mod
-    return pack_digits(base, out.reshape(m, r, cols))
+    return pack_digits(base, out.reshape(m, r, right.shape[1] // r))
 
 
 def pack_digits(base, digits: np.ndarray) -> np.ndarray:
@@ -104,22 +115,24 @@ def inverse(base, m: np.ndarray) -> np.ndarray:
     return red[:, n:].copy()
 
 
-def segment_sums(base, values: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """F_q sums of the runs values[..., starts[i]:starts[i + 1]] along the
-    last axis; the last run ends with the array.
+def scatter_sums(base, pairs, size: int) -> np.ndarray:
+    """F_q sums into size bins of the values of each (index, values) pair of
+    like-shaped arrays, each value going to the bin its index names.
 
     Elements add digit by digit in base p, so every base-p digit is summed
     as an integer and reduced mod p (one digit, the values, for prime q).
     """
-    p, out = base.p, 0
-    for d in range(base.r):
-        if d < base.r - 1:
-            values, digit = np.divmod(values, p)
-        else:
-            digit = values  # the top digit is all that the divisions left
-        sums = np.add.reduceat(digit, starts, axis=-1, dtype=np.int64)
-        out = out + sums % p * p**d
-    return np.asarray(out, dtype=np.uint8)
+    p, r = base.p, base.r
+    sums = np.zeros((r, size))
+    for index, values in pairs:
+        index = np.ravel(index)
+        for d in range(r):
+            if d < r - 1:
+                values, digit = np.divmod(values, p)
+            else:
+                digit = values  # the top digit is all that the divisions left
+            sums[d] += np.bincount(index, np.ravel(digit), minlength=size)
+    return pack_digits(base, sums % p)
 
 
 def _kernel_basis(base, red: np.ndarray, pivots: list, cols: int) -> list[np.ndarray]:

@@ -17,7 +17,7 @@ from .core.protocol import _fresh_choices, decrypt_raw, encrypt_raw
 from .errors import (NoValidCandidate, SigncryptionFailed, SigningFailed,
                      VariableMismatch)
 from .mvpoly import linalg
-from .mvpoly.upoly import roots as upoly_roots
+from .mvpoly.upoly import roots as upoly_roots  # noqa: F401  (see _invert_target)
 
 _SALT_BUDGET = 64
 _ENUM_CAP = 4096
@@ -60,18 +60,10 @@ class Signature:
     x: np.ndarray
 
 
-def _invert_target(sk, target: np.ndarray, rng: random.Random):
-    """All preimages x of a target vector under the private maps."""
-    field = sk.field
-    v = field.from_coords(sk.affine.map_y(target))
-    g = sk.priv.univariate_in_x(field, v)
-    if not g:
-        return []
-    out = []
-    for u in sorted(upoly_roots(field, g, rng)):
-        coords = np.array(field.coords(u), dtype=np.uint8)
-        out.append(sk.affine.unmap_u(coords))
-    return out
+# All preimages x of a target vector under the private maps: the trapdoor
+# inversion of decryption.  The name stays for perfbench/tracing.py's layer
+# map, which wraps it and upoly_roots by name.
+_invert_target = decrypt_raw
 
 
 def sign(sk, message, rng: random.Random,

@@ -1,10 +1,12 @@
 import random
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from hpe import KeyGenParams, keygen
 from hpe.core.alphabet import hex16
+from hpe.core.keys import PublicKey
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a slow or busy host cannot make them flake.
@@ -34,3 +36,20 @@ def random_messages(alphabet, blocks, count, seed):
     letters = alphabet.letters
     return ["".join(rng.choice(letters) for _ in range(blocks))
             for _ in range(count)]
+
+
+def sub_key(pk, equations, t=None):
+    """The key made of the listed equations of pk, the others left empty,
+    rebuilt through PublicKey.from_terms; t defaults to pk's."""
+    n = pk.n
+    slot, coeff, x_rows = [np.zeros(0, np.int64)], [np.zeros(0, np.uint8)], [
+        np.zeros((0, n), np.uint8)]
+    for k in equations:
+        c, exps = pk.equation_terms(k)
+        y = exps[:, n:]
+        slot.append(k * (n + 1) + np.where(y.any(axis=1), y.argmax(axis=1) + 1, 0))
+        coeff.append(c)
+        x_rows.append(exps[:, :n])
+    return PublicKey.from_terms(pk.base, n, pk.t if t is None else t,
+                                np.concatenate(slot), np.concatenate(coeff),
+                                np.concatenate(x_rows), pk.alphabet)

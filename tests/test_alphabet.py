@@ -120,6 +120,17 @@ def test_serialized_tables_round_trip():
         assert again.synonyms == a.synonyms
 
 
+def test_serialized_tables_check_their_tags():
+    lines = base4().to_lines()
+    head = lines[0]
+    for bad in ([head + " junk", *lines[1:]],
+                [head.replace("ALPHABET", "ALPHABETxyz"), *lines[1:]],
+                [head, "EQ" + lines[1][1:], *lines[2:]],
+                [head, *lines[1:-1], "X" + lines[-1][1:]]):
+        with pytest.raises(ValueError):
+            Alphabet.from_lines(bad)
+
+
 def test_default_alphabet_selection():
     a = default_alphabet(2, 16)
     assert a.letters == text64().letters

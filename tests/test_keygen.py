@@ -7,11 +7,12 @@ import pytest
 
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core.alphabet import base4, default_alphabet, hex16
-from hpe.core.keys import (MAX_MASK_VARS, AffinePair, PrivatePolynomial,
-                           PublicKey)
+from hpe.core.keys import AffinePair, PrivatePolynomial
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import build_extension
 from hpe.mvpoly.linalg import identity
+
+from conftest import sub_key
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 sample_private = keygen_mod.sample_private
@@ -43,11 +44,8 @@ def test_params_validation():
         KeyGenParams(q=2, n=8, degX_max=65).check()
     with pytest.raises(VariableMismatch):
         KeyGenParams(q=2, n=8, n_monomials=0).check()
-    # q = 2 x parts are 64-bit masks: at most MAX_MASK_VARS variables.
-    KeyGenParams(q=2, n=MAX_MASK_VARS).check()
-    KeyGenParams(q=3, n=MAX_MASK_VARS + 1).check()
-    with pytest.raises(VariableMismatch):
-        KeyGenParams(q=2, n=MAX_MASK_VARS + 1).check()
+    # q = 2 keys take any n; nothing packs the x exponents into 64 bits.
+    KeyGenParams(q=2, n=49).check()
 
 
 @pytest.mark.parametrize("q,weight,cap,n", [(2, 2, 9, 8), (3, 2, 9, 5), (2, 3, 9, 6)])
@@ -255,9 +253,7 @@ def test_shape_violations_match_per_equation_oracle(q, n):
         pk = expand_keypair(field, priv, affine, default_alphabet(2, 12))
         # t = 1 makes every quadratic equation too deep; dropping the odd
         # equations leaves empty ones
-        keep = pk.slot // (n + 1) % 2 == 0
-        sub = PublicKey(pk.base, n, 1, pk.slot[keep], pk.coeff[keep],
-                        pk.xpart[keep], pk.alphabet)
+        sub = sub_key(pk, range(0, n, 2), t=1)
         for key in (pk, sub):
             got = key.shape_violations()
             assert got == _shape_oracle(key)

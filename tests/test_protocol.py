@@ -1,8 +1,11 @@
+import functools
 import random
 import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hpe import (KeyGenParams, batch_zero_mask, decrypt, decrypt_messages,
                  decrypt_raw, encrypt, encrypt_raw, exhaustive_invert, keygen,
@@ -12,8 +15,9 @@ from hpe.core.keys import AffinePair
 from hpe.errors import (AmbiguousDecryption, EncryptionFailed,
                         NoValidCandidate, TooLarge)
 from hpe.fields import build_extension
+from hpe.mvpoly.linalg import matvec
 
-from conftest import random_messages
+from conftest import random_messages, sub_key
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 
@@ -229,3 +233,36 @@ def test_batch_zero_mask_matches_rowwise_eval():
         mask = batch_zero_mask(pk, digits, y)
         for i in range(200):
             assert mask[i] == (not pk.eval_at(digits[i], y).any())
+
+
+@functools.cache
+def _oracle_keys(q):
+    """A small key at q and the same key with equation 1 emptied, each with
+    its equations as MultiPolys."""
+    n = 4 if q == 2 else 3
+    pk, _ = keygen(KeyGenParams(q=q, n=n, seed=q, degX_max=max(9, q + 1)))
+    sub = sub_key(pk, [k for k in range(n) if k != 1])
+    return [(key, key.equations()) for key in (pk, sub)]
+
+
+@settings(max_examples=120)
+@given(q=st.sampled_from([2, 3, 4, 5, 8, 9]), empty=st.booleans(), data=st.data())
+def test_kernel_matches_multipoly_oracle(q, empty, data):
+    # linear_system, eval_at and batch_zero_mask against evaluating each
+    # equation term by term, on batches of 0, 1 and more rows.
+    pk, eqs = _oracle_keys(q)[empty]
+    n = pk.n
+    digits = st.lists(st.integers(0, q - 1), min_size=n, max_size=n)
+    xs = np.array(data.draw(st.lists(digits, min_size=2, max_size=4)),
+                  dtype=np.uint8)
+    y = np.array(data.draw(digits), dtype=np.uint8)
+    want = np.array([[eq.eval([*x, *y]) for eq in eqs] for x in xs],
+                    dtype=np.uint8)
+    assert not empty or not want[:, 1].any()
+    for m in (0, 1, len(xs)):
+        assert np.array_equal(pk.eval_at(xs[:m], y), want[:m])
+        assert np.array_equal(batch_zero_mask(pk, xs[:m], y), ~want[:m].any(axis=1))
+    for x, vals in zip(xs, want):
+        assert np.array_equal(pk.eval_at(x, y), vals)
+        matrix, rhs = pk.linear_system(x)
+        assert np.array_equal(pk.base.sub_table[matvec(pk.base, matrix, y), rhs], vals)

@@ -12,7 +12,8 @@ from hpe import (KeyGenParams, dump_private, dump_public, dump_signature,
                  parse_signature, parse_vector, sigs)
 from hpe.core import protocol, serial
 from hpe.core.alphabet import Alphabet
-from hpe.core.keys import MAX_MASK_VARS, PublicKey, merge_terms, x_part
+from hpe.core.alphabet import default_alphabet
+from hpe.core.keys import PublicKey
 from hpe.errors import FormatError, InvalidOrder
 from hpe.fields import base_field
 
@@ -200,12 +201,45 @@ def test_public_key_format_pinned(q, n, seed):
     assert dump_public(load_public(text)) == text
 
 
-def test_public_key_rejects_oversized_q2(pair12):
-    # q = 2 keys stop at MAX_MASK_VARS variables; a header beyond it is
-    # refused before any term is read.
-    text = dump_public(pair12[0])
-    with pytest.raises(FormatError, match="at most 48"):
-        load_public(text.replace("HPE1 2 12 3", "HPE1 2 49 3", 1))
+def test_public_key_q2_above_48_variables_round_trips():
+    # q = 2 keys once stopped at 48 variables (the x parts were 64-bit
+    # masks).  A hand-made n = 49 file loads and dumps back unchanged; in
+    # equation 0 x_0 x_1 comes before x_0 x_48, since q = 2 terms compare
+    # from x_48 down.
+    n = 49
+
+    def term(xs, y=None):
+        exps = [0] * (2 * n)
+        for i in xs:
+            exps[i] = 1
+        if y is not None:
+            exps[n + y] = 1
+        return "1 : " + " ".join(map(str, exps))
+
+    lines = ["HPE1 2 %d 3" % n, *default_alphabet(2, n).to_lines()]
+    for k in range(n):
+        terms = [term([k, (k + 1) % n]), term([k], y=k)]
+        if k == 0:
+            terms.insert(1, term([0, 48]))
+        lines += ["EQ %d %d" % (k, len(terms)), *terms]
+    text = "\n".join(lines) + "\n"
+    pk = load_public(text)
+    assert pk.term_count() == 2 * n + 1
+    assert dump_public(pk) == text
+
+
+def test_alphabet_tags_are_checked(pair12):
+    pk, sk = pair12
+    public_text, private_text = dump_public(pk), dump_private(sk)
+    letter = next(ln for ln in public_text.splitlines() if ln.startswith("L "))
+    head = next(ln for ln in public_text.splitlines() if ln.startswith("ALPHABET"))
+    for old, new in ((letter, "EQ" + letter[1:]), (head, head + " junk"),
+                     (head, head.replace("ALPHABET", "ALPHABETxyz") + " junk"),
+                     (head, head.replace("ALPHABET", "ALPHABETxyz"))):
+        with pytest.raises(FormatError, match="alphabet"):
+            load_public(public_text.replace(old, new, 1))
+        with pytest.raises(FormatError, match="alphabet"):
+            load_private(private_text.replace(old, new, 1))
 
 
 def test_public_key_equation_order_enforced(pair12):
@@ -340,8 +374,6 @@ def _oracle_load_public(text):
     q, n, t = serial._parse_header(lines[0])
     if len(lines) > 1 and lines[1].startswith("F "):
         raise FormatError("private key file")
-    if q == 2 and n > MAX_MASK_VARS:
-        raise FormatError("too many variables")
     if len(lines) < 2 or not lines[1].startswith("ALPHABET"):
         raise FormatError("missing alphabet block")
     try:
@@ -371,14 +403,12 @@ def _oracle_load_public(text):
             raise FormatError("equations out of order")
         if nterms < 0 or pos + 1 + nterms > len(lines):
             raise FormatError("equation is truncated")
-        slot, coeff, x = _oracle_terms(lines[pos + 1:pos + 1 + nterms], k, n, q, t)
-        cols.append((slot, coeff, x_part(q, n, x)))
+        cols.append(_oracle_terms(lines[pos + 1:pos + 1 + nterms], k, n, q, t))
         pos += 1 + nterms
     if len(cols) != n:
         raise FormatError("expected %d equations" % n)
-    slot, coeff, xpart = merge_terms(
-        base, *(np.concatenate(col) for col in zip(*cols)))
-    return PublicKey(base, n, t, slot, coeff, xpart, alphabet)
+    return PublicKey.from_terms(
+        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet)
 
 
 @functools.cache
