@@ -27,6 +27,11 @@ backends, chosen at construction from the field size:
   digit vectors reduced by one precomputed matrix, inv as a^(q^n - 2), and
   frob through P(k).
 
+Root finding in K (upoly.roots) follows the backend: on "log" fields it
+runs on scalar calls, which are lookups; on "clmul" and "coords" fields a
+scalar multiply costs microseconds, so it builds the q-power map of
+K[X]/(g) as one F_q matrix from P(1) and T and works on coordinate rows.
+
 Moduli default to the lexicographically least monic irreducible of the right
 degree, least meaning smallest integer encoding sum(c_i * q^i) + q^deg; the
 scan uses the definitive distinct-degree test, not a probabilistic one.
@@ -395,18 +400,21 @@ class ExtensionField:
 
     def coords_array(self, elems) -> np.ndarray:
         """Coordinate matrix, one row per packed element."""
-        arr = np.asarray(elems, dtype=np.uint64)
         if self._fast2 and self.n <= 64:
+            arr = np.asarray(elems, dtype=np.uint64)
             shifts = np.arange(self.n, dtype=np.uint64)
             return ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        return np.array([self.coords(int(a)) for a in arr], dtype=np.uint8)
+        return np.array([self.coords(int(a)) for a in elems], dtype=np.uint8).reshape(-1, self.n)
 
     def pack_array(self, coord_rows: np.ndarray) -> np.ndarray:
+        """Packed elements of coordinate rows; Python ints (dtype object)
+        when q^n exceeds 2^64."""
         rows = np.asarray(coord_rows, dtype=np.uint64)
         if self._fast2 and self.n <= 64:
             shifts = np.arange(self.n, dtype=np.uint64)
             return (rows << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-        return np.array([self.from_coords(r) for r in rows], dtype=np.uint64)
+        dtype = np.uint64 if self.order <= 1 << 64 else object
+        return np.array([self.from_coords(r) for r in rows], dtype=dtype)
 
     # -- element arithmetic ------------------------------------------------
 

@@ -48,7 +48,12 @@ def times(base, a: np.ndarray, right: np.ndarray) -> np.ndarray:
     m, k = a.shape
     left = base.mul_matrices[:, 0].take(a, axis=0).reshape(m, k * r)
     out = left @ right
-    out -= p * np.floor(out / p)  # exact, and faster than np.mod
+    # out -= p * floor(out / p), exact and faster than np.mod, in place:
+    # fresh temporaries of a large product cost more than the arithmetic
+    high = out / p
+    np.floor(high, out=high)
+    high *= p
+    out -= high
     return pack_digits(base, out.reshape(m, r, right.shape[1] // r))
 
 

@@ -8,16 +8,28 @@ coefficients during tower construction and K coefficients during decryption.
 A field whose .p is 2 gets squares by the Frobenius shortcut.
 
 Root finding follows the classic pattern: strip the squarefree product of
-linear factors with gcd(f, X^order - X), then split it recursively, using
-the trace map in characteristic 2 and quadratic-residue powering for odd
-characteristic.
+linear factors with gcd(g, X^order - X), g = f made monic, then split it
+recursively, using the trace map in characteristic 2 and quadratic-residue
+powering for odd characteristic.  Over a field K = GF(q^n) whose multiply
+is a table lookup (the "log" backend, and F_q itself) every step runs on
+scalars.  Over the larger "clmul" and "coords" fields a scalar multiply is
+far dearer, so roots builds the matrix Q of h -> h^q on K[X]/(g), which is
+F_q-linear (Berlekamp's Q-matrix), once per call: X^order mod g is then n
+products of Q with a coordinate row, and for q = 2 every trace of the split
+is n - 1 more, reduced mod the factor being split.  Both paths draw the
+same values from rng in the same order, so they return the same roots and
+leave rng in the same state.
 """
 
 from __future__ import annotations
 
+import functools
 import random
 
+import numpy as np
+
 from ..errors import RootFindingFailed, ZeroPolynomial
+from . import linalg
 
 X = [0, 1]
 
@@ -162,24 +174,90 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
     if rng is None:
         rng = random.Random()
     g = monic(field, f)
-    # X^order mod g by iterated p-th powering: order = p^m, so m rounds of
-    # a cheap fixed-exponent powmod instead of one huge exponent.
-    p, m, o = field.p, 0, field.order
-    while o > 1:
-        o //= p
-        m += 1
-    xq = mod(field, X, g)
-    for _ in range(m):
-        xq = powmod(field, xq, p, g)
+    qpower = None
+    if getattr(field, "backend", "log") == "log":
+        # X^order mod g by iterated p-th powering: order = p^m, so m rounds
+        # of a cheap fixed-exponent powmod instead of one huge exponent.
+        p, m, o = field.p, 0, field.order
+        while o > 1:
+            o //= p
+            m += 1
+        xq = mod(field, X, g)
+        for _ in range(m):
+            xq = powmod(field, xq, p, g)
+    else:
+        qpower = _QPowerMap(field, g)
+        xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), field.n))
+        if field.q != 2:
+            qpower = None  # the split below runs on scalars
     s = gcd(field, sub(field, xq, X), g)
     out: set = set()
     if degree(s) >= 1:
-        _split_linear(field, s, rng, out)
+        _split_linear(field, s, rng, out, qpower)
     return out
 
 
-def _split_linear(field, s: list, rng: random.Random, out: set) -> None:
-    """Recursively split a monic product of distinct linear factors."""
+class _QPowerMap:
+    """h -> h^q on K[X]/(g) as one matrix over F_q, for K = GF(q^n), g monic.
+
+    An element h = h_0 + .. + h_(d-1) X^(d-1) is the row of the n*d
+    coordinates of h_0, .., h_(d-1).  Since h^q = sum_j h_j^q R_j with
+    R_j = X^(qj) mod g, block (j, k) of the matrix maps h_j to h_j^q R_j[k]:
+    the q-power matrix P(1) of K times the multiply-by-R_j[k] matrix, whose
+    row i holds the coordinates of z^i R_j[k] from the multiplication tensor.
+    """
+
+    def __init__(self, field, g: list):
+        base, n, q, d = field.base, field.n, field.q, degree(g)
+        powers = [[1]]
+        while len(powers) < d:
+            powers.append(mod(field, [0] * q + powers[-1], g))
+        entries = [c for r in powers for c in r + [0] * (d - len(r))]
+        blocks = linalg.times(base, field.coords_array(entries), _frobenius_tensor(field))
+        matrix = blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n)
+        self.field, self.d = field, d
+        self.operand = linalg.operand(base, matrix)
+
+    def row(self, h: list) -> np.ndarray:
+        """The (1, n*d) coordinate row of h, a polynomial of degree below d."""
+        return self.field.coords_array(h + [0] * (self.d - len(h))).reshape(1, -1)
+
+    def poly(self, row: np.ndarray) -> list:
+        return trim([int(c) for c in self.field.pack_array(row.reshape(self.d, -1))])
+
+    def apply(self, row: np.ndarray, times: int) -> np.ndarray:
+        """The row of h^(q^times)."""
+        for _ in range(times):
+            row = linalg.times(self.field.base, row, self.operand)
+        return row
+
+    def trace(self, row: np.ndarray) -> np.ndarray:
+        """The row of h + h^q + .. + h^(q^(n-1)); for q = 2 the absolute trace."""
+        base, acc = self.field.base, row
+        for _ in range(self.field.n - 1):
+            row = linalg.times(base, row, self.operand)
+            acc = base.add_table[acc, row]
+        return acc
+
+
+@functools.lru_cache(maxsize=8)
+def _frobenius_tensor(field) -> np.ndarray:
+    """The linalg operand of the (n, n*n) matrix whose row m, block i holds
+    the coordinates of z^(iq) z^m, from P(1) and the multiplication tensor T
+    of K: the product of b's coordinates with it is P(1) M(b), block by block.
+    """
+    n = field.n
+    frob = linalg.matmul(field.base, field.frobenius_matrices[1], field.tensor.reshape(n, n * n))
+    return linalg.operand(field.base, frob.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))
+
+
+def _split_linear(field, s: list, rng: random.Random, out: set,
+                  qpower: _QPowerMap | None = None) -> None:
+    """Recursively split a monic product of distinct linear factors.
+
+    qpower, for q = 2 only, is the squaring map modulo a multiple of s, so
+    the trace of cX comes from it and is then reduced mod s.
+    """
     if degree(s) == 1:
         out.add(field.neg(s[0]))
         return
@@ -187,18 +265,21 @@ def _split_linear(field, s: list, rng: random.Random, out: set) -> None:
     for _ in range(200):
         if field.p == 2:
             c = rng.randrange(1, order)
-            t = mod(field, scale(field, X, c), s)
-            acc = t
-            for _ in range(order.bit_length() - 2):
-                t = mod(field, square(field, t), s)
-                acc = add(field, acc, t)
+            if qpower is not None:
+                acc = mod(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
+            else:
+                t = mod(field, scale(field, X, c), s)
+                acc = t
+                for _ in range(order.bit_length() - 2):
+                    t = mod(field, square(field, t), s)
+                    acc = add(field, acc, t)
             d = gcd(field, acc, s)
         else:
             a = rng.randrange(order)
             h = powmod(field, add(field, X, [a]), (order - 1) // 2, s)
             d = gcd(field, sub(field, h, [1]), s)
         if 0 < degree(d) < degree(s):
-            _split_linear(field, d, rng, out)
-            _split_linear(field, divmod_poly(field, s, d)[0], rng, out)
+            _split_linear(field, d, rng, out, qpower)
+            _split_linear(field, divmod_poly(field, s, d)[0], rng, out, qpower)
             return
     raise RootFindingFailed("equal-degree splitting failed to make progress")

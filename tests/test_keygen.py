@@ -243,14 +243,20 @@ def test_shape_violations_match_per_equation_oracle(q, n):
     rng = random.Random(61)
     affine = AffinePair.sample(field.base, n, rng)
     a, b = field.random_nonzero(rng), field.random_nonzero(rng)
-    privs = [
-        PrivatePolynomial(pure=((a, (0, 1)),), const=b),  # no y
-        PrivatePolynomial(mixed=((a, (), 0),), pure=((b, (2,)),)),  # x-linear
-        PrivatePolynomial(mixed=((a, (0, 1), 2),), pure=((b, (0, 1, 2)),)),
+    # Without a y shift, v = B y has no constant part, so the last relation's
+    # only x-quadratic terms carry a y: an x-degree read from the no-y block
+    # alone would call its equations linear.
+    y_linear = AffinePair(field.base, affine.a_mat, affine.c_vec, affine.b_mat,
+                          np.zeros(n, dtype=np.uint8))
+    cases = [
+        (PrivatePolynomial(pure=((a, (0, 1)),), const=b), affine),  # no y
+        (PrivatePolynomial(mixed=((a, (), 0),), pure=((b, (2,)),)), affine),  # x-linear
+        (PrivatePolynomial(mixed=((a, (0, 1), 2),), pure=((b, (0, 1, 2)),)), affine),
+        (PrivatePolynomial(mixed=((a, (0, 1), 2),), pure=((b, (2,)),)), y_linear),
     ]
     seen = set()
-    for priv in privs:
-        pk = expand_keypair(field, priv, affine, default_alphabet(2, 12))
+    for priv, masks in cases:
+        pk = expand_keypair(field, priv, masks, default_alphabet(2, 12))
         # t = 1 makes every quadratic equation too deep; dropping the odd
         # equations leaves empty ones
         sub = sub_key(pk, range(0, n, 2), t=1)

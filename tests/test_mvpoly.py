@@ -148,6 +148,77 @@ def test_roots_of_constructed_product():
         assert want <= got == brute
 
 
+def _reference_roots(field, f, rng):
+    """The scalar root finder: X^order mod g by p-th powering, then the
+    equal-degree split on scalars, drawing from rng in the same order as
+    upoly.roots must."""
+    g = upoly.monic(field, upoly.trim(f))
+    p, m, o = field.p, 0, field.order
+    while o > 1:
+        o //= p
+        m += 1
+    xq = upoly.mod(field, upoly.X, g)
+    for _ in range(m):
+        xq = upoly.powmod(field, xq, p, g)
+    s = upoly.gcd(field, upoly.sub(field, xq, upoly.X), g)
+    out = set()
+    if upoly.degree(s) >= 1:
+        _reference_split(field, s, rng, out)
+    return out
+
+
+def _reference_split(field, s, rng, out):
+    if upoly.degree(s) == 1:
+        out.add(field.neg(s[0]))
+        return
+    order = field.order
+    while True:
+        if field.p == 2:
+            c = rng.randrange(1, order)
+            t = upoly.mod(field, upoly.scale(field, upoly.X, c), s)
+            acc = t
+            for _ in range(order.bit_length() - 2):
+                t = upoly.mod(field, upoly.square(field, t), s)
+                acc = upoly.add(field, acc, t)
+            d = upoly.gcd(field, acc, s)
+        else:
+            a = rng.randrange(order)
+            h = upoly.powmod(field, upoly.add(field, upoly.X, [a]), (order - 1) // 2, s)
+            d = upoly.gcd(field, upoly.sub(field, h, [1]), s)
+        if 0 < upoly.degree(d) < upoly.degree(s):
+            _reference_split(field, d, rng, out)
+            _reference_split(field, upoly.divmod_poly(field, s, d)[0], rng, out)
+            return
+
+
+@pytest.mark.parametrize("q,n", [(2, 21), (2, 32), (2, 65), (3, 13), (4, 11)])
+def test_roots_above_table_threshold_match_scalar_reference(q, n):
+    # These fields find roots through the q-power matrix on K[X]/(g); the
+    # scalar algorithm must agree on the roots and on the draws from rng.
+    # q=2 n=65 packs elements above 2^64.
+    field = build_extension(q, n)
+    assert field.backend in ("clmul", "coords")
+    rng = random.Random(100 * q + n)
+    for trial in range(3):
+        want = set()
+        while len(want) < 2 + trial:
+            want.add(field.random(rng))
+        f = [1]
+        for r in want:
+            f = upoly.mul(field, f, [field.neg(r), 1])
+        while True:  # a monic cubic factor with no root in the field
+            extra = [field.random_nonzero(rng), field.random(rng), field.random(rng), 1]
+            if not _reference_roots(field, extra, random.Random(0)):
+                break
+        f = upoly.mul(field, f, extra)
+        got_rng, ref_rng = random.Random(trial), random.Random(trial)
+        got = upoly.roots(field, f, got_rng)
+        assert got == want
+        assert all(upoly.eval_poly(field, f, a) == 0 for a in got)
+        assert got == _reference_roots(field, f, ref_rng)
+        assert got_rng.random() == ref_rng.random()
+
+
 def test_roots_against_exhaustive_eval():
     field = build_extension(3, 3)
     rng = random.Random(8)

@@ -4,8 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from hpe import (KeyGenParams, Signature, hash_to_y, keygen, sign, signcrypt,
-                 unsigncrypt, verify)
+from hpe import (KeyGenParams, Signature, decrypt_raw, encrypt, hash_to_y,
+                 keygen, sign, signcrypt, unsigncrypt, verify)
 from hpe.core.alphabet import hex16
 from hpe.errors import (NoValidCandidate, SigncryptionFailed,
                         VariableMismatch)
@@ -117,6 +117,33 @@ def test_sign_verify_round_trip(pair16):
     # a loose floor on immediate successes is safe to pin down.
     assert salts.count(0) >= 5
     assert any(s > 0 for s in salts)
+
+
+# SHA-256 of the traffic below, recorded when GF(2^32) roots were still found
+# by scalar multiplies.  Decryption candidates come back sorted, but the
+# choice among a signature's preimages, and every later draw, depend on how
+# often and in what order root finding draws from the shared rng.
+PINNED_TRAFFIC_DIGEST = "6c03e0f2a6dc892e4eac72faa2bbe75da46370b1ce9557773e4eb955a58770b6"
+
+
+def test_decrypt_and_sign_pinned_at_q2_n32():
+    pk, sk = keygen(KeyGenParams(q=2, n=32, seed=1))
+    assert sk.field.backend == "clmul"
+    rng = random.Random(3232)
+    digest = hashlib.sha256()
+    counts = []
+    for i, msg in enumerate(random_messages(pk.alphabet, 4, 8, 3233)):
+        y, _ = encrypt(pk, msg, rng)
+        xs = decrypt_raw(sk, y, rng)
+        counts.append(len(xs))
+        for x in xs:
+            digest.update(x.tobytes())
+        digest.update(b"|")
+        sig = sign(sk, "pinned %d" % i, rng)
+        digest.update(b"%d:" % sig.salt + sig.x.tobytes())
+    digest.update(repr(rng.random()).encode())
+    assert max(counts) > 1  # some split draws happen
+    assert digest.hexdigest() == PINNED_TRAFFIC_DIGEST
 
 
 def test_sign_accepts_bytes_messages(pair16):
