@@ -5,7 +5,8 @@ coefficient blocks over F_q: C0 (n, M0) for the terms with no y, and
 Cy (n, n, My) for the terms of equation k with y_j.  Each block has its own
 monomial table (mono0, monoy): the x monomials that occur in it, as rows of
 n exponents reduced by x^q = x, in HPE1 term order (monomial_basis).  The
-nonzero entries of C0[k] and then Cy[k] are equation k's terms in file order.
+nonzero entries of C0[k] and then Cy[k] are equation k's terms in HPE1 file
+order.
 
 One kernel evaluates the key.  At each x of a batch it computes the value
 of every monomial (at most t mul_table gathers over the homogenized
@@ -245,10 +246,12 @@ class PublicKey:
 
     @classmethod
     def from_terms(cls, base, n: int, t: int, slot, coeff, x_rows,
-                   alphabet) -> "PublicKey":
+                   alphabet, max_cells: int | None = None) -> "PublicKey":
         """The key of a list of terms in any order: a slot k * (n + 1) + y + 1
         for equation k and y index y (-1 for none), a coefficient and an
-        x-exponent row each.  Repeated terms add over F_q."""
+        x-exponent row each.  Repeated terms add over F_q.  A key whose
+        blocks would have more than max_cells cells raises FormatError
+        before they are allocated."""
         slot = np.asarray(slot, dtype=np.int64)
         coeff = np.asarray(coeff, dtype=np.uint8)
         x_rows = np.asarray(x_rows, dtype=np.uint8).reshape(len(slot), n)
@@ -256,6 +259,10 @@ class PublicKey:
         free = y == 0
         mono0, i0 = monomial_basis(base.q, x_rows[free])
         monoy, iy = monomial_basis(base.q, x_rows[~free])
+        cells = n * len(mono0) + n * n * len(monoy)
+        if max_cells is not None and cells > max_cells:
+            raise FormatError("the key's blocks need %d cells, more than the "
+                              "%d its text allows" % (cells, max_cells))
         C0 = linalg.scatter_sums(
             base, [(k[free] * len(mono0) + i0, coeff[free])], n * len(mono0))
         cell = k[~free] * n + y[~free] - 1
@@ -268,7 +275,7 @@ class PublicKey:
 
     def equation_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
         """Coefficients and (T, 2n) exponent rows, x then y, of equation k,
-        in file order."""
+        in HPE1 file order."""
         n = self.n
         (m0,) = np.nonzero(self.C0[k])
         ys, my = np.nonzero(self.Cy[k])

@@ -3,19 +3,38 @@
 Everything is line-oriented ASCII.  Digit vectors are compact strings
 for q <= 10 and comma-separated otherwise.
 
-A public key file (HPE1) is the header 'HPE1 q n t', the alphabet block,
-then per equation k a line 'EQ k T' and T term lines 'c : e_1 .. e_2n'
-(coefficient, then the exponents of x_1..x_n, y_1..y_n).  The term lines
-are written and read as byte arrays, one equation at a time, with no
-Python work per term; a term token is decimal ASCII digits.  Writing walks
-the nonzero coefficients of the key (PublicKey.equation_terms); reading
-adds the terms into the key's coefficient blocks (PublicKey.from_terms).
+A public key file (HPE2) holds the key's coefficient blocks (see keys):
+the header 'HPE2 q n t', the alphabet block, then four blocks, each a
+head line and one base64 line of values packed at ceil(log2 q) bits, most
+significant bit first, zero-padded to a byte:
+
+    MONO0 M0    the M0 rows of mono0, n exponents each
+    MONOY My    the My rows of monoy
+    C0          C0, n * M0 coefficients, row-major
+    CY          Cy, n * n * My coefficients
+
+A block of no values has an empty line.  The reader checks every line
+against the counts before it unpacks a block, and My >= 1, so that n and
+every block are bounded by the text.  Then each value must be below q,
+each table strictly increasing in monomial_basis order with no monomial
+above x-degree t, and each monomial must have a nonzero coefficient, so
+that a key reads back to the text it was written as.
+
+The earlier public format (HPE1) is read, not written: the header
+'HPE1 q n t', the alphabet block, then per equation k a line 'EQ k T' and T
+term lines 'c : e_1 .. e_2n' (coefficient, then the exponents of
+x_1..x_n, y_1..y_n).  The term lines are read as byte arrays, one equation
+at a time, with no Python work per term; a term token is decimal ASCII
+digits.  The terms add into the key's coefficient blocks
+(PublicKey.from_terms), which may hold at most _CELLS_PER_BYTE cells per
+byte of text.
 
 A private key file stores the field tower, the alphabet, the hidden
 relation and the masks, not the public equations: a loaded PrivateKey
 expands those only when its public attribute is first read.
 """
 
+import binascii
 import itertools
 
 import numpy as np
@@ -25,9 +44,15 @@ from ..errors import (FormatError, InvalidDegree, InvalidOrder, NotIrreducible,
 from ..fields import base_field, parse_descriptor
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it here)
-from .keys import AffinePair, PrivateKey, PrivatePolynomial, PublicKey
+from .keys import (AffinePair, PrivateKey, PrivatePolynomial, PublicKey,
+                   monomial_basis)
 
-MAGIC = "HPE1"
+MAGIC = "HPE1"  # private keys, and the public keys of earlier versions
+PUBLIC_MAGIC = "HPE2"
+# An HPE1 file's blocks may hold at most this many coefficient cells per
+# byte of text; keygen's keys need under one, and a hand-made file with a
+# huge n and a few terms would otherwise allocate n^2 cells per y monomial.
+_CELLS_PER_BYTE = 64
 
 
 def dump_vector(vec, q: int) -> str:
@@ -41,45 +66,28 @@ def parse_vector(text: str, q: int, n: int) -> np.ndarray:
         raise FormatError("bad digit vector: %r" % text.strip()) from exc
 
 
-def _token_table(q: int) -> tuple:
-    """(table, w): row v < q of the uint8 table is the decimal token of v
-    and row q is ':', each left-aligned in w bytes (w the widest token),
-    then a space, then zero bytes up to a row of 2 or 4 bytes."""
-    tokens = [str(v).encode("ascii") for v in range(q)] + [b":"]
-    w = max(map(len, tokens))
-    table = np.zeros((q + 1, 2 if w == 1 else 4), dtype=np.uint8)
-    for v, tok in enumerate(tokens):
-        table[v, : len(tok)] = np.frombuffer(tok, dtype=np.uint8)
-    table[:, w] = ord(" ")
-    return table, w
+def _pack_line(values: np.ndarray, q: int) -> str:
+    """Base64 of values below q, each in ceil(log2 q) bits, most significant
+    bit first, zero-padded to a byte."""
+    shifts = np.arange((q - 1).bit_length() - 1, -1, -1, dtype=np.uint8)
+    bits = np.asarray(values, dtype=np.uint8).reshape(-1, 1) >> shifts & 1
+    return binascii.b2a_base64(np.packbits(bits).tobytes(),
+                               newline=False).decode("ascii")
 
 
 def dump_public(pk: PublicKey) -> str:
-    head = ["%s %d %d %d" % (MAGIC, pk.q, pk.n, pk.t), *pk.alphabet.to_lines(), ""]
-    out = ["\n".join(head)]
-    table, w = _token_table(pk.q)
-    # A row of the table is one 2- or 4-byte word, so rendering is one
-    # gather of words.  One equation at a time, so only its cells are
-    # alive: each term line is 2n + 2 cells (coefficient, ':', 2n
-    # exponents), and dropping the zero bytes of the cells leaves the
-    # text.  Joining one str per equation leaves no copy of the text (47 MB
-    # at n=32) besides the pieces and the result.
-    words = table.view("u%d" % table.shape[1]).ravel()
-    for k in range(pk.n):
-        coeffs, exps = pk.equation_terms(k)
-        cells = np.empty((len(coeffs), 2 * pk.n + 2), dtype=np.uint8)
-        cells[:, 0], cells[:, 1], cells[:, 2:] = coeffs, pk.q, exps
-        chars = words.take(cells).view(np.uint8).reshape(*cells.shape, -1)
-        chars[:, -1, w] = ord("\n")
-        out.append("EQ %d %d\n" % (k, len(coeffs)))
-        out.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
-    return "".join(out)
+    out = ["%s %d %d %d" % (PUBLIC_MAGIC, pk.q, pk.n, pk.t), *pk.alphabet.to_lines()]
+    for head, block in (("MONO0 %d" % len(pk.mono0), pk.mono0),
+                        ("MONOY %d" % len(pk.monoy), pk.monoy),
+                        ("C0", pk.C0), ("CY", pk.Cy)):
+        out += [head, _pack_line(block, pk.q)]
+    return "\n".join(out) + "\n"
 
 
-def _parse_header(line: str):
+def _parse_header(line: str, magic: str = MAGIC):
     parts = line.split()
-    if len(parts) != 4 or parts[0] != MAGIC:
-        raise FormatError("expected '%s q n t' header, got %r" % (MAGIC, line))
+    if len(parts) != 4 or parts[0] != magic:
+        raise FormatError("expected '%s q n t' header, got %r" % (magic, line))
     try:
         q, n, t = int(parts[1]), int(parts[2]), int(parts[3])
     except ValueError as exc:
@@ -194,6 +202,100 @@ def _parse_terms(body: np.ndarray, k: int, n: int, q: int, t: int,
     return slot, coeff.astype(np.uint8), x.astype(np.uint8)
 
 
+def _block_head(line: str, tag: str, counted: bool) -> int | None:
+    """The row count of a block head line 'tag M', or None for a line 'tag'."""
+    parts = line.split()
+    if parts[:1] != [tag] or len(parts) != 1 + counted:
+        raise FormatError("expected the %r block, got %r" % (tag, line))
+    if not counted:
+        return None
+    try:
+        if not parts[1].isdigit():
+            raise ValueError(parts[1])
+        return int(parts[1])
+    except ValueError as exc:
+        raise FormatError("bad %s row count: %r" % (tag, line)) from exc
+
+
+def _payload(lines, tag: str, count: int, q: int) -> bytes:
+    """The bytes of the base64 line after the head of block tag, checked to
+    be the canonical encoding of exactly the bytes that count values take;
+    a block of no bytes has no line."""
+    nbytes = -(-count * (q - 1).bit_length() // 8)
+    if not nbytes:
+        return b""
+    line = next(lines, "").strip()
+    # checked before decoding, so that a line is decoded only when its
+    # length is what the counts say
+    if len(line) != 4 * -(-nbytes // 3):
+        raise FormatError("the %s block needs %d bytes of base64" % (tag, nbytes))
+    try:
+        raw = binascii.a2b_base64(line)
+    except binascii.Error as exc:
+        raise FormatError("the %s block is not base64" % tag) from exc
+    if len(raw) != nbytes or binascii.b2a_base64(raw, newline=False) != line.encode("ascii"):
+        raise FormatError("the %s block is not the canonical base64 of %d bytes"
+                          % (tag, nbytes))
+    return raw
+
+
+def _unpack(raw: bytes, count: int, q: int, tag: str) -> np.ndarray:
+    """The count values below q that _pack_line wrote into raw."""
+    b = (q - 1).bit_length()
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8))
+    if bits[count * b:].any():
+        raise FormatError("the %s block has a nonzero pad bit" % tag)
+    vals = np.zeros(count, dtype=np.uint8)
+    for col in bits[: count * b].reshape(count, b).T:
+        vals = vals << 1 | col
+    if (vals >= q).any():
+        raise FormatError("the %s block has a value outside F_%d" % (tag, q))
+    return vals
+
+
+def _check_table(mono: np.ndarray, q: int, t: int, tag: str) -> None:
+    if (mono.sum(axis=1) > t).any():
+        raise FormatError("the %s table has a monomial of x-degree above t=%d"
+                          % (tag, t))
+    table, index = monomial_basis(q, mono)
+    if len(table) != len(mono) or (index != np.arange(len(mono))).any():
+        raise FormatError("the %s table is not strictly increasing" % tag)
+
+
+def _read_blocks(lines, base, n: int, t: int, alphabet) -> PublicKey:
+    """The HPE2 blocks that follow the alphabet.  Every line is checked
+    against the counts of the header and the block heads before a block is
+    unpacked, so no block is larger than the text it came from."""
+    q = base.q
+    if n < 1:
+        raise FormatError("a public key has at least one equation, not n=%d" % n)
+    m0 = _block_head(next(lines, ""), "MONO0", True)
+    raw_m0 = _payload(lines, "MONO0", m0 * n, q)
+    my = _block_head(next(lines, ""), "MONOY", True)
+    if my < 1:
+        # CY's n * n * My cells are then what bounds n by the text
+        raise FormatError("the key has no monomial with a y")
+    raw_my = _payload(lines, "MONOY", my * n, q)
+    _block_head(next(lines, ""), "C0", False)
+    raw_c0 = _payload(lines, "C0", n * m0, q)
+    _block_head(next(lines, ""), "CY", False)
+    raw_cy = _payload(lines, "CY", n * n * my, q)
+    extra = next(lines, None)
+    if extra is not None:
+        raise FormatError("unexpected line after the CY block: %r" % extra)
+    mono0 = _unpack(raw_m0, m0 * n, q, "MONO0").reshape(m0, n)
+    monoy = _unpack(raw_my, my * n, q, "MONOY").reshape(my, n)
+    C0 = _unpack(raw_c0, n * m0, q, "C0").reshape(n, m0)
+    Cy = _unpack(raw_cy, n * n * my, q, "CY").reshape(n, n, my)
+    _check_table(mono0, q, t, "MONO0")
+    _check_table(monoy, q, t, "MONOY")
+    # PublicKey drops such monomials, and the file would not read back as
+    # written
+    if not (C0.any(axis=0).all() and Cy.any(axis=(0, 1)).all()):
+        raise FormatError("a monomial of the key has no nonzero coefficient")
+    return PublicKey(base, n, t, mono0, C0, monoy, Cy, alphabet)
+
+
 def load_public(text: str) -> PublicKey:
     try:
         data = text.encode("ascii").translate(_NORMALIZE)
@@ -205,7 +307,8 @@ def load_public(text: str) -> PublicKey:
     header = next(lines, None)
     if header is None:
         raise FormatError("empty public key")
-    q, n, t = _parse_header(header)
+    magic = MAGIC if header.split()[:1] == [MAGIC] else PUBLIC_MAGIC
+    q, n, t = _parse_header(header, magic)
     second = next(lines, "")
     if second.startswith("F "):
         raise FormatError("this is a private key file, not a public one")
@@ -214,6 +317,8 @@ def load_public(text: str) -> PublicKey:
         base = base_field(q)
     except InvalidOrder as exc:
         raise FormatError("bad key header: %s" % exc) from exc
+    if magic == PUBLIC_MAGIC:
+        return _read_blocks(lines, base, n, t, alphabet)
     bounds = _equation_heads(data, lines.pos) + [len(data)]
     if data[lines.pos : bounds[0]].strip():
         raise FormatError("expected an equation header after the alphabet")
@@ -236,7 +341,8 @@ def load_public(text: str) -> PublicKey:
     if len(cols) != n:
         raise FormatError("expected %d equations, found %d" % (n, len(cols)))
     return PublicKey.from_terms(
-        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet)
+        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet,
+        max_cells=_CELLS_PER_BYTE * len(data))
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:

@@ -81,9 +81,10 @@ class BaseField:
     """
 
     def __init__(self, q: int):
-        p, r = prime_power_split(q)
+        # before the split, whose trial division takes sqrt(q) steps
         if q > MAX_Q:
             raise InvalidOrder("base field order %d exceeds the supported %d" % (q, MAX_Q))
+        p, r = prime_power_split(q)
         self.p = p
         self.r = r
         self.q = q

@@ -2,7 +2,9 @@ import io
 import sys
 
 import pytest
+from test_serial import _dump_hpe1
 
+from hpe import load_public
 from hpe.cli import main
 
 MSG = "Attack at dawn."
@@ -48,7 +50,7 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
 def test_keygen_writes_versioned_files(keydir, capsys):
     pub = (keydir / "a.pub").read_text()
     priv = (keydir / "a.key").read_text()
-    assert pub.startswith("HPE1 2 16 3\n")
+    assert pub.startswith("HPE2 2 16 3\n")
     assert priv.startswith("HPE1 2 16 3\n")
     assert "ALPHABET" in pub
     assert priv.splitlines()[1].startswith("F 2 1 16 ")
@@ -151,14 +153,21 @@ def test_missing_files_are_data_errors(tmp_path, capsys):
     ("pub", 0, "HPE1 6 4 3"),
     ("pub", 0, "HPE1 2 16 0"),
     ("pub", 0, "HPE1 2 16 -1"),
+    ("pub", 0, "HPE2 6 4 3"),
+    ("pub", 0, "HPE2 2 16 0"),
+    ("pub", 0, "HPE2 2 16 -1"),
     ("key", 0, "HPE1 2 16 1"),
 ])
 def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
                                                     kind, idx, line):
     # A key file naming a field that cannot exist, or a weight t below 2,
     # is malformed input (65), not a parameter error (64) or a protocol
-    # failure (1).
-    lines = (keydir / ("a." + kind)).read_text().splitlines()
+    # failure (1).  An HPE1 public line goes into the legacy HPE1 file.
+    text = (keydir / ("a." + kind)).read_text()
+    if line.startswith("HPE1") and kind == "pub":
+        text = _dump_hpe1(load_public(text))
+    lines = text.splitlines()
+    assert lines[idx].split()[0] == line.split()[0]
     lines[idx] = line
     key = _write(tmp_path / ("bad." + kind), "\n".join(lines) + "\n")
     msg = _write(tmp_path / "m.txt", "Go\n")
@@ -170,6 +179,29 @@ def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
     assert main(argv + ["--out", str(tmp_path / "out.txt")]) == 65
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
+def test_legacy_hpe1_public_file_encrypts_and_verifies(keydir, tmp_path, capsys):
+    # Public key files written before HPE2 still work for every command
+    # that reads one, with the same results as the packed file.
+    legacy = _write(tmp_path / "a1.pub",
+                    _dump_hpe1(load_public((keydir / "a.pub").read_text())))
+    msg = _write(tmp_path / "m.txt", MSG + "\n")
+    for tag, pub in (("new", str(keydir / "a.pub")), ("old", legacy)):
+        assert main(["encrypt", "--pub", pub, "--seed", "3", "--in", msg,
+                     "--out", str(tmp_path / (tag + ".ct"))]) == 0
+    ct = (tmp_path / "old.ct").read_text()
+    assert ct == (tmp_path / "new.ct").read_text()
+    assert main(["decrypt", "--priv", str(keydir / "a.key"),
+                 "--in", str(tmp_path / "old.ct"),
+                 "--out", str(tmp_path / "o.txt")]) == 0
+    assert (tmp_path / "o.txt").read_text() == MSG + "\n"
+    sig = str(tmp_path / "m.sig")
+    assert main(["sign", "--priv", str(keydir / "a.key"), "--seed", "9",
+                 "--in", msg, "--out", sig]) == 0
+    capsys.readouterr()
+    assert main(["verify", "--pub", legacy, "--in", sig, msg]) == 0
+    assert "accept" in capsys.readouterr().out
 
 
 def test_message_outside_alphabet_is_data_error(keydir, tmp_path, capsys):

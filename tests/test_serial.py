@@ -1,3 +1,4 @@
+import binascii
 import functools
 import hashlib
 import random
@@ -17,9 +18,10 @@ from hpe.core.keys import PublicKey
 from hpe.errors import FormatError, InvalidOrder
 from hpe.fields import base_field
 
-# SHA-256 of dump_public(keygen(KeyGenParams(q, n, seed=s))[0]), recorded
-# before the public key moved to one flat term table; any change in term
-# order or formatting shows here.  The q=2 n=32 keys, recorded before the
+# SHA-256 of the HPE1 text _dump_hpe1(keygen(KeyGenParams(q, n, seed=s))[0]),
+# recorded while dump_public still wrote HPE1, before the public key moved
+# to one flat term table; any change in term order or formatting, or in the
+# key itself, shows here.  The q=2 n=32 keys, recorded before the
 # key expansion moved to block-local factors, carry repeated Frobenius
 # levels (seed 1 has the pure term u^(2+2+4) = u^8).  The q=8 and q=9 keys,
 # recorded while prime-power fields still expanded through a table-driven
@@ -38,6 +40,61 @@ PINNED_PUBLIC_DIGESTS = {
     (11, 3, 1111): "58ebeb22df17c65e91d75141cad16d31f4fc1fda04696f04b32f515d10d7794e",
     (16, 3, 1616): "1e97340f2473143879f329d630af93c6ca64d7957b4b2550acf134b8c615a732",
 }
+
+# SHA-256 of the HPE2 text dump_public writes for the same keys, recorded
+# when HPE2 became the public format.
+PINNED_HPE2_DIGESTS = {
+    (2, 32, 1): "c66fee1d0196d77f27fe0f9be56597779f37c3dbb6a9ead81fca069178cf8698",
+    (2, 32, 3): "12e16366311284c4e040933ea037f32dfb27cbc6d77867c6a7e22c15fccc8f1c",
+    (2, 12, 103): "8ccc010f61d177be4101fa98bbec3fecf9d249fb3193e0bb8cd00ec471b12c79",
+    (3, 5, 635): "eab8101a187ffeab56bd543ce607d41b351dc216e15ff4c5ffbe2e86205954bf",
+    (4, 4, 644): "30fc8d29a2d31b9cb7aea8158676adb45eaeb5e27e0ada562cf7b500a22ebafa",
+    (8, 4, 808): "017d20de35977bfdddd694bdde1c117c0e161401adca886658ad459effd0c6c1",
+    (9, 4, 909): "0235ed1c6091c207756cc8f76eeca9328eadb6cff2c16b16179cf6d64cde70c3",
+    (11, 3, 1111): "2f343a47d19f9e802e3dfc0e9a3d0a35eae7244309c4e835e51e9163ff6f9754",
+    (16, 3, 1616): "e04eaa58305f15c2396d1838f700167574ac4dc4cebdef1828e30e8b6e86567a",
+}
+
+
+def _token_table(q):
+    """(table, w): row v < q of the uint8 table is the decimal token of v
+    and row q is ':', each left-aligned in w bytes (w the widest token),
+    then a space, then zero bytes up to a row of 2 or 4 bytes."""
+    tokens = [str(v).encode("ascii") for v in range(q)] + [b":"]
+    w = max(map(len, tokens))
+    table = np.zeros((q + 1, 2 if w == 1 else 4), dtype=np.uint8)
+    for v, tok in enumerate(tokens):
+        table[v, : len(tok)] = np.frombuffer(tok, dtype=np.uint8)
+    table[:, w] = ord(" ")
+    return table, w
+
+
+def _dump_hpe1(pk):
+    """The HPE1 text of pk, as dump_public wrote it before HPE2: the header,
+    the alphabet, then per equation 'EQ k T' and its T term lines
+    'c : e_1 .. e_2n' in file order (PublicKey.equation_terms)."""
+    head = ["HPE1 %d %d %d" % (pk.q, pk.n, pk.t), *pk.alphabet.to_lines(), ""]
+    out = ["\n".join(head)]
+    table, w = _token_table(pk.q)
+    # A row of the table is one 2- or 4-byte word, so rendering is one
+    # gather of words; each term line is 2n + 2 cells (coefficient, ':',
+    # 2n exponents), and dropping the zero bytes of the cells leaves the
+    # text.
+    words = table.view("u%d" % table.shape[1]).ravel()
+    for k in range(pk.n):
+        coeffs, exps = pk.equation_terms(k)
+        cells = np.empty((len(coeffs), 2 * pk.n + 2), dtype=np.uint8)
+        cells[:, 0], cells[:, 1], cells[:, 2:] = coeffs, pk.q, exps
+        chars = words.take(cells).view(np.uint8).reshape(*cells.shape, -1)
+        chars[:, -1, w] = ord("\n")
+        out.append("EQ %d %d\n" % (k, len(coeffs)))
+        out.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
+    return "".join(out)
+
+
+def _same_blocks(a, b):
+    return all(np.array_equal(getattr(a, name), getattr(b, name))
+               for name in ("mono0", "C0", "monoy", "Cy"))
 
 
 def test_vector_round_trip_compact_digits():
@@ -66,7 +123,7 @@ def test_vector_parse_errors():
 def test_public_key_round_trip(pair12):
     pk, _ = pair12
     text = dump_public(pk)
-    assert text.splitlines()[0] == "HPE1 2 12 3"
+    assert text.splitlines()[0] == "HPE2 2 12 3"
     again = load_public(text)
     assert dump_public(again) == text
     assert again.term_count() == pk.term_count()
@@ -127,7 +184,7 @@ def _mutate_lines(text, idx, new_line):
 
 def test_public_key_strictness(pair12):
     pk, _ = pair12
-    text = dump_public(pk)
+    text = _dump_hpe1(pk)
     lines = text.splitlines()
     first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
     coeff, exps = lines[first_term].split(":")
@@ -149,10 +206,12 @@ def test_public_key_strictness(pair12):
 
 def test_public_key_weight_checked(pair12):
     # t below 2 cannot come from keygen, and no term may exceed x-degree t.
-    text = dump_public(pair12[0])
-    for header in ("HPE1 2 12 1", "HPE1 2 12 0", "HPE1 2 12 -1"):
-        with pytest.raises(FormatError, match="below 2"):
-            load_public(text.replace("HPE1 2 12 3", header, 1))
+    for magic, text in (("HPE2", dump_public(pair12[0])),
+                        ("HPE1", _dump_hpe1(pair12[0]))):
+        for t in ("1", "0", "-1"):
+            with pytest.raises(FormatError, match="below 2"):
+                load_public(text.replace(magic + " 2 12 3",
+                                         "%s 2 12 %s" % (magic, t), 1))
     lines = text.splitlines()
     first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
     exps = lines[first_term].split(":")[1].split()
@@ -165,7 +224,7 @@ def test_public_key_weight_checked(pair12):
 def test_public_key_strictness_exponent_rows():
     # q = 3 stores exponent rows, not bitmasks; the same rules apply.
     pk, _ = keygen(KeyGenParams(q=3, n=5, seed=635))
-    text = dump_public(pk)
+    text = _dump_hpe1(pk)
     lines = text.splitlines()
     first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
     coeff, exps = lines[first_term].split(":")
@@ -195,9 +254,12 @@ def test_public_key_strictness_exponent_rows():
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
 def test_public_key_format_pinned(q, n, seed):
     params = KeyGenParams(q=q, n=n, seed=seed, degX_max=max(9, q + 1))
-    text = dump_public(keygen(params)[0])
-    digest = hashlib.sha256(text.encode("utf-8")).hexdigest()
-    assert digest == PINNED_PUBLIC_DIGESTS[(q, n, seed)]
+    pk = keygen(params)[0]
+    legacy, text = _dump_hpe1(pk), dump_public(pk)
+    for got, pinned in ((legacy, PINNED_PUBLIC_DIGESTS), (text, PINNED_HPE2_DIGESTS)):
+        assert hashlib.sha256(got.encode("utf-8")).hexdigest() == pinned[(q, n, seed)]
+    for again in (load_public(legacy), load_public(text)):
+        assert _same_blocks(again, pk)
     assert dump_public(load_public(text)) == text
 
 
@@ -225,7 +287,10 @@ def test_public_key_q2_above_48_variables_round_trips():
     text = "\n".join(lines) + "\n"
     pk = load_public(text)
     assert pk.term_count() == 2 * n + 1
-    assert dump_public(pk) == text
+    assert _dump_hpe1(pk) == text
+    packed = dump_public(pk)
+    assert _same_blocks(load_public(packed), pk)
+    assert dump_public(load_public(packed)) == packed
 
 
 def test_alphabet_tags_are_checked(pair12):
@@ -244,7 +309,7 @@ def test_alphabet_tags_are_checked(pair12):
 
 def test_public_key_equation_order_enforced(pair12):
     pk, _ = pair12
-    text = dump_public(pk)
+    text = _dump_hpe1(pk)
     lines = text.splitlines()
     eq_idx = next(i for i, ln in enumerate(lines) if ln.startswith("EQ 1 "))
     bad = _mutate_lines(text, eq_idx, lines[eq_idx].replace("EQ 1 ", "EQ 5 "))
@@ -292,6 +357,7 @@ BAD_FIELD_LINES = (
     ("private", 1, "F 2 2 1 1 1"),
     ("private", 1, "F 2 2 4 0 0 0 0 1"),
     ("public", 0, "HPE1 6 4 3"),
+    ("public", 0, "HPE2 6 4 3"),
 )
 
 
@@ -303,7 +369,19 @@ def test_impossible_field_is_format_error(pair12, kind, idx, line):
             load_private(_mutate_lines(dump_private(sk), idx, line))
     else:
         with pytest.raises(FormatError, match="not a prime power"):
-            load_public(_mutate_lines(dump_public(pk), idx, line))
+            text = _dump_hpe1(pk) if line.startswith("HPE1") else dump_public(pk)
+            load_public(_mutate_lines(text, idx, line))
+
+
+def test_huge_field_order_is_refused_at_once(pair12):
+    # 2^61 - 1 is prime: trial division up to its square root would take
+    # minutes before the order was found to be too large.
+    q = (1 << 61) - 1
+    for text in (_dump_hpe1(pair12[0]), dump_public(pair12[0])):
+        header = text.splitlines()[0]
+        bad = text.replace(header, header.replace(" 2 ", " %d " % q, 1), 1)
+        with pytest.raises(FormatError, match="exceeds the supported"):
+            load_public(bad)
 
 
 def test_signature_round_trip():
@@ -413,9 +491,10 @@ def _oracle_load_public(text):
 
 @functools.cache
 def _small_key_texts(q):
+    """(HPE1 public text, private text, HPE2 public text) of a small key."""
     n = 4 if q == 2 else 3
     pk, sk = keygen(KeyGenParams(q=q, n=n, seed=q, degX_max=max(9, q + 1)))
-    return dump_public(pk), dump_private(sk)
+    return _dump_hpe1(pk), dump_private(sk), dump_public(pk)
 
 
 def _mutate(text, edits):
@@ -456,7 +535,7 @@ EDITS = st.lists(
 @settings(max_examples=400)
 @given(q=st.sampled_from([2, 3, 4, 11]), edits=EDITS)
 def test_mutated_key_files_load_or_raise_format_error(q, edits):
-    public_text, private_text = _small_key_texts(q)
+    public_text, private_text, _ = _small_key_texts(q)
     text = _mutate(public_text, edits)
     got = _dumped_or_error(load_public, text)
     want = _dumped_or_error(_oracle_load_public, text)
@@ -486,17 +565,18 @@ def test_term_line_layout_matches_the_line_parser():
         assert _dumped_or_error(_oracle_load_public, bad) is None
         assert _dumped_or_error(load_public, bad) is None
     tight = _mutate_lines(text, i, "%s:%s" % (coeff, exps))
-    assert dump_public(load_public(tight)) == text
+    assert _dump_hpe1(load_public(tight)) == text
 
 
 @pytest.mark.parametrize("q", [2, 11])
 def test_whitespace_variants_load_to_the_same_key(q):
-    text = _small_key_texts(q)[0]
-    variants = (text.replace(" ", "\t"), text.replace(" ", "  "),
-                text.replace("\n", "\n\n \t\n"), text.replace("\n", "\r\n"),
-                text.replace("\n", " \n"), text.rstrip("\n"))
-    for variant in variants:
-        assert dump_public(load_public(variant)) == text
+    legacy, _, packed = _small_key_texts(q)
+    for dump, text in ((_dump_hpe1, legacy), (dump_public, packed)):
+        variants = (text.replace(" ", "\t"), text.replace(" ", "  "),
+                    text.replace("\n", "\n\n \t\n"), text.replace("\n", "\r\n"),
+                    text.replace("\n", " \n"), text.rstrip("\n"))
+        for variant in variants:
+            assert dump(load_public(variant)) == text
 
 
 def test_non_digit_tokens_are_rejected():
@@ -509,3 +589,176 @@ def test_non_digit_tokens_are_rejected():
         bad = _mutate_lines(text, first_term, "%s :%s" % (token, exps))
         with pytest.raises(FormatError):
             load_public(bad)
+
+
+def test_hpe1_blocks_are_bounded_by_the_text():
+    # One y term in a file of n = 3000 empty equations would need n^2 cells
+    # of Cy, about 9 MB here and n^2 bytes in general, from a few KB of
+    # text; more than 64 cells per byte is malformed.
+    n = 3000
+    exps = ["0"] * (2 * n)
+    exps[0] = exps[1] = exps[n] = "1"
+    lines = ["HPE1 2 %d 3" % n, *default_alphabet(2, 8).to_lines(),
+             "EQ 0 1", "1 : " + " ".join(exps)]
+    lines += ["EQ %d 0" % k for k in range(1, n)]
+    with pytest.raises(FormatError, match="cells"):
+        load_public("\n".join(lines) + "\n")
+
+
+# ---------------------------------------------------------------------------
+# HPE2, the packed public format.
+
+
+def _hpe2_line(values, q):
+    """Base64 of values at ceil(log2 q) bits, most significant bit first,
+    built one bit string at a time."""
+    b = (q - 1).bit_length()
+    bits = "".join(format(int(v), "0%db" % b) for v in np.ravel(values))
+    bits += "0" * (-len(bits) % 8)
+    raw = bytes(int(bits[i:i + 8], 2) for i in range(0, len(bits), 8))
+    return binascii.b2a_base64(raw, newline=False).decode("ascii")
+
+
+def _hpe2_text(pk, t=None, mono0=None, C0=None, monoy=None, Cy=None,
+               lines=None):
+    """The HPE2 text of pk's blocks, any of them replaced; lines replaces
+    the payload line of the named blocks outright."""
+    blocks = {"MONO0": pk.mono0 if mono0 is None else mono0,
+              "MONOY": pk.monoy if monoy is None else monoy,
+              "C0": pk.C0 if C0 is None else C0,
+              "CY": pk.Cy if Cy is None else Cy}
+    out = ["HPE2 %d %d %d" % (pk.q, pk.n, pk.t if t is None else t),
+           *pk.alphabet.to_lines()]
+    for tag, block in blocks.items():
+        head = "%s %d" % (tag, len(block)) if tag.startswith("MONO") else tag
+        out += [head, (lines or {}).get(tag, _hpe2_line(block, pk.q))]
+    return "\n".join(out) + "\n"
+
+
+@pytest.mark.parametrize("q", [2, 3, 4, 11])
+def test_hpe2_layout_matches_bit_strings(q):
+    text = _small_key_texts(q)[2]
+    assert _hpe2_text(load_public(text)) == text
+
+
+@settings(max_examples=400)
+@given(q=st.sampled_from([2, 3, 4, 11]), edits=EDITS)
+def test_mutated_hpe2_files_load_or_raise_format_error(q, edits):
+    text = _mutate(_small_key_texts(q)[2], edits)
+    try:
+        pk = load_public(text)
+    except FormatError:
+        return
+    again = dump_public(pk)
+    assert _same_blocks(load_public(again), pk)
+
+
+def _load_error(text):
+    with pytest.raises(FormatError) as info:
+        load_public(text)
+    return str(info.value)
+
+
+def test_hpe2_counts_must_match_the_payloads():
+    pk = load_public(_small_key_texts(2)[2])
+    text = dump_public(pk)
+    m0, my = len(pk.mono0), len(pk.monoy)
+    for old, new in (("HPE2 2 4 3", "HPE2 2 5 3"),
+                     ("MONO0 %d" % m0, "MONO0 %d" % (m0 + 1)),
+                     ("MONOY %d" % my, "MONOY %d" % (my + 1)),
+                     ("MONOY %d" % my, "MONOY %d" % (my + 1000))):
+        assert "base64" in _load_error(text.replace(old, new, 1))
+    for count in ("+%d" % m0, "1_0", "-1", "x"):
+        assert "row count" in _load_error(
+            text.replace("MONO0 %d" % m0, "MONO0 " + count, 1))
+    # one row fewer leaves 4 + 4 spare bits, which can fall in the pad
+    _load_error(text.replace("MONO0 %d" % m0, "MONO0 %d" % (m0 - 1), 1))
+    # a payload line dropped, one left over, a head line renamed
+    lines = text.splitlines()
+    for i in (len(lines) - 1, len(lines) - 3):
+        assert "base64" in _load_error(_mutate_lines(text, i, None))
+    assert "after the CY" in _load_error(text + lines[-1] + "\n")
+    assert "block" in _load_error(text.replace("\nCY\n", "\nC1\n", 1))
+
+
+def test_hpe2_payload_must_be_canonical_base64():
+    pk = load_public(_small_key_texts(3)[2])
+    codes = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
+    for tag, block in (("MONO0", pk.mono0), ("MONOY", pk.monoy),
+                       ("C0", pk.C0), ("CY", pk.Cy)):
+        line = _hpe2_line(block, 3)
+        # a character outside the alphabet, or padding dropped
+        for bad in ("*" + line[1:], line.rstrip("=") + "A" * line.count("=")):
+            assert "base64" in _load_error(_hpe2_text(pk, lines={tag: bad}))
+        if line.endswith("="):
+            # the unused low bits of the last character set
+            body = line.rstrip("=")
+            last = codes[codes.index(body[-1]) + 1]
+            bad = body[:-1] + last + "=" * line.count("=")
+            assert "canonical" in _load_error(_hpe2_text(pk, lines={tag: bad}))
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
+def test_hpe2_pad_bits_must_be_zero(q):
+    pk = load_public(_small_key_texts(q)[2])
+    b = (q - 1).bit_length()
+    padded = [(tag, block) for tag, block in (("MONO0", pk.mono0), ("MONOY", pk.monoy),
+                                              ("C0", pk.C0), ("CY", pk.Cy))
+              if block.size * b % 8]
+    assert padded
+    for tag, block in padded:
+        raw = bytearray(binascii.a2b_base64(_hpe2_line(block, q)))
+        raw[-1] |= 1
+        bad = binascii.b2a_base64(bytes(raw), newline=False).decode("ascii")
+        assert "pad bit" in _load_error(_hpe2_text(pk, lines={tag: bad}))
+
+
+@pytest.mark.parametrize("q", [3, 11])
+def test_hpe2_values_must_lie_in_the_field(q):
+    pk = load_public(_small_key_texts(q)[2])
+    top = (1 << (q - 1).bit_length()) - 1
+    C0, monoy = pk.C0.copy(), pk.monoy.copy()
+    C0[0, 0] = top
+    monoy[0, 0] = q
+    assert "outside F_%d" % q in _load_error(_hpe2_text(pk, C0=C0))
+    assert "outside F_%d" % q in _load_error(_hpe2_text(pk, monoy=monoy))
+
+
+def test_hpe2_tables_must_be_strictly_increasing():
+    pk = load_public(_small_key_texts(3)[2])
+    for mono, key in ((pk.mono0, "mono0"), (pk.monoy, "monoy")):
+        swapped, repeated = mono.copy(), mono.copy()
+        swapped[[0, 1]] = mono[[1, 0]]
+        repeated[1] = mono[0]
+        for bad in (swapped, repeated):
+            assert "increasing" in _load_error(_hpe2_text(pk, **{key: bad}))
+
+
+def test_hpe2_every_monomial_has_a_coefficient():
+    pk = load_public(_small_key_texts(4)[2])
+    C0, Cy = pk.C0.copy(), pk.Cy.copy()
+    C0[:, -1] = 0
+    Cy[:, :, 0] = 0
+    for bad in (_hpe2_text(pk, C0=C0), _hpe2_text(pk, Cy=Cy)):
+        assert "no nonzero coefficient" in _load_error(bad)
+
+
+def test_hpe2_monomials_stay_within_weight_t():
+    pk = load_public(_small_key_texts(4)[2])
+    assert pk.t == 3 and pk.mono0.sum(axis=1).max() == 3
+    assert "x-degree above t=2" in _load_error(_hpe2_text(pk, t=2))
+    assert "below 2" in _load_error(_hpe2_text(pk, t=1))
+
+
+def test_hpe2_key_has_an_equation_and_a_y_term():
+    # Without a y monomial no block would bound n: a header could name any
+    # number of empty equations.
+    pk = load_public(_small_key_texts(2)[2])
+    text = _hpe2_text(pk).replace("HPE2 2 4 3", "HPE2 2 0 3", 1)
+    assert "at least one equation" in _load_error(text)
+    no_y = _hpe2_text(pk, monoy=pk.monoy[:0], Cy=pk.Cy[:, :, :0])
+    assert "no monomial with a y" in _load_error(no_y)
+    empty = _hpe2_text(pk, mono0=pk.mono0[:0], C0=pk.C0[:, :0],
+                       monoy=pk.monoy[:0], Cy=pk.Cy[:, :, :0])
+    huge = empty.replace("HPE2 2 4 3", "HPE2 2 1000000000 3", 1)
+    assert "no monomial with a y" in _load_error(huge)
