@@ -23,14 +23,16 @@ backends, chosen at construction from the field size:
 - "clmul", GF(2^n) above the threshold: carry-less multiply over a 4-bit
   window with byte tables that reduce the overflow, binary extended Euclid
   for inv, and per-k column masks for frob.
-- "coords", q > 2 above the threshold: an integer convolution of base-p
-  digit vectors reduced by one precomputed matrix, inv as a^(q^n - 2), and
-  frob through P(k).
+- "coords", q > 2 above the threshold: mul_many of one pair, inv as
+  a^(q^n - 2), and frob through P(k).
 
-Root finding in K (upoly.roots) follows the backend: on "log" fields it
-runs on scalar calls, which are lookups; on "clmul" and "coords" fields a
-scalar multiply costs microseconds, so it builds the q-power map of
-K[X]/(g) as one F_q matrix from P(1) and T and works on coordinate rows.
+mul_many, the one coordinate multiply, takes the F_q products of two
+elements' coordinates times T.  coords_array and pack_array convert between
+packed elements and coordinate rows, vectorized up to q^n = 2^64.
+
+Root finding in K (upoly.roots) takes one path on every backend: it builds
+the q-power map of K[X]/(g) as one F_q matrix from P(1) and T and works on
+coordinate rows.
 
 Moduli default to the lexicographically least monic irreducible of the right
 degree, least meaning smallest integer encoding sum(c_i * q^i) + q^deg; the
@@ -241,12 +243,11 @@ class ExtensionField:
         self.modulus = tuple(int(c) for c in modulus)
         self.order = self.q**n
         self._qpows = tuple(self.q**i for i in range(n + 1))
-        self._fast2 = self.p == 2 and self.r == 1
         self._build_tables()
         if self.order <= TABLE_MAX_ORDER:
             self.backend = "log"
             self._mul, self._inv, self._frob = self._mul_log, self._inv_log, self._frob_log
-        elif self._fast2:
+        elif self.q == 2:
             self.backend = "clmul"
             self._mod_int = sum(c << i for i, c in enumerate(self.modulus))
             self._mul, self._inv, self._frob = self._mul_clmul, self._inv_euclid, self._frob_masks
@@ -321,9 +322,10 @@ class ExtensionField:
         fp, eye = base_field(p), linalg.identity(width)
         factors = _prime_factors(m)
         # elements below q lie in F_q, whose orders divide q - 1 < order - 1
+        weights = p ** np.arange(width, dtype=np.uint64)
         for g in range(self.q, self.order):
-            prods = [self._mul_coords(p**k, g) for k in range(width)]
-            mat = linalg.as_matrix([[a // p**j % p for j in range(width)] for a in prods])
+            prods = self.mul_many(weights, np.full(width, g, dtype=np.uint64))
+            mat = (prods[:, None] // weights % p).astype(np.uint8)
             if all(not np.array_equal(_matpow(fp, mat, m // f), eye) for f in factors):
                 return mat
         raise NotIrreducible("K* has no generator, so the modulus is reducible")
@@ -358,28 +360,9 @@ class ExtensionField:
         )
 
     @functools.cached_property
-    def _coord_tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Digit rows, reduction matrix and digit weights for _mul_coords.
-
-        An element is laid out as n groups of 2r-1 slots, the r base-p
-        digits of each coordinate then r-1 zeros, so the integer convolution
-        of two layouts holds the coefficient of w^j z^i of the unreduced
-        product at slot i*(2r-1)+j, w being the F_q element p.  Row
-        i*(2r-1)+j of the reduction matrix holds the base-p digits of
-        w^j z^i in K.
-        """
-        p, r, n, base = self.p, self.r, self.n, self.base
-        stride = 2 * r - 1
-        scalar_digits = base.mul_matrices[:, 0].astype(np.int64)
-        digits = np.zeros((self.q, stride), dtype=np.int64)
-        digits[:, :r] = scalar_digits
-        rows = []
-        for i in range(2 * n - 1):
-            z_i = self.tensor[min(i, n - 1), i - min(i, n - 1)]
-            for j in range(stride):
-                rows.append(scalar_digits[base.mul_table[base.pow(p, j), z_i]].ravel())
-        weights = np.array([p**j for j in range(r)], dtype=np.int64)
-        return digits, np.array(rows, dtype=np.int64), weights
+    def _tensor_operand(self) -> np.ndarray:
+        """The linalg operand of the (n*n, n) multiplication tensor."""
+        return linalg.operand(self.base, self.tensor.reshape(self.n * self.n, self.n))
 
     def descriptor(self) -> str:
         """Canonical one-line field descriptor."""
@@ -401,21 +384,30 @@ class ExtensionField:
 
     def coords_array(self, elems) -> np.ndarray:
         """Coordinate matrix, one row per packed element."""
-        if self._fast2 and self.n <= 64:
-            arr = np.asarray(elems, dtype=np.uint64)
-            shifts = np.arange(self.n, dtype=np.uint64)
-            return ((arr[:, None] >> shifts[None, :]) & np.uint64(1)).astype(np.uint8)
-        return np.array([self.coords(int(a)) for a in elems], dtype=np.uint8).reshape(-1, self.n)
+        if self.order > 1 << 64:
+            return np.array([self.coords(int(a)) for a in elems], dtype=np.uint8).reshape(-1, self.n)
+        arr = np.asarray(elems, dtype=np.uint64).reshape(-1, 1)
+        if self.q & (self.q - 1):
+            return (arr // self._weights % self.q).astype(np.uint8)
+        return ((arr >> self._shifts) & (self.q - 1)).astype(np.uint8)
 
     def pack_array(self, coord_rows: np.ndarray) -> np.ndarray:
         """Packed elements of coordinate rows; Python ints (dtype object)
         when q^n exceeds 2^64."""
         rows = np.asarray(coord_rows, dtype=np.uint64)
-        if self._fast2 and self.n <= 64:
-            shifts = np.arange(self.n, dtype=np.uint64)
-            return (rows << shifts[None, :]).sum(axis=1, dtype=np.uint64)
-        dtype = np.uint64 if self.order <= 1 << 64 else object
-        return np.array([self.from_coords(r) for r in rows], dtype=dtype)
+        if self.order > 1 << 64:
+            return np.array([self.from_coords(r) for r in rows], dtype=object)
+        return (rows * self._weights).sum(axis=1, dtype=np.uint64)
+
+    @functools.cached_property
+    def _weights(self) -> np.ndarray:
+        """q^i for each coordinate i, as uint64; only for q^n <= 2^64."""
+        return np.array(self._qpows[: self.n], dtype=np.uint64)
+
+    @functools.cached_property
+    def _shifts(self) -> np.ndarray:
+        """log2(q^i) for each coordinate i, for q a power of two."""
+        return np.arange(self.n, dtype=np.uint64) * (self.q.bit_length() - 1)
 
     # -- element arithmetic ------------------------------------------------
 
@@ -525,12 +517,7 @@ class ExtensionField:
     # coordinate backend, q > 2 above the table threshold
 
     def _mul_coords(self, a: int, b: int) -> int:
-        """Integer convolution of base-p digit vectors, reduced by one matrix mod p."""
-        digits, reduction, weights = self._coord_tables
-        da = digits[np.array(self.coords(a))].ravel()
-        db = digits[np.array(self.coords(b))].ravel()
-        out = np.convolve(da, db)[: len(reduction)] @ reduction % self.p
-        return self.from_coords(out.reshape(self.n, self.r) @ weights)
+        return int(self.mul_many([a], [b])[0])
 
     def _inv_fermat(self, a: int) -> int:
         return self.pow(a, self.order - 2)
@@ -543,20 +530,12 @@ class ExtensionField:
 
     # -- batch helpers -----------------------------------------------------
 
-    def mul_many(self, a_arr: np.ndarray, b_arr: np.ndarray) -> np.ndarray:
-        """Pairwise products of two packed-element arrays."""
-        a_arr = np.asarray(a_arr, dtype=np.uint64)
-        b_arr = np.asarray(b_arr, dtype=np.uint64)
-        if self.r == 1:
-            ca = self.coords_array(a_arr).astype(np.float64)
-            cb = self.coords_array(b_arr).astype(np.float64)
-            t = self.tensor.reshape(self.n * self.n, self.n).astype(np.float64)
-            outer = np.einsum("ai,aj->aij", ca, cb).reshape(len(ca), -1)
-            ck = (np.rint(outer @ t).astype(np.int64) % self.p).astype(np.uint8)
-            return self.pack_array(ck)
-        return np.array(
-            [self.mul(int(a), int(b)) for a, b in zip(a_arr, b_arr)], dtype=np.uint64
-        )
+    def mul_many(self, a_arr, b_arr) -> np.ndarray:
+        """Pairwise products of two packed-element arrays: the F_q products
+        a_i b_j of their coordinates times the multiplication tensor."""
+        ca, cb = self.coords_array(a_arr), self.coords_array(b_arr)
+        pairs = self.base.mul_table[ca[:, :, None], cb[:, None, :]].reshape(len(ca), -1)
+        return self.pack_array(linalg.times(self.base, pairs, self._tensor_operand))
 
     def random(self, rng: random.Random) -> int:
         return rng.randrange(self.order)

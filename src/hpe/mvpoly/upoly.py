@@ -7,18 +7,16 @@ additive and multiplicative identities, so the same routines serve F_q
 coefficients during tower construction and K coefficients during decryption.
 A field whose .p is 2 gets squares by the Frobenius shortcut.
 
-Root finding follows the classic pattern: strip the squarefree product of
-linear factors with gcd(g, X^order - X), g = f made monic, then split it
-recursively, using the trace map in characteristic 2 and quadratic-residue
-powering for odd characteristic.  Over a field K = GF(q^n) whose multiply
-is a table lookup (the "log" backend, and F_q itself) every step runs on
-scalars.  Over the larger "clmul" and "coords" fields a scalar multiply is
-far dearer, so roots builds the matrix Q of h -> h^q on K[X]/(g), which is
-F_q-linear (Berlekamp's Q-matrix), once per call: X^order mod g is then n
-products of Q with a coordinate row, and for q = 2 every trace of the split
-is n - 1 more, reduced mod the factor being split.  Both paths draw the
-same values from rng in the same order, so they return the same roots and
-leave rng in the same state.
+Root finding takes an ExtensionField K = GF(q^n) and follows the classic
+pattern: strip the squarefree product of linear factors with
+gcd(g, X^order - X), g = f made monic, then split it recursively, using
+the trace map in characteristic 2 and quadratic-residue powering for odd
+characteristic.  roots builds the matrix Q of h -> h^q on K[X]/(g), which
+is F_q-linear (Berlekamp's Q-matrix), once per call: X^order mod g is then
+n products of Q with a coordinate row.  In characteristic 2 the trace of
+cX over F_q is n - 1 more, reduced mod the factor being split, and r - 1
+squarings mod that factor, for q = 2^r, lift it to the absolute trace over
+F_2; the odd split powers X + a on scalars.
 """
 
 from __future__ import annotations
@@ -104,7 +102,7 @@ def divmod_poly(F, f: list, g: list) -> tuple[list, list]:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
     dg = degree(g)
-    lead_inv = F.inv(g[dg])
+    lead_inv = 1 if g[dg] == 1 else F.inv(g[dg])
     quo = [0] * max(0, len(rem) - dg)
     for i in range(len(rem) - dg - 1, -1, -1):
         c = rem[i + dg]
@@ -122,9 +120,9 @@ def mod(F, f: list, g: list) -> list:
 
 
 def monic(F, f: list) -> list:
-    """Scale f so its leading coefficient is 1."""
-    if not f:
-        return []
+    """Scale f so its leading coefficient is 1; f itself when it already is."""
+    if not f or f[-1] == 1:
+        return f
     return scale(F, f, F.inv(f[-1]))
 
 
@@ -161,9 +159,8 @@ def eval_poly(F, f: list, a):
 
 
 def roots(field, f: list, rng: random.Random | None = None) -> set:
-    """All distinct roots of f in the field, ignoring multiplicity.
+    """All distinct roots of f in the ExtensionField, ignoring multiplicity.
 
-    The field must expose .order and .p in addition to the scalar ops.
     Raises ZeroPolynomial for f = 0, whose root set would be the whole field.
     """
     f = trim(f)
@@ -174,22 +171,8 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
     if rng is None:
         rng = random.Random()
     g = monic(field, f)
-    qpower = None
-    if getattr(field, "backend", "log") == "log":
-        # X^order mod g by iterated p-th powering: order = p^m, so m rounds
-        # of a cheap fixed-exponent powmod instead of one huge exponent.
-        p, m, o = field.p, 0, field.order
-        while o > 1:
-            o //= p
-            m += 1
-        xq = mod(field, X, g)
-        for _ in range(m):
-            xq = powmod(field, xq, p, g)
-    else:
-        qpower = _QPowerMap(field, g)
-        xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), field.n))
-        if field.q != 2:
-            qpower = None  # the split below runs on scalars
+    qpower = _QPowerMap(field, g)
+    xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), field.n))
     s = gcd(field, sub(field, xq, X), g)
     out: set = set()
     if degree(s) >= 1:
@@ -232,7 +215,7 @@ class _QPowerMap:
         return row
 
     def trace(self, row: np.ndarray) -> np.ndarray:
-        """The row of h + h^q + .. + h^(q^(n-1)); for q = 2 the absolute trace."""
+        """The row of h + h^q + .. + h^(q^(n-1)), the trace over F_q."""
         base, acc = self.field.base, row
         for _ in range(self.field.n - 1):
             row = linalg.times(base, row, self.operand)
@@ -251,12 +234,12 @@ def _frobenius_tensor(field) -> np.ndarray:
     return linalg.operand(field.base, frob.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))
 
 
-def _split_linear(field, s: list, rng: random.Random, out: set,
-                  qpower: _QPowerMap | None = None) -> None:
+def _split_linear(field, s: list, rng: random.Random, out: set, qpower: _QPowerMap) -> None:
     """Recursively split a monic product of distinct linear factors.
 
-    qpower, for q = 2 only, is the squaring map modulo a multiple of s, so
-    the trace of cX comes from it and is then reduced mod s.
+    qpower is the q-power map modulo a multiple of s.  In characteristic 2
+    the trace T of cX over F_q comes from it, reduced mod s; T + T^2 + .. +
+    T^(2^(r-1)), for q = 2^r, is then the absolute trace over F_2.
     """
     if degree(s) == 1:
         out.add(field.neg(s[0]))
@@ -265,14 +248,10 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
     for _ in range(200):
         if field.p == 2:
             c = rng.randrange(1, order)
-            if qpower is not None:
-                acc = mod(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
-            else:
-                t = mod(field, scale(field, X, c), s)
-                acc = t
-                for _ in range(order.bit_length() - 2):
-                    t = mod(field, square(field, t), s)
-                    acc = add(field, acc, t)
+            t = acc = mod(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
+            for _ in range(field.r - 1):
+                t = mod(field, square(field, t), s)
+                acc = add(field, acc, t)
             d = gcd(field, acc, s)
         else:
             a = rng.randrange(order)

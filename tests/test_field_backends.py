@@ -2,7 +2,8 @@
 
 The oracle multiplies the base-q coordinate polynomials with upoly over
 the base field and reduces mod field.modulus, so it shares no code with
-the log tables, the carry-less multiply or the coordinate routine.
+the log tables, the carry-less multiply or mul_many, the coordinate
+multiply of "coords" fields.
 """
 
 import pytest

@@ -9,6 +9,8 @@ from hpe.fields import (MAX_Q, BaseField, base_field, build_extension,
                         parse_descriptor, prime_power_split)
 from hpe.mvpoly import upoly
 
+from test_field_backends import oracle_mul
+
 
 def test_prime_power_split():
     assert prime_power_split(2) == (2, 1)
@@ -265,6 +267,19 @@ def test_coords_pack_round_trip():
     coords = field.coords_array(arr)
     assert coords.shape == (field.order, 4)
     assert np.array_equal(field.pack_array(coords), arr)
+    # At and below 2^64 packing is vectorized (shifts for q a power of two,
+    # uint64 division otherwise); above it, it runs on Python ints.
+    rng = random.Random(29)
+    for q, n in ((2, 64), (4, 32), (3, 40), (2, 65), (3, 41)):
+        field = build_extension(q, n)
+        elems = [0, 1, field.order - 1] + [field.random(rng) for _ in range(20)]
+        coords = field.coords_array(elems)
+        assert coords.dtype == np.uint8 and coords.shape == (len(elems), n)
+        assert [tuple(map(int, row)) for row in coords] == [field.coords(a) for a in elems]
+        packed = field.pack_array(coords)
+        assert packed.dtype == (np.uint64 if field.order <= 1 << 64 else object)
+        assert [int(a) for a in packed] == elems
+        assert [field.from_coords(row) for row in coords] == elems
 
 
 def test_frobenius_is_q_power_map():
@@ -336,13 +351,19 @@ def test_mult_tensor_matches_mul_composite_base():
 
 
 def test_mul_many_pairwise():
-    field = build_extension(2, 9)
+    # Prime and composite q, every backend, and packing above 2^64.  On
+    # "coords" fields mul is mul_many of one pair, so the upoly oracle
+    # stands in for an independent multiply there.
     rng = random.Random(23)
-    a = np.array([rng.randrange(field.order) for _ in range(40)])
-    b = np.array([rng.randrange(field.order) for _ in range(40)])
-    got = field.mul_many(a, b)
-    for i in range(40):
-        assert int(got[i]) == field.mul(int(a[i]), int(b[i]))
+    for q, n in ((2, 9), (4, 4), (3, 13), (9, 7), (2, 65)):
+        field = build_extension(q, n)
+        a = np.array([0, 1, field.order - 1] + [field.random(rng) for _ in range(40)])
+        b = np.array([field.order - 1, 0, 1] + [field.random(rng) for _ in range(40)])
+        got = field.mul_many(a, b)
+        assert len(got) == len(a)
+        for i in range(len(a)):
+            assert int(got[i]) == field.mul(int(a[i]), int(b[i]))
+            assert int(got[i]) == oracle_mul(field, int(a[i]), int(b[i]))
 
 
 def test_base_embedding_is_homomorphic():

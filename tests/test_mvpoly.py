@@ -55,6 +55,38 @@ def test_upoly_divmod_invariant():
         assert back == upoly.trim(list(f))
 
 
+class _CountingInverses:
+    """A field that counts its inv calls and delegates everything else."""
+
+    def __init__(self, field):
+        self.field, self.inv_calls = field, 0
+
+    def __getattr__(self, name):
+        return getattr(self.field, name)
+
+    def inv(self, a):
+        self.inv_calls += 1
+        return self.field.inv(a)
+
+
+@pytest.mark.parametrize("q,n", [(2, 8), (3, 13)])
+def test_division_by_monic_divisor_inverts_nothing(q, n):
+    field = _CountingInverses(build_extension(q, n))
+    rng = random.Random(5)
+    for _ in range(10):
+        f = _random_poly(field, rng, rng.randrange(2, 9))
+        g = _random_poly(field, rng, rng.randrange(1, 5))
+        g_monic = g[:-1] + [1]
+        qt, r = upoly.divmod_poly(field, f, g_monic)
+        assert upoly.add(field, upoly.mul(field, qt, g_monic), r) == f
+        assert upoly.monic(field, g_monic) == g_monic
+        assert field.inv_calls == 0
+        lead = g[-1]
+        assert upoly.monic(field, g) == upoly.scale(field, g, field.field.inv(lead))
+        assert field.inv_calls == (lead != 1)
+        field.inv_calls = 0
+
+
 def test_upoly_eval_horner_matches_powers():
     field = build_extension(2, 10)
     rng = random.Random(3)
@@ -191,13 +223,21 @@ def _reference_split(field, s, rng, out):
             return
 
 
-@pytest.mark.parametrize("q,n", [(2, 21), (2, 32), (2, 65), (3, 13), (4, 11)])
-def test_roots_above_table_threshold_match_scalar_reference(q, n):
-    # These fields find roots through the q-power matrix on K[X]/(g); the
+SCALAR_REFERENCE_FIELDS = [
+    (2, 16), (3, 8), (4, 8), (5, 6), (2, 21), (2, 32), (2, 65), (3, 13), (4, 11)]
+
+
+def test_scalar_reference_fields_cover_every_backend():
+    backends = {build_extension(q, n).backend for q, n in SCALAR_REFERENCE_FIELDS}
+    assert backends == {"log", "clmul", "coords"}
+
+
+@pytest.mark.parametrize("q,n", SCALAR_REFERENCE_FIELDS)
+def test_roots_match_scalar_reference(q, n):
+    # Every field finds roots through the q-power matrix on K[X]/(g); the
     # scalar algorithm must agree on the roots and on the draws from rng.
     # q=2 n=65 packs elements above 2^64.
     field = build_extension(q, n)
-    assert field.backend in ("clmul", "coords")
     rng = random.Random(100 * q + n)
     for trial in range(3):
         want = set()

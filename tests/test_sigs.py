@@ -119,6 +119,24 @@ def test_sign_verify_round_trip(pair16):
     assert any(s > 0 for s in salts)
 
 
+def _traffic_digest(sk, targets, rng):
+    """SHA-256 over the decryptions of each target y, each followed by one
+    signature, then the next rng draw; and the candidate count of each y.
+    targets may draw from rng, lazily, between the steps."""
+    digest = hashlib.sha256()
+    counts = []
+    for i, y in enumerate(targets):
+        xs = decrypt_raw(sk, y, rng)
+        counts.append(len(xs))
+        for x in xs:
+            digest.update(x.tobytes())
+        digest.update(b"|")
+        sig = sign(sk, "pinned %d" % i, rng)
+        digest.update(b"%d:" % sig.salt + sig.x.tobytes())
+    digest.update(repr(rng.random()).encode())
+    return digest.hexdigest(), counts
+
+
 # SHA-256 of the traffic below, recorded when GF(2^32) roots were still found
 # by scalar multiplies.  Decryption candidates come back sorted, but the
 # choice among a signature's preimages, and every later draw, depend on how
@@ -130,20 +148,31 @@ def test_decrypt_and_sign_pinned_at_q2_n32():
     pk, sk = keygen(KeyGenParams(q=2, n=32, seed=1))
     assert sk.field.backend == "clmul"
     rng = random.Random(3232)
-    digest = hashlib.sha256()
-    counts = []
-    for i, msg in enumerate(random_messages(pk.alphabet, 4, 8, 3233)):
-        y, _ = encrypt(pk, msg, rng)
-        xs = decrypt_raw(sk, y, rng)
-        counts.append(len(xs))
-        for x in xs:
-            digest.update(x.tobytes())
-        digest.update(b"|")
-        sig = sign(sk, "pinned %d" % i, rng)
-        digest.update(b"%d:" % sig.salt + sig.x.tobytes())
-    digest.update(repr(rng.random()).encode())
+    msgs = random_messages(pk.alphabet, 4, 8, 3233)
+    digest, counts = _traffic_digest(sk, (encrypt(pk, m, rng)[0] for m in msgs), rng)
     assert max(counts) > 1  # some split draws happen
-    assert digest.hexdigest() == PINNED_TRAFFIC_DIGEST
+    assert digest == PINNED_TRAFFIC_DIGEST
+
+
+# The same traffic on fields small enough for log tables, recorded when their
+# roots were still found by scalar multiplies.  y is drawn uniformly instead
+# of encrypted, so keys that reject most encryptions shape nothing here.
+PINNED_LOG_FIELD_DIGESTS = {
+    (2, 16): "bce9455c64a3e393db4a34683b981b93560bb64d64dc029a03f4d8886ba72fa4",
+    (3, 8): "23a3b62e445dc9f6c4832062451a7c7db0b7f7667c9ebf83584e288396ae9bd2",
+    (4, 8): "2012818a9956a4a282cb437c41fa65760167a4eae248fbc88fba6f6b277fb718",
+}
+
+
+@pytest.mark.parametrize("q,n", sorted(PINNED_LOG_FIELD_DIGESTS))
+def test_decrypt_and_sign_pinned_on_log_fields(q, n):
+    pk, sk = keygen(KeyGenParams(q=q, n=n, seed=1))
+    assert sk.field.backend == "log"
+    rng = random.Random(100 * q + n)
+    targets = (np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8) for _ in range(12))
+    digest, counts = _traffic_digest(sk, targets, rng)
+    assert max(counts) > 1  # some split draws happen
+    assert digest == PINNED_LOG_FIELD_DIGESTS[q, n]
 
 
 def test_sign_accepts_bytes_messages(pair16):
