@@ -24,7 +24,6 @@ from .imattack import (BilinearRelation, IMKeyPair, IMPublicKey, default_theta,
                        harvest_relations, im_decrypt, im_encrypt, im_keygen,
                        patarin_attack, random_quadratic_public)
 from .mvpoly.linalg import Solution, nullspace, solve
-from .mvpoly.multipoly import MultiPoly
 from .sigs import (Signature, hash_to_y, sign, signcrypt, unsigncrypt,
                    verify)
 

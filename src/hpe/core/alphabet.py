@@ -12,6 +12,7 @@ block space so the valid set carries no accidental linear structure.
 from __future__ import annotations
 
 import random
+import sys
 
 import numpy as np
 
@@ -121,7 +122,10 @@ class Alphabet:
             parts = line.split()
             if parts[0] != "L":
                 raise ValueError("expected a letter line 'L ...', got %r" % line)
-            ch = chr(int(parts[1]))
+            code = int(parts[1])
+            if not 0 <= code <= sys.maxunicode:
+                raise ValueError("letter code %d is not a character" % code)
+            ch = chr(code)
             synonyms[ch] = [_parse_digits(s, q, e) for s in parts[2:]]
         return cls(q, e, synonyms)
 

@@ -4,9 +4,8 @@ The public key is n equations in (x, y), each linear in y, held as two
 coefficient blocks over F_q: C0 (n, M0) for the terms with no y, and
 Cy (n, n, My) for the terms of equation k with y_j.  Each block has its own
 monomial table (mono0, monoy): the x monomials that occur in it, as rows of
-n exponents reduced by x^q = x, in HPE1 term order (monomial_basis).  The
-nonzero entries of C0[k] and then Cy[k] are equation k's terms in HPE1 file
-order.
+n exponents reduced by x^q = x, in monomial_basis order.  The nonzero
+entries of C0[k] and then Cy[k] are equation k's terms.
 
 One kernel evaluates the key.  At each x of a batch it computes the value
 of every monomial (at most t mul_table gathers over the homogenized
@@ -23,12 +22,11 @@ import numpy as np
 from ..errors import FormatError, VariableMismatch
 from ..mvpoly import linalg
 from ..mvpoly.linalg import inverse, matvec, random_invertible
-from ..mvpoly.multipoly import MultiPoly
 
 
 def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
-    """(table, index): the distinct x-exponent rows in HPE1 term order, and
-    the position in the table of each given row.
+    """(table, index): the distinct x-exponent rows in order, and the
+    position in the table of each given row.
 
     The order compares exponent rows lexicographically, x_0 first; for
     q = 2 it starts at x_{n-1}, the order of the bitmasks the format was
@@ -244,55 +242,8 @@ class PublicKey:
         self.monoy, self.Cy = monoy[keepy], Cy[:, :, keepy]
         self._kernel = None
 
-    @classmethod
-    def from_terms(cls, base, n: int, t: int, slot, coeff, x_rows,
-                   alphabet, max_cells: int | None = None) -> "PublicKey":
-        """The key of a list of terms in any order: a slot k * (n + 1) + y + 1
-        for equation k and y index y (-1 for none), a coefficient and an
-        x-exponent row each.  Repeated terms add over F_q.  A key whose
-        blocks would have more than max_cells cells raises FormatError
-        before they are allocated."""
-        slot = np.asarray(slot, dtype=np.int64)
-        coeff = np.asarray(coeff, dtype=np.uint8)
-        x_rows = np.asarray(x_rows, dtype=np.uint8).reshape(len(slot), n)
-        k, y = np.divmod(slot, n + 1)
-        free = y == 0
-        mono0, i0 = monomial_basis(base.q, x_rows[free])
-        monoy, iy = monomial_basis(base.q, x_rows[~free])
-        cells = n * len(mono0) + n * n * len(monoy)
-        if max_cells is not None and cells > max_cells:
-            raise FormatError("the key's blocks need %d cells, more than the "
-                              "%d its text allows" % (cells, max_cells))
-        C0 = linalg.scatter_sums(
-            base, [(k[free] * len(mono0) + i0, coeff[free])], n * len(mono0))
-        cell = k[~free] * n + y[~free] - 1
-        Cy = linalg.scatter_sums(
-            base, [(cell * len(monoy) + iy, coeff[~free])], n * n * len(monoy))
-        return cls(base, n, t, mono0, C0, monoy, Cy, alphabet)
-
     def term_count(self) -> int:
         return int(np.count_nonzero(self.C0) + np.count_nonzero(self.Cy))
-
-    def equation_terms(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """Coefficients and (T, 2n) exponent rows, x then y, of equation k,
-        in HPE1 file order."""
-        n = self.n
-        (m0,) = np.nonzero(self.C0[k])
-        ys, my = np.nonzero(self.Cy[k])
-        exps = np.zeros((len(m0) + len(my), 2 * n), dtype=np.uint8)
-        exps[: len(m0), :n] = self.mono0[m0]
-        exps[len(m0):, :n] = self.monoy[my]
-        exps[np.arange(len(m0), len(exps)), n + ys] = 1
-        return np.concatenate([self.C0[k, m0], self.Cy[k, ys, my]]), exps
-
-    def equations(self) -> list:
-        """The equations as 2n-variable MultiPolys (a bridge for oracles)."""
-        out = []
-        for k in range(self.n):
-            coeffs, exps = self.equation_terms(k)
-            terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
-            out.append(MultiPoly(self.base, 2 * self.n, terms))
-        return out
 
     def _blocks(self) -> list:
         """Per block: its monomials as (degree, M) indices into the

@@ -20,14 +20,9 @@ each table strictly increasing in monomial_basis order with no monomial
 above x-degree t, and each monomial must have a nonzero coefficient, so
 that a key reads back to the text it was written as.
 
-The earlier public format (HPE1) is read, not written: the header
-'HPE1 q n t', the alphabet block, then per equation k a line 'EQ k T' and T
-term lines 'c : e_1 .. e_2n' (coefficient, then the exponents of
-x_1..x_n, y_1..y_n).  The term lines are read as byte arrays, one equation
-at a time, with no Python work per term; a term token is decimal ASCII
-digits.  The terms add into the key's coefficient blocks
-(PublicKey.from_terms), which may hold at most _CELLS_PER_BYTE cells per
-byte of text.
+HPE2 is the only public format read.  A public file with the header of the
+retired term-line format (HPE1) raises FormatError; private key files
+keep the HPE1 header.
 
 A private key file stores the field tower, the alphabet, the hidden
 relation and the masks, not the public equations: a loaded PrivateKey
@@ -47,12 +42,8 @@ from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it he
 from .keys import (AffinePair, PrivateKey, PrivatePolynomial, PublicKey,
                    monomial_basis)
 
-MAGIC = "HPE1"  # private keys, and the public keys of earlier versions
+MAGIC = "HPE1"  # private keys, and the retired public format
 PUBLIC_MAGIC = "HPE2"
-# An HPE1 file's blocks may hold at most this many coefficient cells per
-# byte of text; keygen's keys need under one, and a hand-made file with a
-# huge n and a few terms would otherwise allocate n^2 cells per y monomial.
-_CELLS_PER_BYTE = 64
 
 
 def dump_vector(vec, q: int) -> str:
@@ -113,93 +104,6 @@ def _read_alphabet(first: str, lines) -> Alphabet:
         return Alphabet.from_lines(block)
     except (ValueError, IndexError) as exc:
         raise FormatError("bad alphabet block") from exc
-
-
-# The ASCII line breaks of str.splitlines become newlines and the other
-# ASCII whitespace of str.split becomes spaces, so that a key file reads
-# the same as bytes as it did as text.
-_NORMALIZE = bytes.maketrans(b"\r\x0b\x0c\x1c\x1d\x1e\t\x1f", b"\n" * 6 + b" " * 2)
-
-
-class _Lines:
-    """Iterator over the non-blank lines of normalized ASCII data that ends
-    with a newline; pos is the offset just past the last line returned."""
-
-    def __init__(self, data: bytes):
-        self.data, self.pos = data, 0
-
-    def __iter__(self):
-        return self
-
-    def __next__(self) -> str:
-        while self.pos < len(self.data):
-            end = self.data.find(b"\n", self.pos)
-            line, self.pos = self.data[self.pos:end], end + 1
-            if line.strip():
-                return line.decode("ascii")
-        raise StopIteration
-
-
-def _equation_heads(data: bytes, pos: int) -> list:
-    """Offsets of the lines of data[pos:] whose first token begins 'EQ'."""
-    heads = []
-    hit = data.find(b"EQ", pos)
-    while hit >= 0:
-        start = max(data.rfind(b"\n", pos, hit) + 1, pos)
-        if not data[start:hit].strip():
-            heads.append(start)
-        hit = data.find(b"EQ", hit + 2)
-    return heads
-
-
-def _parse_terms(body: np.ndarray, k: int, n: int, q: int, t: int,
-                 nterms: int) -> tuple:
-    """(slot, coeff, x exponent rows) of equation k from the bytes of its
-    term lines: nterms non-blank lines 'c : e_1 .. e_2n' of decimal tokens,
-    blank lines and runs of spaces allowed, the last line ending in a
-    newline."""
-    digit = (body - ord("0")) < 10  # uint8 arithmetic wraps below '0'
-    colon, newline = body == ord(":"), body == ord("\n")
-    if not (digit | colon | newline | (body == ord(" "))).all():
-        raise FormatError("bad character in the terms of equation %d" % k)
-    # A token is a maximal run of digits.  Line i ends at the i-th
-    # newline, so the tokens and colons before that newline count its own.
-    first, last = digit.copy(), digit.copy()
-    first[1:] &= ~digit[:-1]
-    last[:-1] &= ~digit[1:]
-    starts, ends = np.flatnonzero(first), np.flatnonzero(last) + 1
-    colons, line_ends = np.flatnonzero(colon), np.flatnonzero(newline)
-    tokens = np.diff(np.searchsorted(starts, line_ends), prepend=0)
-    marks = np.diff(np.searchsorted(colons, line_ends), prepend=0)
-    filled = (tokens > 0) | (marks > 0)
-    if filled.sum() != nterms:
-        raise FormatError("equation %d has %d term lines, not %d"
-                          % (k, filled.sum(), nterms))
-    # each term line: 2n + 1 tokens and one ':', right after the first
-    width = 2 * n + 1
-    if ((tokens[filled] != width).any() or (marks[filled] != 1).any()
-            or (np.searchsorted(starts, colons)
-                != np.arange(nterms) * width + 1).any()):
-        raise FormatError("malformed term line in equation %d" % k)
-    # Horner over the digits; values of q and above all read as q
-    size = ends - starts
-    vals = body[starts].astype(np.int32) - ord("0")
-    for j in range(1, int(size.max(initial=0))):
-        more = np.flatnonzero(size > j)
-        vals[more] = np.minimum(
-            vals[more] * 10 + (body[starts[more] + j] - ord("0")), q)
-    vals = vals.reshape(nterms, width)
-    coeff, x, y = vals[:, 0], vals[:, 1 : n + 1], vals[:, n + 1 :]
-    if ((coeff == 0) | (coeff >= q)).any():
-        raise FormatError("coefficient outside F_%d^* in equation %d" % (q, k))
-    if (x >= q).any():
-        raise FormatError("x exponent not reduced by x^q = x in equation %d" % k)
-    if (y > 1).any() or (y.sum(axis=1) > 1).any():
-        raise FormatError("equation %d is not linear in y" % k)
-    if (x.sum(axis=1) > t).any():
-        raise FormatError("equation %d has a term of x-degree above t=%d" % (k, t))
-    slot = k * (n + 1) + np.where(y.any(axis=1), y.argmax(axis=1) + 1, 0)
-    return slot, coeff.astype(np.uint8), x.astype(np.uint8)
 
 
 def _block_head(line: str, tag: str, counted: bool) -> int | None:
@@ -297,52 +201,24 @@ def _read_blocks(lines, base, n: int, t: int, alphabet) -> PublicKey:
 
 
 def load_public(text: str) -> PublicKey:
-    try:
-        data = text.encode("ascii").translate(_NORMALIZE)
-    except UnicodeEncodeError as exc:
-        raise FormatError("a public key is ASCII text") from exc
-    if not data.endswith(b"\n"):
-        data += b"\n"
-    lines = _Lines(data)
+    if not text.isascii():
+        raise FormatError("a public key is ASCII text")
+    lines = (line for line in text.splitlines() if line.strip())
     header = next(lines, None)
     if header is None:
         raise FormatError("empty public key")
-    magic = MAGIC if header.split()[:1] == [MAGIC] else PUBLIC_MAGIC
-    q, n, t = _parse_header(header, magic)
-    second = next(lines, "")
-    if second.startswith("F "):
-        raise FormatError("this is a private key file, not a public one")
-    alphabet = _read_alphabet(second, lines)
+    if header.split()[:1] == [MAGIC]:
+        if next(lines, "").startswith("F "):
+            raise FormatError("this is a private key file, not a public one")
+        raise FormatError("the HPE1 public key format is retired; "
+                          "public keys are read as HPE2 only")
+    q, n, t = _parse_header(header, PUBLIC_MAGIC)
+    alphabet = _read_alphabet(next(lines, ""), lines)
     try:
         base = base_field(q)
     except InvalidOrder as exc:
         raise FormatError("bad key header: %s" % exc) from exc
-    if magic == PUBLIC_MAGIC:
-        return _read_blocks(lines, base, n, t, alphabet)
-    bounds = _equation_heads(data, lines.pos) + [len(data)]
-    if data[lines.pos : bounds[0]].strip():
-        raise FormatError("expected an equation header after the alphabet")
-    cols = []
-    for start, stop in zip(bounds, bounds[1:]):
-        eol = data.find(b"\n", start)
-        head = data[start:eol].decode("ascii")
-        parts = head.split()
-        if parts[0] != "EQ" or len(parts) != 3:
-            raise FormatError("expected equation header, got %r" % head)
-        try:
-            k, nterms = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError("bad equation header: %r" % head) from exc
-        if k != len(cols):
-            raise FormatError("equations out of order at %r" % head)
-        body = np.frombuffer(data, dtype=np.uint8, count=stop - eol - 1,
-                             offset=eol + 1)
-        cols.append(_parse_terms(body, k, n, q, t, nterms))
-    if len(cols) != n:
-        raise FormatError("expected %d equations, found %d" % (n, len(cols)))
-    return PublicKey.from_terms(
-        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet,
-        max_cells=_CELLS_PER_BYTE * len(data))
+    return _read_blocks(lines, base, n, t, alphabet)
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:
@@ -443,6 +319,6 @@ def parse_signature(text: str, q: int, n: int):
         salt = int(parts[1])
     except ValueError as exc:
         raise FormatError("bad salt: %r" % parts[1]) from exc
-    if salt < 0:
-        raise FormatError("negative salt")
+    if not 0 <= salt < 1 << 64:
+        raise FormatError("salt %d is outside 0..2^64-1" % salt)
     return salt, parse_vector(parts[2], q, n)

@@ -565,9 +565,7 @@ def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
     monic degree-n polynomial over F_q; it is checked for irreducibility.
     Without one, the lexicographically least monic irreducible is used.
     """
-    prime_power_split(q)  # raises InvalidOrder for non prime powers
-    if q > MAX_Q:
-        raise InvalidOrder("base field order %d exceeds the supported %d" % (q, MAX_Q))
+    base = base_field(q)  # raises InvalidOrder for unsupported orders
     if n < 2:
         raise InvalidDegree("extension degree must be >= 2, got %d" % n)
     if modulus is not None:
@@ -576,7 +574,6 @@ def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
             raise NotIrreducible("modulus must be monic of degree %d" % n)
         if any(not 0 <= c < q for c in modulus):
             raise NotIrreducible("modulus coefficients must lie in 0..%d" % (q - 1))
-        base = base_field(q)
         if any(upoly.eval_poly(base, list(modulus), a) == 0 for a in range(q)) or (
             not _is_irreducible(base, list(modulus))
         ):
@@ -590,6 +587,10 @@ def parse_descriptor(line: str) -> ExtensionField:
     if len(parts) < 5 or parts[0] != "F":
         raise ValueError("malformed field descriptor: %r" % line)
     p, r, n = int(parts[1]), int(parts[2]), int(parts[3])
+    # before p**r, which a huge r would make a huge integer
+    if p > MAX_Q or not 1 <= r <= 8:
+        raise InvalidOrder("base field p^r with p=%d, r=%d is outside the "
+                           "supported p <= %d, 1 <= r <= 8" % (p, r, MAX_Q))
     coeffs = tuple(int(c) for c in parts[4:])
     if len(coeffs) != n + 1:
         raise ValueError("field descriptor modulus has wrong length")

@@ -22,7 +22,6 @@ from .fields import build_extension
 from .core import linearize
 from .core.keys import AffinePair
 from .mvpoly import linalg
-from .mvpoly.multipoly import MultiPoly
 
 
 class IMPublicKey:
@@ -48,37 +47,6 @@ class IMPublicKey:
         xt = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
         pairs = self.base.mul_table[xt[:, :, None], xt[:, None, :]].reshape(m, -1)
         return linalg.matmul(self.base, pairs, self.quad.reshape(self.n, -1).T)
-
-    def quad_polys(self) -> list:
-        """The forms as 2n-variable polynomials, ciphertext side explicit."""
-        out = []
-        for k in range(self.n):
-            terms: dict = {}
-            for a in range(self.n + 1):
-                for b in range(self.n + 1):
-                    c = int(self.quad[k, a, b])
-                    if not c:
-                        continue
-                    exps = [0] * (2 * self.n)
-                    for slot in (a, b):
-                        if slot < self.n:
-                            exps[slot] += 1
-                    key = tuple(exps)
-                    s = self.base.add(terms.get(key, 0), c)
-                    if s:
-                        terms[key] = s
-                    else:
-                        terms.pop(key, None)
-            yk = [0] * (2 * self.n)
-            yk[self.n + k] = 1
-            key = tuple(yk)
-            s = self.base.sub(terms.get(key, 0), 1)
-            if s:
-                terms[key] = s
-            else:
-                terms.pop(key, None)
-            out.append(MultiPoly(self.base, 2 * self.n, terms))
-        return out
 
 
 @dataclass

@@ -1,11 +1,9 @@
-"""Sparse multivariate polynomials, univariate root finding, and F_q linear algebra."""
+"""Univariate root finding and F_q linear algebra."""
 
 from . import linalg, upoly
 from .linalg import Solution, nullspace
-from .multipoly import MultiPoly
 
 __all__ = [
-    "MultiPoly",
     "Solution",
     "linalg",
     "nullspace",

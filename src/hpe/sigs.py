@@ -92,7 +92,7 @@ def verify(pk, message, sig: Signature) -> bool:
         x = np.asarray(sig.x, dtype=np.int64)
     except (TypeError, ValueError, AttributeError):
         return False
-    if salt < 0 or x.shape != (pk.n,):
+    if not 0 <= salt < 1 << 64 or x.shape != (pk.n,):
         return False
     if ((x < 0) | (x >= pk.q)).any():
         return False

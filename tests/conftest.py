@@ -39,17 +39,12 @@ def random_messages(alphabet, blocks, count, seed):
 
 
 def sub_key(pk, equations, t=None):
-    """The key made of the listed equations of pk, the others left empty,
-    rebuilt through PublicKey.from_terms; t defaults to pk's."""
-    n = pk.n
-    slot, coeff, x_rows = [np.zeros(0, np.int64)], [np.zeros(0, np.uint8)], [
-        np.zeros((0, n), np.uint8)]
-    for k in equations:
-        c, exps = pk.equation_terms(k)
-        y = exps[:, n:]
-        slot.append(k * (n + 1) + np.where(y.any(axis=1), y.argmax(axis=1) + 1, 0))
-        coeff.append(c)
-        x_rows.append(exps[:, :n])
-    return PublicKey.from_terms(pk.base, n, pk.t if t is None else t,
-                                np.concatenate(slot), np.concatenate(coeff),
-                                np.concatenate(x_rows), pk.alphabet)
+    """The key made of the listed equations of pk, the others emptied, whose
+    monomials left with no coefficient the PublicKey constructor drops; t
+    defaults to pk's."""
+    empty = np.ones(pk.n, dtype=bool)
+    empty[list(equations)] = False
+    C0, Cy = pk.C0.copy(), pk.Cy.copy()
+    C0[empty], Cy[empty] = 0, 0
+    return PublicKey(pk.base, pk.n, pk.t if t is None else t, pk.mono0, C0,
+                     pk.monoy, Cy, pk.alphabet)

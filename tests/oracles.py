@@ -1,21 +1,25 @@
-"""Sparse multivariate polynomials over F_q with explicit variable count.
+"""Reference implementations the tests check the library against.
 
-Terms live in a dict mapping exponent tuples (one slot per variable) to
-nonzero scalars.  Exponents are symbolic: x^q is not identified with x
-unless normalize_exponents is called, which applies the reduction that is
-valid for the function each polynomial computes on F_q points.
+MultiPoly is a sparse multivariate polynomial over F_q, evaluated and
+transformed term by term; the functions below view a public key through it
+and write the term-line text of the retired HPE1 public format, whose
+digests pin the keys keygen produces.
 """
-
-from __future__ import annotations
 
 import numpy as np
 
-from ..errors import SingularMatrix, VariableMismatch
-from . import linalg
+from hpe.errors import SingularMatrix, VariableMismatch
+from hpe.mvpoly import linalg
 
 
 class MultiPoly:
-    """A polynomial in nvars variables with coefficients in the base field."""
+    """A polynomial in nvars variables with coefficients in the base field.
+
+    Terms live in a dict mapping exponent tuples (one slot per variable) to
+    nonzero scalars.  Exponents are symbolic: x^q is not identified with x
+    unless normalize_exponents is called, which applies the reduction that
+    is valid for the function each polynomial computes on F_q points.
+    """
 
     __slots__ = ("base", "nvars", "terms")
 
@@ -221,3 +225,80 @@ class MultiPoly:
             for exps, c in self.sorted_terms()
         ]
         return "MultiPoly(%s)" % " + ".join(bits)
+
+
+def equation_terms(pk, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Coefficients and (T, 2n) exponent rows, x then y, of equation k of
+    the public key pk: the nonzero entries of C0[k], then of Cy[k], so the
+    x parts come in monomial_basis order within each block."""
+    n = pk.n
+    (m0,) = np.nonzero(pk.C0[k])
+    ys, my = np.nonzero(pk.Cy[k])
+    exps = np.zeros((len(m0) + len(my), 2 * n), dtype=np.uint8)
+    exps[: len(m0), :n] = pk.mono0[m0]
+    exps[len(m0):, :n] = pk.monoy[my]
+    exps[np.arange(len(m0), len(exps)), n + ys] = 1
+    return np.concatenate([pk.C0[k, m0], pk.Cy[k, ys, my]]), exps
+
+
+def equations(pk) -> list:
+    """The equations of the public key pk as 2n-variable MultiPolys."""
+    out = []
+    for k in range(pk.n):
+        coeffs, exps = equation_terms(pk, k)
+        terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
+        out.append(MultiPoly(pk.base, 2 * pk.n, terms))
+    return out
+
+
+def quad_polys(im_pk) -> list:
+    """The forms of a power-map public key as 2n-variable polynomials
+    x' Q_k x - y_k over the homogenized (x, 1), ciphertext side explicit."""
+    base, n = im_pk.base, im_pk.n
+    out = []
+    for k in range(n):
+        poly = MultiPoly.variable(base, 2 * n, n + k).scale(base.neg(1))
+        for a, b in zip(*np.nonzero(im_pk.quad[k])):
+            exps = [0] * (2 * n)
+            for slot in (a, b):
+                if slot < n:
+                    exps[slot] += 1
+            poly = poly + MultiPoly(base, 2 * n, {tuple(exps): im_pk.quad[k, a, b]})
+        out.append(poly)
+    return out
+
+
+def _token_table(q):
+    """(table, w): row v < q of the uint8 table is the decimal token of v
+    and row q is ':', each left-aligned in w bytes (w the widest token),
+    then a space, then zero bytes up to a row of 2 or 4 bytes."""
+    tokens = [str(v).encode("ascii") for v in range(q)] + [b":"]
+    w = max(map(len, tokens))
+    table = np.zeros((q + 1, 2 if w == 1 else 4), dtype=np.uint8)
+    for v, tok in enumerate(tokens):
+        table[v, : len(tok)] = np.frombuffer(tok, dtype=np.uint8)
+    table[:, w] = ord(" ")
+    return table, w
+
+
+def dump_hpe1(pk):
+    """The HPE1 text of pk, as dump_public wrote it before HPE2: the header,
+    the alphabet, then per equation 'EQ k T' and its T term lines
+    'c : e_1 .. e_2n' in the order of equation_terms."""
+    head = ["HPE1 %d %d %d" % (pk.q, pk.n, pk.t), *pk.alphabet.to_lines(), ""]
+    out = ["\n".join(head)]
+    table, w = _token_table(pk.q)
+    # A row of the table is one 2- or 4-byte word, so rendering is one
+    # gather of words; each term line is 2n + 2 cells (coefficient, ':',
+    # 2n exponents), and dropping the zero bytes of the cells leaves the
+    # text.
+    words = table.view("u%d" % table.shape[1]).ravel()
+    for k in range(pk.n):
+        coeffs, exps = equation_terms(pk, k)
+        cells = np.empty((len(coeffs), 2 * pk.n + 2), dtype=np.uint8)
+        cells[:, 0], cells[:, 1], cells[:, 2:] = coeffs, pk.q, exps
+        chars = words.take(cells).view(np.uint8).reshape(*cells.shape, -1)
+        chars[:, -1, w] = ord("\n")
+        out.append("EQ %d %d\n" % (k, len(coeffs)))
+        out.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
+    return "".join(out)

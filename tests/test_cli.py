@@ -2,10 +2,11 @@ import io
 import sys
 
 import pytest
-from test_serial import _dump_hpe1
 
 from hpe import load_public
 from hpe.cli import main
+
+from oracles import dump_hpe1
 
 MSG = "Attack at dawn."
 
@@ -43,6 +44,9 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
                  "--priv", priv]) == 64
     assert main(["keygen", "--q", "2", "--n", "1", "--pub", pub,
                  "--priv", priv]) == 64
+    # 2^61 - 1 is prime; it is refused before any trial division
+    assert main(["keygen", "--q", "2305843009213693951", "--n", "4",
+                 "--pub", pub, "--priv", priv]) == 64
     err = capsys.readouterr().err
     assert "parameter error" in err
 
@@ -162,10 +166,11 @@ def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
                                                     kind, idx, line):
     # A key file naming a field that cannot exist, or a weight t below 2,
     # is malformed input (65), not a parameter error (64) or a protocol
-    # failure (1).  An HPE1 public line goes into the legacy HPE1 file.
+    # failure (1).  An HPE1 public line goes into an HPE1 file, a format
+    # that is refused as a whole.
     text = (keydir / ("a." + kind)).read_text()
     if line.startswith("HPE1") and kind == "pub":
-        text = _dump_hpe1(load_public(text))
+        text = dump_hpe1(load_public(text))
     lines = text.splitlines()
     assert lines[idx].split()[0] == line.split()[0]
     lines[idx] = line
@@ -181,27 +186,39 @@ def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
     assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
-def test_legacy_hpe1_public_file_encrypts_and_verifies(keydir, tmp_path, capsys):
-    # Public key files written before HPE2 still work for every command
-    # that reads one, with the same results as the packed file.
+def test_retired_hpe1_public_file_is_data_error(keydir, tmp_path, capsys):
+    # Public key files written term by term (HPE1) are no longer read: every
+    # command that reads one exits 65 with one line on stderr.
     legacy = _write(tmp_path / "a1.pub",
-                    _dump_hpe1(load_public((keydir / "a.pub").read_text())))
+                    dump_hpe1(load_public((keydir / "a.pub").read_text())))
     msg = _write(tmp_path / "m.txt", MSG + "\n")
-    for tag, pub in (("new", str(keydir / "a.pub")), ("old", legacy)):
-        assert main(["encrypt", "--pub", pub, "--seed", "3", "--in", msg,
-                     "--out", str(tmp_path / (tag + ".ct"))]) == 0
-    ct = (tmp_path / "old.ct").read_text()
-    assert ct == (tmp_path / "new.ct").read_text()
-    assert main(["decrypt", "--priv", str(keydir / "a.key"),
-                 "--in", str(tmp_path / "old.ct"),
-                 "--out", str(tmp_path / "o.txt")]) == 0
-    assert (tmp_path / "o.txt").read_text() == MSG + "\n"
     sig = str(tmp_path / "m.sig")
     assert main(["sign", "--priv", str(keydir / "a.key"), "--seed", "9",
                  "--in", msg, "--out", sig]) == 0
     capsys.readouterr()
-    assert main(["verify", "--pub", legacy, "--in", sig, msg]) == 0
-    assert "accept" in capsys.readouterr().out
+    for argv in (["encrypt", "--pub", legacy, "--seed", "3", "--in", msg,
+                  "--out", str(tmp_path / "c.txt")],
+                 ["verify", "--pub", legacy, "--in", sig, msg]):
+        assert main(argv) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and "HPE1 public key format is retired" in err[0]
+        assert err[0].startswith("hpe: ")
+
+
+def test_letter_code_beyond_unicode_is_data_error(keydir, tmp_path, capsys):
+    # chr() cannot take the code of this letter line; both key kinds read
+    # the alphabet block the same way.
+    msg = _write(tmp_path / "m.txt", "Go\n")
+    for kind, command in (("pub", "encrypt"), ("key", "sign")):
+        text = (keydir / ("a." + kind)).read_text()
+        letter = next(ln for ln in text.splitlines() if ln.startswith("L "))
+        huge = " ".join(["L", str(10 ** 30), *letter.split()[2:]])
+        key = _write(tmp_path / ("bad." + kind), text.replace(letter, huge, 1))
+        flag = "--pub" if kind == "pub" else "--priv"
+        assert main([command, flag, key, "--in", msg,
+                     "--out", str(tmp_path / "out.txt")]) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
 def test_message_outside_alphabet_is_data_error(keydir, tmp_path, capsys):
@@ -242,10 +259,12 @@ def test_sign_verify_pipeline(keydir, tmp_path, capsys):
 
 def test_verify_rejects_corrupt_signature_file(keydir, tmp_path, capsys):
     msg = _write(tmp_path / "m.txt", "hello\n")
-    sig = _write(tmp_path / "m.sig", "SIG1 not-a-salt 0101\n")
-    rc = main(["verify", "--pub", str(keydir / "a.pub"), "--in", sig, msg])
-    assert rc == 65
-    capsys.readouterr()
+    for body in ("SIG1 not-a-salt 0101\n", "SIG1 %d %s\n" % (1 << 64, "0" * 16)):
+        sig = _write(tmp_path / "m.sig", body)
+        rc = main(["verify", "--pub", str(keydir / "a.pub"), "--in", sig, msg])
+        assert rc == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
 def test_signcrypt_pipeline(keydir, tmp_path, capsys):

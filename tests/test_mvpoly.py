@@ -12,7 +12,8 @@ from hpe.mvpoly import upoly
 from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
                                rank, random_invertible, random_matrix, rref,
                                solve)
-from hpe.mvpoly.multipoly import MultiPoly
+
+from oracles import MultiPoly
 
 
 def _random_poly(field, rng, deg):

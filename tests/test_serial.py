@@ -11,14 +11,15 @@ from hypothesis import strategies as st
 from hpe import (KeyGenParams, dump_private, dump_public, dump_signature,
                  dump_vector, keygen, load_private, load_public,
                  parse_signature, parse_vector, sigs)
-from hpe.core import protocol, serial
-from hpe.core.alphabet import Alphabet
+from hpe.core import protocol
 from hpe.core.alphabet import default_alphabet
-from hpe.core.keys import PublicKey
-from hpe.errors import FormatError, InvalidOrder
+from hpe.core.keys import PublicKey, monomial_basis
+from hpe.errors import FormatError
 from hpe.fields import base_field
 
-# SHA-256 of the HPE1 text _dump_hpe1(keygen(KeyGenParams(q, n, seed=s))[0]),
+from oracles import dump_hpe1
+
+# SHA-256 of the HPE1 text dump_hpe1(keygen(KeyGenParams(q, n, seed=s))[0]),
 # recorded while dump_public still wrote HPE1, before the public key moved
 # to one flat term table; any change in term order or formatting, or in the
 # key itself, shows here.  The q=2 n=32 keys, recorded before the
@@ -54,42 +55,6 @@ PINNED_HPE2_DIGESTS = {
     (11, 3, 1111): "2f343a47d19f9e802e3dfc0e9a3d0a35eae7244309c4e835e51e9163ff6f9754",
     (16, 3, 1616): "e04eaa58305f15c2396d1838f700167574ac4dc4cebdef1828e30e8b6e86567a",
 }
-
-
-def _token_table(q):
-    """(table, w): row v < q of the uint8 table is the decimal token of v
-    and row q is ':', each left-aligned in w bytes (w the widest token),
-    then a space, then zero bytes up to a row of 2 or 4 bytes."""
-    tokens = [str(v).encode("ascii") for v in range(q)] + [b":"]
-    w = max(map(len, tokens))
-    table = np.zeros((q + 1, 2 if w == 1 else 4), dtype=np.uint8)
-    for v, tok in enumerate(tokens):
-        table[v, : len(tok)] = np.frombuffer(tok, dtype=np.uint8)
-    table[:, w] = ord(" ")
-    return table, w
-
-
-def _dump_hpe1(pk):
-    """The HPE1 text of pk, as dump_public wrote it before HPE2: the header,
-    the alphabet, then per equation 'EQ k T' and its T term lines
-    'c : e_1 .. e_2n' in file order (PublicKey.equation_terms)."""
-    head = ["HPE1 %d %d %d" % (pk.q, pk.n, pk.t), *pk.alphabet.to_lines(), ""]
-    out = ["\n".join(head)]
-    table, w = _token_table(pk.q)
-    # A row of the table is one 2- or 4-byte word, so rendering is one
-    # gather of words; each term line is 2n + 2 cells (coefficient, ':',
-    # 2n exponents), and dropping the zero bytes of the cells leaves the
-    # text.
-    words = table.view("u%d" % table.shape[1]).ravel()
-    for k in range(pk.n):
-        coeffs, exps = pk.equation_terms(k)
-        cells = np.empty((len(coeffs), 2 * pk.n + 2), dtype=np.uint8)
-        cells[:, 0], cells[:, 1], cells[:, 2:] = coeffs, pk.q, exps
-        chars = words.take(cells).view(np.uint8).reshape(*cells.shape, -1)
-        chars[:, -1, w] = ord("\n")
-        out.append("EQ %d %d\n" % (k, len(coeffs)))
-        out.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
-    return "".join(out)
 
 
 def _same_blocks(a, b):
@@ -182,92 +147,36 @@ def _mutate_lines(text, idx, new_line):
     return "\n".join(lines) + "\n"
 
 
-def test_public_key_strictness(pair12):
-    pk, _ = pair12
-    text = _dump_hpe1(pk)
-    lines = text.splitlines()
-    first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
-    coeff, exps = lines[first_term].split(":")
-    # Zero or out-of-field coefficients are rejected.
-    for bad_coeff in ("0", "2", "-1"):
-        bad = _mutate_lines(text, first_term, "%s :%s" % (bad_coeff, exps))
-        with pytest.raises(FormatError):
-            load_public(bad)
-    # A y-squared exponent cannot appear in a published equation.
-    digits = exps.split()
-    digits[-1] = "2"
-    bad = _mutate_lines(text, first_term, "%s : %s" % (coeff, " ".join(digits)))
-    with pytest.raises(FormatError):
-        load_public(bad)
-    # Truncating an equation breaks the term count.
-    with pytest.raises(FormatError):
-        load_public(_mutate_lines(text, first_term, None))
-
-
 def test_public_key_weight_checked(pair12):
-    # t below 2 cannot come from keygen, and no term may exceed x-degree t.
-    for magic, text in (("HPE2", dump_public(pair12[0])),
-                        ("HPE1", _dump_hpe1(pair12[0]))):
-        for t in ("1", "0", "-1"):
-            with pytest.raises(FormatError, match="below 2"):
-                load_public(text.replace(magic + " 2 12 3",
-                                         "%s 2 12 %s" % (magic, t), 1))
-    lines = text.splitlines()
-    first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
-    exps = lines[first_term].split(":")[1].split()
-    exps[:4] = ["1"] * 4
-    bad = _mutate_lines(text, first_term, "1 : " + " ".join(exps))
-    with pytest.raises(FormatError, match="x-degree above t=3"):
-        load_public(bad)
-
-
-def test_public_key_strictness_exponent_rows():
-    # q = 3 stores exponent rows, not bitmasks; the same rules apply.
-    pk, _ = keygen(KeyGenParams(q=3, n=5, seed=635))
-    text = _dump_hpe1(pk)
-    lines = text.splitlines()
-    first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
-    coeff, exps = lines[first_term].split(":")
-    digits = exps.split()
-    for pos, value in ((0, "3"), (-1, "2")):
-        bad_digits = list(digits)
-        bad_digits[pos] = value
-        bad = _mutate_lines(text, first_term,
-                            "%s : %s" % (coeff, " ".join(bad_digits)))
-        with pytest.raises(FormatError):
-            load_public(bad)
-    with pytest.raises(FormatError):
-        load_public(_mutate_lines(text, first_term, "3 :%s" % exps))
-    # A repeated term line merges: 1 + 1 = 2, and 2 + 1 = 0 drops the term.
-    eq_idx = first_term - 1
-    k, count = lines[eq_idx].split()[1:]
-    for add, merged in (("1", 2), ("2", None)):
-        twice = lines[:eq_idx] + ["EQ %s %d" % (k, int(count) + 1)]
-        twice += ["1 :%s" % exps, add + " :%s" % exps] + lines[first_term + 1:]
-        again = load_public("\n".join(twice) + "\n")
-        terms = again.equations()[int(k)].terms
-        key = tuple(int(e) for e in digits)
-        assert terms.get(key) == merged
-        assert again.term_count() == pk.term_count() - (merged is None)
+    # t below 2 cannot come from keygen.
+    text = dump_public(pair12[0])
+    for t in ("1", "0", "-1"):
+        with pytest.raises(FormatError, match="below 2"):
+            load_public(text.replace("HPE2 2 12 3", "HPE2 2 12 %s" % t, 1))
 
 
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
 def test_public_key_format_pinned(q, n, seed):
     params = KeyGenParams(q=q, n=n, seed=seed, degX_max=max(9, q + 1))
     pk = keygen(params)[0]
-    legacy, text = _dump_hpe1(pk), dump_public(pk)
+    legacy, text = dump_hpe1(pk), dump_public(pk)
     for got, pinned in ((legacy, PINNED_PUBLIC_DIGESTS), (text, PINNED_HPE2_DIGESTS)):
         assert hashlib.sha256(got.encode("utf-8")).hexdigest() == pinned[(q, n, seed)]
-    for again in (load_public(legacy), load_public(text)):
-        assert _same_blocks(again, pk)
+    assert _same_blocks(load_public(text), pk)
     assert dump_public(load_public(text)) == text
+
+
+def test_hpe1_public_file_is_retired(pair12):
+    # The term-line public format is read no more; private keys keep HPE1.
+    with pytest.raises(FormatError, match="HPE1 public key format is retired"):
+        load_public(dump_hpe1(pair12[0]))
 
 
 def test_public_key_q2_above_48_variables_round_trips():
     # q = 2 keys once stopped at 48 variables (the x parts were 64-bit
-    # masks).  A hand-made n = 49 file loads and dumps back unchanged; in
-    # equation 0 x_0 x_1 comes before x_0 x_48, since q = 2 terms compare
-    # from x_48 down.
+    # masks).  A key with n = 49 dumps and loads back unchanged; in
+    # equation 0 x_0 x_1 comes before x_0 x_48, since q = 2 monomials
+    # compare from x_48 down.
     n = 49
 
     def term(xs, y=None):
@@ -278,19 +187,34 @@ def test_public_key_q2_above_48_variables_round_trips():
             exps[n + y] = 1
         return "1 : " + " ".join(map(str, exps))
 
-    lines = ["HPE1 2 %d 3" % n, *default_alphabet(2, n).to_lines()]
+    # equation k is x_k x_(k+1) + x_k y_k; equation 0 adds x_0 x_48, which
+    # is also the first term of equation 48
+    rows = np.zeros((n + 1, n), dtype=np.uint8)
+    for k in range(n):
+        rows[k, [k, (k + 1) % n]] = 1
+    rows[n, [0, 48]] = 1
+    mono0, i0 = monomial_basis(2, rows)
+    monoy, iy = monomial_basis(2, np.eye(n, dtype=np.uint8))
+    assert i0[0] < i0[n]
+    C0 = np.zeros((n, len(mono0)), dtype=np.uint8)
+    C0[np.arange(n), i0[:n]] = 1
+    C0[0, i0[n]] = 1
+    Cy = np.zeros((n, n, n), dtype=np.uint8)
+    Cy[np.arange(n), np.arange(n), iy] = 1
+    pk = PublicKey(base_field(2), n, 3, mono0, C0, monoy, Cy,
+                   default_alphabet(2, n))
+    assert pk.term_count() == 2 * n + 1
+    lines = ["HPE1 2 %d 3" % n, *pk.alphabet.to_lines()]
     for k in range(n):
         terms = [term([k, (k + 1) % n]), term([k], y=k)]
         if k == 0:
             terms.insert(1, term([0, 48]))
         lines += ["EQ %d %d" % (k, len(terms)), *terms]
-    text = "\n".join(lines) + "\n"
-    pk = load_public(text)
-    assert pk.term_count() == 2 * n + 1
-    assert _dump_hpe1(pk) == text
+    assert dump_hpe1(pk) == "\n".join(lines) + "\n"
     packed = dump_public(pk)
-    assert _same_blocks(load_public(packed), pk)
-    assert dump_public(load_public(packed)) == packed
+    again = load_public(packed)
+    assert _same_blocks(again, pk)
+    assert dump_public(again) == packed
 
 
 def test_alphabet_tags_are_checked(pair12):
@@ -298,23 +222,16 @@ def test_alphabet_tags_are_checked(pair12):
     public_text, private_text = dump_public(pk), dump_private(sk)
     letter = next(ln for ln in public_text.splitlines() if ln.startswith("L "))
     head = next(ln for ln in public_text.splitlines() if ln.startswith("ALPHABET"))
+    # the last: a letter code beyond any character, which chr() cannot take
+    huge = " ".join(["L", str(10 ** 30), *letter.split()[2:]])
     for old, new in ((letter, "EQ" + letter[1:]), (head, head + " junk"),
                      (head, head.replace("ALPHABET", "ALPHABETxyz") + " junk"),
-                     (head, head.replace("ALPHABET", "ALPHABETxyz"))):
+                     (head, head.replace("ALPHABET", "ALPHABETxyz")),
+                     (letter, huge)):
         with pytest.raises(FormatError, match="alphabet"):
             load_public(public_text.replace(old, new, 1))
         with pytest.raises(FormatError, match="alphabet"):
             load_private(private_text.replace(old, new, 1))
-
-
-def test_public_key_equation_order_enforced(pair12):
-    pk, _ = pair12
-    text = _dump_hpe1(pk)
-    lines = text.splitlines()
-    eq_idx = next(i for i, ln in enumerate(lines) if ln.startswith("EQ 1 "))
-    bad = _mutate_lines(text, eq_idx, lines[eq_idx].replace("EQ 1 ", "EQ 5 "))
-    with pytest.raises(FormatError):
-        load_public(bad)
 
 
 def test_private_key_strictness(pair12):
@@ -356,7 +273,6 @@ def test_private_key_strictness(pair12):
 BAD_FIELD_LINES = (
     ("private", 1, "F 2 2 1 1 1"),
     ("private", 1, "F 2 2 4 0 0 0 0 1"),
-    ("public", 0, "HPE1 6 4 3"),
     ("public", 0, "HPE2 6 4 3"),
 )
 
@@ -369,19 +285,27 @@ def test_impossible_field_is_format_error(pair12, kind, idx, line):
             load_private(_mutate_lines(dump_private(sk), idx, line))
     else:
         with pytest.raises(FormatError, match="not a prime power"):
-            text = _dump_hpe1(pk) if line.startswith("HPE1") else dump_public(pk)
-            load_public(_mutate_lines(text, idx, line))
+            load_public(_mutate_lines(dump_public(pk), idx, line))
 
 
 def test_huge_field_order_is_refused_at_once(pair12):
     # 2^61 - 1 is prime: trial division up to its square root would take
     # minutes before the order was found to be too large.
+    pk, sk = pair12
     q = (1 << 61) - 1
-    for text in (_dump_hpe1(pair12[0]), dump_public(pair12[0])):
-        header = text.splitlines()[0]
-        bad = text.replace(header, header.replace(" 2 ", " %d " % q, 1), 1)
-        with pytest.raises(FormatError, match="exceeds the supported"):
-            load_public(bad)
+    text = dump_public(pk)
+    header = text.splitlines()[0]
+    with pytest.raises(FormatError, match="exceeds the supported"):
+        load_public(text.replace(header, header.replace(" 2 ", " %d " % q, 1), 1))
+    # A private key names p and r in its field descriptor; p^r with a huge r
+    # would be an integer of gigabytes.
+    text = dump_private(sk)
+    descriptor = text.splitlines()[1]
+    for p, r in ((q, 1), (3, 10 ** 10)):
+        bad = text.replace(descriptor, "F %d %d %s" % (
+            p, r, descriptor.split(None, 3)[3]), 1)
+        with pytest.raises(FormatError, match="supported"):
+            load_private(bad)
 
 
 def test_signature_round_trip():
@@ -395,7 +319,7 @@ def test_signature_round_trip():
 
 def test_signature_parse_errors():
     for text in ("", "SIG2 1 1011", "SIG1 x 1011", "SIG1 -1 1011",
-                 "SIG1 1", "SIG1 1 10a1"):
+                 "SIG1 1", "SIG1 1 10a1", "SIG1 %d 1011" % (1 << 64)):
         with pytest.raises(FormatError):
             parse_signature(text, 2, 4)
 
@@ -416,85 +340,12 @@ def test_different_seeds_serialize_differently():
     assert dump_private(a[1]) != dump_private(b[1])
 
 
-# ---------------------------------------------------------------------------
-# The reader against the per-line parser it replaced.
-
-
-def _oracle_terms(lines, k, n, q, t):
-    """The per-line term parser load_public used before it read whole
-    equation blocks as bytes, plus the x-degree rule of the weight t."""
-    coeffs, rows = [], []
-    for line in lines:
-        coeff_s, sep, exps_s = line.partition(":")
-        try:
-            coeffs.append(int(coeff_s))
-            rows.append([int(e) for e in exps_s.split()])
-        except ValueError as exc:
-            raise FormatError("bad term line: %r" % line) from exc
-        if not sep or len(rows[-1]) != 2 * n or not 0 < coeffs[-1] < q:
-            raise FormatError("malformed term: %r" % line)
-    exps = np.array(rows, dtype=np.int64).reshape(len(rows), 2 * n)
-    x, y = exps[:, :n], exps[:, n:]
-    if ((x < 0) | (x >= q)).any():
-        raise FormatError("x exponent not reduced")
-    if ((y < 0) | (y > 1)).any() or (y.sum(axis=1) > 1).any():
-        raise FormatError("not linear in y")
-    if (x.sum(axis=1) > t).any():
-        raise FormatError("x-degree above t")
-    slot = k * (n + 1) + np.where(y.any(axis=1), y.argmax(axis=1) + 1, 0)
-    return slot, np.array(coeffs, dtype=np.uint8), x
-
-
-def _oracle_load_public(text):
-    lines = [ln for ln in text.splitlines() if ln.strip()]
-    if not lines:
-        raise FormatError("empty public key")
-    q, n, t = serial._parse_header(lines[0])
-    if len(lines) > 1 and lines[1].startswith("F "):
-        raise FormatError("private key file")
-    if len(lines) < 2 or not lines[1].startswith("ALPHABET"):
-        raise FormatError("missing alphabet block")
-    try:
-        end = 2 + int(lines[1].split()[3])
-    except (ValueError, IndexError) as exc:
-        raise FormatError("bad alphabet header") from exc
-    if end > len(lines):
-        raise FormatError("alphabet block is truncated")
-    try:
-        alphabet = Alphabet.from_lines(lines[1:end])
-    except (ValueError, IndexError) as exc:
-        raise FormatError("bad alphabet block") from exc
-    try:
-        base = base_field(q)
-    except InvalidOrder as exc:
-        raise FormatError("bad key header") from exc
-    pos, cols = end, []
-    while pos < len(lines):
-        parts = lines[pos].split()
-        if parts[0] != "EQ" or len(parts) != 3:
-            raise FormatError("expected equation header")
-        try:
-            k, nterms = int(parts[1]), int(parts[2])
-        except ValueError as exc:
-            raise FormatError("bad equation header") from exc
-        if k != len(cols):
-            raise FormatError("equations out of order")
-        if nterms < 0 or pos + 1 + nterms > len(lines):
-            raise FormatError("equation is truncated")
-        cols.append(_oracle_terms(lines[pos + 1:pos + 1 + nterms], k, n, q, t))
-        pos += 1 + nterms
-    if len(cols) != n:
-        raise FormatError("expected %d equations" % n)
-    return PublicKey.from_terms(
-        base, n, t, *(np.concatenate(col) for col in zip(*cols)), alphabet)
-
-
 @functools.cache
 def _small_key_texts(q):
-    """(HPE1 public text, private text, HPE2 public text) of a small key."""
+    """(private text, public text) of a small key."""
     n = 4 if q == 2 else 3
     pk, sk = keygen(KeyGenParams(q=q, n=n, seed=q, degX_max=max(9, q + 1)))
-    return _dump_hpe1(pk), dump_private(sk), dump_public(pk)
+    return dump_private(sk), dump_public(pk)
 
 
 def _mutate(text, edits):
@@ -516,13 +367,6 @@ def _mutate(text, edits):
     return data.decode("ascii")
 
 
-def _dumped_or_error(load, text):
-    try:
-        return dump_public(load(text))
-    except FormatError:
-        return None
-
-
 EDITS = st.lists(
     st.tuples(st.sampled_from(["set", "insert", "delete", "drop line", "truncate"]),
               st.integers(0, 1 << 20),
@@ -535,74 +379,20 @@ EDITS = st.lists(
 @settings(max_examples=400)
 @given(q=st.sampled_from([2, 3, 4, 11]), edits=EDITS)
 def test_mutated_key_files_load_or_raise_format_error(q, edits):
-    public_text, private_text, _ = _small_key_texts(q)
-    text = _mutate(public_text, edits)
-    got = _dumped_or_error(load_public, text)
-    want = _dumped_or_error(_oracle_load_public, text)
-    if got != want:
-        # int() read '+1' and '1_0' as numbers; term tokens are digits only
-        assert got is None and want is not None
-        assert "+" in text or "_" in text
     try:
-        load_private(_mutate(private_text, edits))
+        load_private(_mutate(_small_key_texts(q)[0], edits))
     except FormatError:
         pass
 
 
-def test_term_line_layout_matches_the_line_parser():
-    text = _small_key_texts(3)[0]
-    lines = text.splitlines()
-    i = next(i for i, ln in enumerate(lines) if ":" in ln)
-    coeff, exps = lines[i].split(" : ")
-    first, rest = exps.split(" ", 1)
-    bad_lines = ("%s %s : %s" % (coeff, first, rest),  # ':' after two tokens
-                 "%s %s" % (coeff, exps),  # no ':'
-                 "%s : : %s" % (coeff, exps),  # two of them
-                 ":\n" + lines[i],  # a line of only ':'
-                 "%s : %s 0" % (coeff, exps))  # one exponent too many
-    for new in bad_lines:
-        bad = _mutate_lines(text, i, new)
-        assert _dumped_or_error(_oracle_load_public, bad) is None
-        assert _dumped_or_error(load_public, bad) is None
-    tight = _mutate_lines(text, i, "%s:%s" % (coeff, exps))
-    assert _dump_hpe1(load_public(tight)) == text
-
-
 @pytest.mark.parametrize("q", [2, 11])
 def test_whitespace_variants_load_to_the_same_key(q):
-    legacy, _, packed = _small_key_texts(q)
-    for dump, text in ((_dump_hpe1, legacy), (dump_public, packed)):
-        variants = (text.replace(" ", "\t"), text.replace(" ", "  "),
-                    text.replace("\n", "\n\n \t\n"), text.replace("\n", "\r\n"),
-                    text.replace("\n", " \n"), text.rstrip("\n"))
-        for variant in variants:
-            assert dump(load_public(variant)) == text
-
-
-def test_non_digit_tokens_are_rejected():
-    # int() used to accept these forms; tokens are ASCII digits only.
-    text = _small_key_texts(11)[0]
-    lines = text.splitlines()
-    first_term = next(i for i, ln in enumerate(lines) if ":" in ln)
-    coeff, exps = lines[first_term].split(":")
-    for token in ("+" + coeff.strip(), "1_0", "\u0661"):
-        bad = _mutate_lines(text, first_term, "%s :%s" % (token, exps))
-        with pytest.raises(FormatError):
-            load_public(bad)
-
-
-def test_hpe1_blocks_are_bounded_by_the_text():
-    # One y term in a file of n = 3000 empty equations would need n^2 cells
-    # of Cy, about 9 MB here and n^2 bytes in general, from a few KB of
-    # text; more than 64 cells per byte is malformed.
-    n = 3000
-    exps = ["0"] * (2 * n)
-    exps[0] = exps[1] = exps[n] = "1"
-    lines = ["HPE1 2 %d 3" % n, *default_alphabet(2, 8).to_lines(),
-             "EQ 0 1", "1 : " + " ".join(exps)]
-    lines += ["EQ %d 0" % k for k in range(1, n)]
-    with pytest.raises(FormatError, match="cells"):
-        load_public("\n".join(lines) + "\n")
+    text = _small_key_texts(q)[1]
+    variants = (text.replace(" ", "\t"), text.replace(" ", "  "),
+                text.replace("\n", "\n\n \t\n"), text.replace("\n", "\r\n"),
+                text.replace("\n", " \n"), text.rstrip("\n"))
+    for variant in variants:
+        assert dump_public(load_public(variant)) == text
 
 
 # ---------------------------------------------------------------------------
@@ -637,14 +427,14 @@ def _hpe2_text(pk, t=None, mono0=None, C0=None, monoy=None, Cy=None,
 
 @pytest.mark.parametrize("q", [2, 3, 4, 11])
 def test_hpe2_layout_matches_bit_strings(q):
-    text = _small_key_texts(q)[2]
+    text = _small_key_texts(q)[1]
     assert _hpe2_text(load_public(text)) == text
 
 
 @settings(max_examples=400)
 @given(q=st.sampled_from([2, 3, 4, 11]), edits=EDITS)
 def test_mutated_hpe2_files_load_or_raise_format_error(q, edits):
-    text = _mutate(_small_key_texts(q)[2], edits)
+    text = _mutate(_small_key_texts(q)[1], edits)
     try:
         pk = load_public(text)
     except FormatError:
@@ -660,7 +450,7 @@ def _load_error(text):
 
 
 def test_hpe2_counts_must_match_the_payloads():
-    pk = load_public(_small_key_texts(2)[2])
+    pk = load_public(_small_key_texts(2)[1])
     text = dump_public(pk)
     m0, my = len(pk.mono0), len(pk.monoy)
     for old, new in (("HPE2 2 4 3", "HPE2 2 5 3"),
@@ -682,7 +472,7 @@ def test_hpe2_counts_must_match_the_payloads():
 
 
 def test_hpe2_payload_must_be_canonical_base64():
-    pk = load_public(_small_key_texts(3)[2])
+    pk = load_public(_small_key_texts(3)[1])
     codes = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
     for tag, block in (("MONO0", pk.mono0), ("MONOY", pk.monoy),
                        ("C0", pk.C0), ("CY", pk.Cy)):
@@ -700,7 +490,7 @@ def test_hpe2_payload_must_be_canonical_base64():
 
 @pytest.mark.parametrize("q", [2, 3, 4])
 def test_hpe2_pad_bits_must_be_zero(q):
-    pk = load_public(_small_key_texts(q)[2])
+    pk = load_public(_small_key_texts(q)[1])
     b = (q - 1).bit_length()
     padded = [(tag, block) for tag, block in (("MONO0", pk.mono0), ("MONOY", pk.monoy),
                                               ("C0", pk.C0), ("CY", pk.Cy))
@@ -715,7 +505,7 @@ def test_hpe2_pad_bits_must_be_zero(q):
 
 @pytest.mark.parametrize("q", [3, 11])
 def test_hpe2_values_must_lie_in_the_field(q):
-    pk = load_public(_small_key_texts(q)[2])
+    pk = load_public(_small_key_texts(q)[1])
     top = (1 << (q - 1).bit_length()) - 1
     C0, monoy = pk.C0.copy(), pk.monoy.copy()
     C0[0, 0] = top
@@ -725,7 +515,7 @@ def test_hpe2_values_must_lie_in_the_field(q):
 
 
 def test_hpe2_tables_must_be_strictly_increasing():
-    pk = load_public(_small_key_texts(3)[2])
+    pk = load_public(_small_key_texts(3)[1])
     for mono, key in ((pk.mono0, "mono0"), (pk.monoy, "monoy")):
         swapped, repeated = mono.copy(), mono.copy()
         swapped[[0, 1]] = mono[[1, 0]]
@@ -735,7 +525,7 @@ def test_hpe2_tables_must_be_strictly_increasing():
 
 
 def test_hpe2_every_monomial_has_a_coefficient():
-    pk = load_public(_small_key_texts(4)[2])
+    pk = load_public(_small_key_texts(4)[1])
     C0, Cy = pk.C0.copy(), pk.Cy.copy()
     C0[:, -1] = 0
     Cy[:, :, 0] = 0
@@ -744,7 +534,7 @@ def test_hpe2_every_monomial_has_a_coefficient():
 
 
 def test_hpe2_monomials_stay_within_weight_t():
-    pk = load_public(_small_key_texts(4)[2])
+    pk = load_public(_small_key_texts(4)[1])
     assert pk.t == 3 and pk.mono0.sum(axis=1).max() == 3
     assert "x-degree above t=2" in _load_error(_hpe2_text(pk, t=2))
     assert "below 2" in _load_error(_hpe2_text(pk, t=1))
@@ -753,7 +543,7 @@ def test_hpe2_monomials_stay_within_weight_t():
 def test_hpe2_key_has_an_equation_and_a_y_term():
     # Without a y monomial no block would bound n: a header could name any
     # number of empty equations.
-    pk = load_public(_small_key_texts(2)[2])
+    pk = load_public(_small_key_texts(2)[1])
     text = _hpe2_text(pk).replace("HPE2 2 4 3", "HPE2 2 0 3", 1)
     assert "at least one equation" in _load_error(text)
     no_y = _hpe2_text(pk, monoy=pk.monoy[:0], Cy=pk.Cy[:, :, :0])

@@ -210,6 +210,7 @@ def test_verify_rejects_malformed_signatures(pair16):
     good = sign(sk, "ok", random.Random(86))
     assert verify(pk, "ok", good)
     assert not verify(pk, "ok", Signature(-1, good.x))
+    assert not verify(pk, "ok", Signature(1 << 64, good.x))
     assert not verify(pk, "ok", Signature(good.salt, good.x[:8]))
     big = np.array(good.x)
     big[0] = 9
