@@ -79,10 +79,11 @@ def _parse_header(line: str, magic: str = MAGIC):
     parts = line.split()
     if len(parts) != 4 or parts[0] != magic:
         raise FormatError("expected '%s q n t' header, got %r" % (magic, line))
-    try:
-        q, n, t = int(parts[1]), int(parts[2]), int(parts[3])
-    except ValueError as exc:
-        raise FormatError("non-numeric key header: %r" % line) from exc
+    # ASCII digits only: int() would also take '+4' or '1_2', which dump
+    # back as another header
+    if not all(tok.isascii() and tok.isdigit() for tok in parts[1:]):
+        raise FormatError("non-numeric key header: %r" % line)
+    q, n, t = (int(tok) for tok in parts[1:])
     if t < 2:
         raise FormatError("key weight t=%d is below 2" % t)
     return q, n, t

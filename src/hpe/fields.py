@@ -591,6 +591,8 @@ def parse_descriptor(line: str) -> ExtensionField:
     if p > MAX_Q or not 1 <= r <= 8:
         raise InvalidOrder("base field p^r with p=%d, r=%d is outside the "
                            "supported p <= %d, 1 <= r <= 8" % (p, r, MAX_Q))
+    if prime_power_split(p) != (p, 1):
+        raise InvalidOrder("field descriptor p=%d is not a prime" % p)
     coeffs = tuple(int(c) for c in parts[4:])
     if len(coeffs) != n + 1:
         raise ValueError("field descriptor modulus has wrong length")

@@ -1,8 +1,12 @@
-"""Exact linear algebra over F_q, vectorized through the scalar tables.
+"""Exact linear algebra over F_q.
 
 Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  A
-product is one product over F_p for every q (see matmul); row operations are
-whole-row gathers from the add/sub/mul tables of the base field.
+product is one float64 product over F_p for every q (see matmul).  Row
+reduction expands an F_q matrix to its F_p matrix on base-p digits and runs
+one Gauss-Jordan over F_p on rows packed into Python integers: one bit per
+entry at p = 2, where a row update is one XOR, and an 8..64-bit slot per
+entry at odd p, reduced mod p once per pivot row and once at the end (see
+rref).  rank, solve, nullspace and inverse all go through rref.
 Pivoting is deterministic: columns in order, first nonzero row, free
 variables set to zero in particular solutions.
 """
@@ -72,35 +76,82 @@ def matvec(base, a: np.ndarray, v: np.ndarray) -> np.ndarray:
 
 
 def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Reduced row echelon form and the (row, column) pivot list."""
-    m = np.array(m, dtype=np.uint8, copy=True)
+    """Reduced row echelon form and the (row, column) pivot list.
+
+    m is expanded to its F_p matrix: entry (i, j) becomes the r x r block
+    of y -> m_ij * y on base-p digits, the transpose of mul_matrices[m_ij].
+    The expansion is a ring map and the RREF is unique, so the F_p RREF is
+    the expansion of the F_q one: F_q entry (i, j) is the column of digits
+    at F_p rows i*r.., column j*r, and F_p pivot (i*r, j*r) is F_q pivot (i, j).
+    """
+    m = np.asarray(m, dtype=np.uint8)
     if m.ndim != 2:
         raise ValueError("matrix must be two-dimensional")
+    p, r = base.p, base.r
     rows, cols = m.shape
-    add_t, sub_t = base.add_table, base.sub_table
-    mul_t, inv_t = base.mul_table, base.inv_table
+    digits = base.mul_matrices[m].transpose(0, 3, 1, 2).reshape(rows * r, cols * r)
+    reduced, pivots = _rref_fp(p, digits.astype(np.uint8))
+    out = pack_digits(base, reduced[:, ::r].reshape(rows, r, cols))
+    return out, [(i // r, c // r) for i, c in pivots[::r]]
+
+
+def _slot_bits(p: int, cols: int) -> int:
+    """Bits per entry of a packed F_p row of cols entries.
+
+    One at p = 2.  Otherwise the narrowest of 8..64 that holds p + cols*p^2:
+    an entry starts below p and each of at most cols updates adds below p^2.
+    """
+    if p == 2:
+        return 1
+    return next(w for w in (8, 16, 32, 64) if p + cols * p * p < 1 << w)
+
+
+def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Gauss-Jordan over F_p with each row packed into one Python integer,
+    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p).
+
+    At p = 2 a row update is one XOR.  At odd p it is R += (p - f) * P, with
+    the pivot row P reduced and scaled to a leading 1 as it is chosen; every
+    row is reduced mod p once at the end.  Columns are taken in order.
+    """
+    n_rows, cols = digits.shape
+    w = _slot_bits(p, cols)
+    dtype = np.dtype("<u%d" % ((w + 7) // 8))
+    width = (cols * w + 7) // 8  # bytes per row
+
+    data = np.packbits(digits, axis=1, bitorder="little") if w == 1 else digits.astype(dtype)
+    buf = data.tobytes()
+    packed = [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(n_rows)]
+    mask = (1 << w) - 1
     pivots: list[tuple[int, int]] = []
-    r = 0
     for c in range(cols):
-        if r == rows:
-            break
-        nz = np.nonzero(m[r:, c])[0]
-        if nz.size == 0:
+        shift = c * w
+        top = len(pivots)
+        for i in range(top, n_rows):
+            if (packed[i] >> shift & mask) % p:
+                break
+        else:
             continue
-        pr = r + int(nz[0])
-        if pr != r:
-            m[[r, pr]] = m[[pr, r]]
-        pv = int(m[r, c])
-        if pv != 1:
-            m[r] = mul_t[inv_t[pv], m[r]]
-        col = m[:, c].copy()
-        col[r] = 0
-        nzr = np.nonzero(col)[0]
-        if nzr.size:
-            m[nzr] = sub_t[m[nzr], mul_t[col[nzr][:, None], m[r][None, :]]]
-        pivots.append((r, c))
-        r += 1
-    return m, pivots
+        pivot = packed[i]
+        packed[i] = packed[top]
+        if p == 2:
+            bit = 1 << c
+            packed = [row ^ pivot if row & bit else row for row in packed]
+        else:
+            scaled = np.frombuffer(pivot.to_bytes(width, "little"), dtype) % p
+            scaled = scaled * pow(pivot >> shift & mask, -1, p) % p
+            pivot = int.from_bytes(scaled.astype(dtype, copy=False).tobytes(), "little")
+            packed = [row + (p - f) * pivot if (f := (row >> shift & mask) % p) else row
+                      for row in packed]
+        packed[top] = pivot
+        pivots.append((top, c))
+    buf = b"".join([row.to_bytes(width, "little") for row in packed])
+    if w == 1:
+        out = np.unpackbits(np.frombuffer(buf, dtype).reshape(n_rows, width), axis=1,
+                            count=cols, bitorder="little")
+    else:
+        out = np.frombuffer(buf, dtype).reshape(n_rows, cols) % p
+    return out.astype(np.uint8), pivots
 
 
 def rank(base, m: np.ndarray) -> int:

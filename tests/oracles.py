@@ -302,3 +302,33 @@ def dump_hpe1(pk):
         out.append("EQ %d %d\n" % (k, len(coeffs)))
         out.append(chars.tobytes().replace(b"\0", b"").decode("ascii"))
     return "".join(out)
+
+
+def rref_oracle(base, m):
+    """Reduced row echelon form and pivot list by one column loop of F_q
+    table gathers: columns in order, first nonzero row as the pivot."""
+    m = np.array(m, dtype=np.uint8, copy=True)
+    rows, cols = m.shape
+    sub_t, mul_t, inv_t = base.sub_table, base.mul_table, base.inv_table
+    pivots = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        nz = np.nonzero(m[r:, c])[0]
+        if nz.size == 0:
+            continue
+        pr = r + int(nz[0])
+        if pr != r:
+            m[[r, pr]] = m[[pr, r]]
+        pv = int(m[r, c])
+        if pv != 1:
+            m[r] = mul_t[inv_t[pv], m[r]]
+        col = m[:, c].copy()
+        col[r] = 0
+        nzr = np.nonzero(col)[0]
+        if nzr.size:
+            m[nzr] = sub_t[m[nzr], mul_t[col[nzr][:, None], m[r][None, :]]]
+        pivots.append((r, c))
+        r += 1
+    return m, pivots

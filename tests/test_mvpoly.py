@@ -13,7 +13,7 @@ from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
                                rank, random_invertible, random_matrix, rref,
                                solve)
 
-from oracles import MultiPoly
+from oracles import MultiPoly, rref_oracle
 
 
 def _random_poly(field, rng, deg):
@@ -375,6 +375,11 @@ def test_solve_consistent_and_inconsistent():
         a = np.zeros((2, 3), dtype=np.uint8)
         b = np.array([1, 0], dtype=np.uint8)
         assert solve(base, a, b) is None
+    # Two equal rows with unequal right-hand sides, over F_9 (odd p, r = 2)
+    # and F_256 (p = 2, r = 8).
+    for q in (9, 256):
+        a = np.array([[1, 2, q - 1], [1, 2, q - 1]], dtype=np.uint8)
+        assert solve(base_field(q), a, np.array([1, 2], dtype=np.uint8)) is None
 
 
 def test_nullspace_dimension_and_membership():
@@ -398,6 +403,60 @@ def test_inverse_round_trip():
         assert np.array_equal(matmul(base, m, mi), identity(6))
     with pytest.raises(SingularMatrix):
         inverse(base_field(2), np.zeros((2, 2), dtype=np.uint8))
+    # Row 1 is 5 times row 0 over F_9.
+    base = base_field(9)
+    row = np.array([3, 7, 1], dtype=np.uint8)
+    m = np.stack([row, base.mul_table[5, row], np.array([1, 0, 0], dtype=np.uint8)])
+    with pytest.raises(SingularMatrix):
+        inverse(base, m)
+
+
+RREF_FIELDS = [2, 3, 4, 5, 7, 8, 9, 16, 25, 27, 251, 256]
+
+
+@st.composite
+def _field_matrices(draw):
+    q = draw(st.sampled_from(RREF_FIELDS))
+    rows, cols = draw(st.integers(0, 12)), draw(st.integers(0, 12))
+    entries = draw(st.lists(st.integers(0, q - 1), min_size=rows * cols,
+                            max_size=rows * cols))
+    return q, np.array(entries, dtype=np.uint8).reshape(rows, cols)
+
+
+def _assert_rref_matches_oracle(q, m):
+    base = base_field(q)
+    got, pivots = rref(base, m)
+    want, want_pivots = rref_oracle(base, m)
+    assert got.dtype == np.uint8 and got.shape == m.shape
+    assert np.array_equal(got, want)
+    assert pivots == want_pivots
+
+
+@example(case=(7, np.zeros((0, 5), dtype=np.uint8)))
+@example(case=(9, np.zeros((4, 0), dtype=np.uint8)))
+@example(case=(256, np.zeros((3, 4), dtype=np.uint8)))
+# rows 0 and 1 equal, columns 0 and 2 equal: rank 2 of 4 columns
+@example(case=(5, np.array([[1, 2, 1, 3], [1, 2, 1, 3], [4, 0, 4, 1]], dtype=np.uint8)))
+@example(case=(251, np.array([[7, 7, 9], [7, 7, 9]], dtype=np.uint8)))
+# a zero first column under a nonzero row: the pivot row is swapped up
+@example(case=(3, np.array([[0, 1, 2], [2, 0, 1], [1, 1, 0]], dtype=np.uint8)))
+@example(case=(16, np.array([[0, 9], [0, 4], [13, 2]], dtype=np.uint8)))
+@settings(max_examples=200, deadline=None)
+@given(case=_field_matrices())
+def test_rref_matches_oracle(case):
+    _assert_rref_matches_oracle(*case)
+
+
+@pytest.mark.parametrize("q,shape", [(2, (200, 100)), (3, (120, 60))])
+def test_rref_matches_oracle_on_larger_matrices(q, shape):
+    # p = 2 updates rows by XOR, odd p by slot arithmetic: one case each at
+    # a size where rows take many updates between reductions.  The product
+    # has rank 3/4 of its columns, so the RREF has free columns to get wrong.
+    rows, cols = shape
+    rng = np.random.default_rng(20)
+    left = rng.integers(0, q, size=(rows, cols * 3 // 4), dtype=np.uint8)
+    right = rng.integers(0, q, size=(cols * 3 // 4, cols), dtype=np.uint8)
+    _assert_rref_matches_oracle(q, matmul(base_field(q), left, right))
 
 
 def _naive_matmul(base, a, b):

@@ -150,9 +150,23 @@ def _mutate_lines(text, idx, new_line):
 def test_public_key_weight_checked(pair12):
     # t below 2 cannot come from keygen.
     text = dump_public(pair12[0])
-    for t in ("1", "0", "-1"):
+    for t in ("1", "0"):
         with pytest.raises(FormatError, match="below 2"):
             load_public(text.replace("HPE2 2 12 3", "HPE2 2 12 %s" % t, 1))
+
+
+@pytest.mark.parametrize("fields", ["+2 12 3", "2 +12 3", "2 12 +3", "2 1_2 3",
+                                    "2 12 -1", "2 12 \uff13"])
+def test_header_takes_ascii_digits_only(pair12, fields):
+    # int() reads a sign, underscores and non-ASCII digits, and each would
+    # dump back as another header than the one that was read.
+    pk, sk = pair12
+    for load, text, magic in ((load_public, dump_public(pk), "HPE2"),
+                              (load_private, dump_private(sk), "HPE1")):
+        bad = text.replace("%s 2 12 3" % magic, "%s %s" % (magic, fields), 1)
+        # a public key must be ASCII as a whole
+        with pytest.raises(FormatError, match="non-numeric key header|ASCII text"):
+            load(bad)
 
 
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
@@ -268,11 +282,13 @@ def test_private_key_strictness(pair12):
 
 
 # Files whose header or field descriptor names a field that cannot exist:
-# the order is no prime power, the degree is below 2, or the modulus is
-# reducible.  The field layer's parameter errors surface as FormatError.
+# the order is no prime power, the degree is below 2, the modulus is
+# reducible, or the descriptor's p is not prime.  The field layer's
+# parameter errors surface as FormatError.
 BAD_FIELD_LINES = (
     ("private", 1, "F 2 2 1 1 1"),
     ("private", 1, "F 2 2 4 0 0 0 0 1"),
+    ("private", 1, "F 4 1 4 1 2 1 0 1"),
     ("public", 0, "HPE2 6 4 3"),
 )
 
