@@ -206,7 +206,7 @@ def cmd_attack(args, rng) -> int:
             for _ in range(trials):
                 x = np.array([rng.randrange(args.q) for _ in range(args.n)],
                              dtype=np.uint8)
-                y = kp.public.encrypt(x)
+                y = imattack.im_encrypt(kp, x)
                 cands = imattack.patarin_attack(kp.public, rels, y)
                 residual_max = max(residual_max, len(cands))
                 if any(np.array_equal(c, x) for c in cands):

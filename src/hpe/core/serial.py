@@ -36,7 +36,7 @@ import numpy as np
 
 from ..errors import (FormatError, InvalidDegree, InvalidOrder, NotIrreducible,
                       SingularMatrix)
-from ..fields import base_field, parse_descriptor
+from ..fields import base_field, parse_decimal, parse_descriptor
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it here)
 from .keys import (AffinePair, PrivateKey, PrivatePolynomial, PublicKey,
@@ -79,11 +79,11 @@ def _parse_header(line: str, magic: str = MAGIC):
     parts = line.split()
     if len(parts) != 4 or parts[0] != magic:
         raise FormatError("expected '%s q n t' header, got %r" % (magic, line))
-    # ASCII digits only: int() would also take '+4' or '1_2', which dump
-    # back as another header
-    if not all(tok.isascii() and tok.isdigit() for tok in parts[1:]):
-        raise FormatError("non-numeric key header: %r" % line)
-    q, n, t = (int(tok) for tok in parts[1:])
+    try:
+        q, n, t = (parse_decimal(tok) for tok in parts[1:])
+    except ValueError as exc:
+        raise FormatError("non-numeric key header (canonical decimals only): "
+                          "%r" % line) from exc
     if t < 2:
         raise FormatError("key weight t=%d is below 2" % t)
     return q, n, t
@@ -115,9 +115,7 @@ def _block_head(line: str, tag: str, counted: bool) -> int | None:
     if not counted:
         return None
     try:
-        if not parts[1].isdigit():
-            raise ValueError(parts[1])
-        return int(parts[1])
+        return parse_decimal(parts[1])
     except ValueError as exc:
         raise FormatError("bad %s row count: %r" % (tag, line)) from exc
 

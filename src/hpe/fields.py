@@ -54,6 +54,16 @@ MAX_Q = 256
 TABLE_MAX_ORDER = 1 << 20  # largest K served by log/antilog tables
 
 
+def parse_decimal(tok: str) -> int:
+    """The value of a canonical decimal token: ASCII digits with no leading
+    zero but in '0'.  Anything else raises ValueError; int() would also
+    read a sign, '_', non-ASCII digits and zero padding, none of which
+    writes back as the token that was read."""
+    if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
+        raise ValueError("not a canonical decimal: %r" % tok)
+    return int(tok)
+
+
 def prime_power_split(q: int) -> tuple[int, int]:
     """Write q as p^r with p prime; raises InvalidOrder otherwise."""
     if q < 2:
@@ -433,23 +443,8 @@ class ExtensionField:
     def mul(self, a: int, b: int) -> int:
         return self._mul(a, b)
 
-    def pow(self, a: int, e: int) -> int:
-        if self.backend == "log":
-            if a == 0:
-                if e < 0:
-                    raise ZeroDivisionError("0 has no inverse")
-                return 0 if e else 1
-            exp, log = self._log_tables
-            return exp[log[a] * e % (self.order - 1)]
-        if e < 0:
-            return self.pow(self.inv(a), -e)
-        out, base = 1, a
-        while e:
-            if e & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            e >>= 1
-        return out
+    # square and multiply through self.mul and self.inv, on every backend
+    pow = BaseField.pow
 
     def inv(self, a: int) -> int:
         if a == 0:
@@ -586,14 +581,14 @@ def parse_descriptor(line: str) -> ExtensionField:
     parts = line.split()
     if len(parts) < 5 or parts[0] != "F":
         raise ValueError("malformed field descriptor: %r" % line)
-    p, r, n = int(parts[1]), int(parts[2]), int(parts[3])
+    p, r, n = (parse_decimal(tok) for tok in parts[1:4])
     # before p**r, which a huge r would make a huge integer
     if p > MAX_Q or not 1 <= r <= 8:
         raise InvalidOrder("base field p^r with p=%d, r=%d is outside the "
                            "supported p <= %d, 1 <= r <= 8" % (p, r, MAX_Q))
     if prime_power_split(p) != (p, 1):
         raise InvalidOrder("field descriptor p=%d is not a prime" % p)
-    coeffs = tuple(int(c) for c in parts[4:])
+    coeffs = tuple(parse_decimal(c) for c in parts[4:])
     if len(coeffs) != n + 1:
         raise ValueError("field descriptor modulus has wrong length")
     return build_extension(p**r, n, coeffs)

@@ -1,13 +1,16 @@
 """The ancestral power-map cryptosystem and its linearization attack.
 
-The old scheme encrypts through the bijection u -> u^(q^theta + 1),
-masked by two affine maps, which makes every ciphertext coordinate an
-explicit quadratic form in the plaintext.  That structure leaks: the
-hidden identity u * v^(q^theta) = u^(q^2theta) * v induces equations
-bilinear in (plaintext, ciphertext), and those can be learned from
-public encryptions alone, then used to strip almost all entropy from
-any target ciphertext.  The harvest half doubles as a control
-experiment against the newer keys, where no such relations survive.
+The old scheme is the paper's design with the simplest hidden relation,
+f(X, Y) = X^(q^theta + 1) - Y: the same affine masks u = A x + c and
+v = B y + d, and the same expansion into public equations as the newer
+keys.  Since f is linear in Y with a unit coefficient, every plaintext has
+exactly one ciphertext, and each ciphertext coordinate is an explicit
+quadratic form in the plaintext.  That structure leaks: the hidden identity
+u * v^(q^theta) = u^(q^2theta) * v induces equations bilinear in
+(plaintext, ciphertext), and those can be learned from public encryptions
+alone, then used to strip almost all entropy from any target ciphertext.
+The harvest half doubles as a control experiment against the newer keys,
+where no such relations survive.
 """
 
 import math
@@ -16,37 +19,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.protocol import encrypt_raw
+from .core.keygen import expand_keypair
+from .core.keys import AffinePair, PrivatePolynomial, PublicKey
+from .core.protocol import batch_zero_mask, encrypt_raw
 from .errors import BadTheta, SolutionSpaceTooLarge
 from .fields import build_extension
 from .core import linearize
-from .core.keys import AffinePair
 from .mvpoly import linalg
-
-
-class IMPublicKey:
-    """n explicit ciphertext coordinates, each a quadratic form in x.
-
-    quad has shape (n, n+1, n+1) over the homogenized vector (x, 1);
-    coordinate k of the ciphertext is xt @ quad[k] @ xt.
-    """
-
-    def __init__(self, base, n: int, quad: np.ndarray):
-        self.base = base
-        self.q = base.q
-        self.n = n
-        self.quad = np.ascontiguousarray(quad, dtype=np.uint8)
-
-    def encrypt(self, x_vec: np.ndarray) -> np.ndarray:
-        return self.encrypt_many(np.asarray(x_vec, dtype=np.uint8)[None, :])[0]
-
-    def encrypt_many(self, xs: np.ndarray) -> np.ndarray:
-        """Evaluate all quadratic forms on a batch of plaintext rows."""
-        xs = np.asarray(xs, dtype=np.uint8)
-        m = xs.shape[0]
-        xt = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
-        pairs = self.base.mul_table[xt[:, :, None], xt[:, None, :]].reshape(m, -1)
-        return linalg.matmul(self.base, pairs, self.quad.reshape(self.n, -1).T)
 
 
 @dataclass
@@ -56,7 +35,7 @@ class IMKeyPair:
     h: int
     h_prime: int
     affine: AffinePair
-    public: IMPublicKey
+    public: PublicKey
 
 
 def _check_theta(q: int, n: int, theta: int) -> int:
@@ -85,12 +64,8 @@ def default_theta(q: int, n: int) -> int:
 
 def im_keygen(q: int, n: int, theta: int | None = None,
               rng: random.Random | None = None) -> IMKeyPair:
-    """Build a power-map key: masks, exponent data, explicit equations.
-
-    The ciphertext side is solved symbolically once: with w the
-    coordinates of (Ax+c)^(q^theta+1), the published forms are
-    y = B^(-1) (w - d).
-    """
+    """Build a power-map key: masks, exponent data and the public equations
+    of f(X, Y) = X^(q^theta + 1) - Y, expanded like any hidden relation."""
     if rng is None:
         rng = random.Random()
     if theta is None:
@@ -98,23 +73,19 @@ def im_keygen(q: int, n: int, theta: int | None = None,
     h = _check_theta(q, n, theta)
     h_prime = pow(h, -1, q**n - 1)
     field = build_extension(q, n)
-    base = field.base
-    affine = AffinePair.sample(base, n, rng)
-
-    x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
-    flat = linearize.expand_product(
-        field, 1, [linearize.frobenius_factor(field, theta, x_factor), x_factor])
-    const_slot = (n + 1) ** 2 - 1
-    quad_flat = linalg.matmul(base, affine.b_inv, flat)
-    shift = linalg.matvec(base, affine.b_inv, affine.d_vec)
-    quad_flat[:, const_slot] = base.sub_table[quad_flat[:, const_slot], shift]
-    quad = quad_flat.reshape(n, n + 1, n + 1)
-    return IMKeyPair(field, theta, h, h_prime, affine, IMPublicKey(base, n, quad))
+    affine = AffinePair.sample(field.base, n, rng)
+    relation = PrivatePolynomial(mixed=((field.neg(1), (), 0),),
+                                 pure=((1, (0, theta)),))
+    public = expand_keypair(field, relation, affine, None)
+    return IMKeyPair(field, theta, h, h_prime, affine, public)
 
 
 def im_encrypt(kp_or_pub, x_vec: np.ndarray) -> np.ndarray:
-    pub = kp_or_pub.public if isinstance(kp_or_pub, IMKeyPair) else kp_or_pub
-    return pub.encrypt(x_vec)
+    """The one ciphertext of x under a key pair or a public key whose
+    equations are linear in y with an invertible y block."""
+    pub = getattr(kp_or_pub, "public", kp_or_pub)
+    matrix, rhs = pub.linear_system(np.asarray(x_vec, dtype=np.uint8))
+    return linalg.solve(pub.base, matrix, rhs).particular
 
 
 def im_decrypt(kp: IMKeyPair, y_vec: np.ndarray) -> np.ndarray:
@@ -170,17 +141,10 @@ def _monomial_rows(base, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
 
 
 def _sample_pairs(pk, count: int, rng: random.Random):
-    """Honest (x, y) pairs using only the public key.
-
-    Power-map keys evaluate directly; equation-system keys draw uniform
-    raw plaintexts and keep the ones whose system is solvable.
-    """
+    """Honest (x, y) pairs using only the public key: uniform raw
+    plaintexts, kept when their system is solvable, each with a uniform
+    solution.  Power-map keys solve every x to its one ciphertext."""
     n, q = pk.n, pk.q
-    if isinstance(pk, IMPublicKey):
-        xs = np.array(
-            [[rng.randrange(q) for _ in range(n)] for _ in range(count)],
-            dtype=np.uint8)
-        return xs, pk.encrypt_many(xs)
     xs, ys = [], []
     while len(xs) < count:
         x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
@@ -211,13 +175,13 @@ def harvest_relations(pk, sample_count: int | None = None,
     return [BilinearRelation(vec, n) for vec in basis]
 
 
-def patarin_attack(pk: IMPublicKey, relations: list, y_target: np.ndarray,
+def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
                    guard: int = 1 << 20) -> list:
     """Recover plaintext candidates for one ciphertext from relations.
 
     Substituting the target y into each relation leaves equations linear
     in x; the affine solution space is enumerated (bounded by guard) and
-    filtered by re-encryption, so every returned candidate is a true
+    filtered by the public equations, so every returned candidate is a true
     preimage.  Empty when the relations exclude everything.
     """
     base = pk.base
@@ -240,14 +204,21 @@ def patarin_attack(pk: IMPublicKey, relations: list, y_target: np.ndarray,
             "affine space of size %d exceeds guard %d"
             % (sol.count(base), guard))
     cands = np.stack(list(sol.enumerate(base)))
-    ok = (pk.encrypt_many(cands) == y[None, :]).all(axis=1)
-    return [c for c in cands[ok]]
+    return list(cands[batch_zero_mask(pk, cands, y)])
 
 
-def random_quadratic_public(base, n: int, rng: random.Random) -> IMPublicKey:
-    """A structureless quadratic map, the control for relation harvesting."""
+def random_quadratic_public(base, n: int, rng: random.Random) -> PublicKey:
+    """A structureless quadratic map y = Q(x), the control for relation
+    harvesting: Q is a random (n, n + 1, n + 1) tensor of forms over the
+    homogenized (x, 1), published as the equations Q(x) - y."""
     quad = np.array(
         [[[rng.randrange(base.q) for _ in range(n + 1)]
           for _ in range(n + 1)] for _ in range(n)],
         dtype=np.uint8)
-    return IMPublicKey(base, n, quad)
+    field = build_extension(base.q, n)
+    # -y_k in equation k: no x factor, then the y slots and the constant
+    minus_y = np.zeros((n, n + 1), dtype=np.uint8)
+    minus_y[np.arange(n), np.arange(n)] = base.neg(1)
+    parts = [linearize.records_general(field, quad.reshape(n, -1), n, False),
+             linearize.records_general(field, minus_y, n, True)]
+    return PublicKey(base, n, 2, *linearize.merge_general(field, parts, n), None)

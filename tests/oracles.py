@@ -251,23 +251,6 @@ def equations(pk) -> list:
     return out
 
 
-def quad_polys(im_pk) -> list:
-    """The forms of a power-map public key as 2n-variable polynomials
-    x' Q_k x - y_k over the homogenized (x, 1), ciphertext side explicit."""
-    base, n = im_pk.base, im_pk.n
-    out = []
-    for k in range(n):
-        poly = MultiPoly.variable(base, 2 * n, n + k).scale(base.neg(1))
-        for a, b in zip(*np.nonzero(im_pk.quad[k])):
-            exps = [0] * (2 * n)
-            for slot in (a, b):
-                if slot < n:
-                    exps[slot] += 1
-            poly = poly + MultiPoly(base, 2 * n, {tuple(exps): im_pk.quad[k, a, b]})
-        out.append(poly)
-    return out
-
-
 def _token_table(q):
     """(table, w): row v < q of the uint8 table is the decimal token of v
     and row q is ':', each left-aligned in w bytes (w the widest token),

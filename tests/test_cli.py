@@ -163,12 +163,13 @@ def test_missing_files_are_data_errors(tmp_path, capsys):
     ("key", 0, "HPE1 2 16 1"),
     ("pub", 0, "HPE2 +2 16 3"),
     ("key", 0, "HPE1 2 1_6 3"),
+    ("pub", 0, "HPE2 2 016 3"),
 ])
 def test_impossible_field_in_key_file_is_data_error(keydir, tmp_path, capsys,
                                                     kind, idx, line):
     # A key file naming a field that cannot exist, a weight t below 2 or a
-    # header number that is not ASCII digits (int() would read '+2' and
-    # '1_6') is malformed input (65), not a parameter error (64) or a
+    # header number that is not a canonical decimal (int() would read '+2',
+    # '1_6' and '016') is malformed input (65), not a parameter error (64) or a
     # protocol failure (1).  An HPE1 public line goes into an HPE1 file, a
     # format that is refused as a whole.
     text = (keydir / ("a." + kind)).read_text()

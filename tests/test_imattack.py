@@ -1,3 +1,5 @@
+import hashlib
+import itertools
 import math
 import random
 
@@ -10,8 +12,9 @@ from hpe.fields import base_field
 from hpe.imattack import (BilinearRelation, default_theta, harvest_relations,
                           im_decrypt, im_encrypt, im_keygen, patarin_attack,
                           random_quadratic_public)
+from hpe.mvpoly import linalg
 
-from oracles import quad_polys
+from oracles import equations
 
 
 @pytest.fixture(scope="module")
@@ -71,33 +74,33 @@ def test_power_map_inverse_exponent(kp9):
 
 def test_im_round_trip_exhaustive(kp9):
     xs = _all_vectors(9)
-    ys = kp9.public.encrypt_many(xs)
+    ys = [im_encrypt(kp9, x) for x in xs]
     for i in range(512):
         back = im_decrypt(kp9, ys[i])
         assert np.array_equal(back, xs[i])
 
 
-def test_im_encrypt_matches_private_chain(kp9):
-    # Tensor evaluation must equal the explicit chain u = Ax + c,
-    # w = u^(q^theta + 1), y = Binverse (w - d).
-    field, affine = kp9.field, kp9.affine
-    rng = random.Random(204)
-    for _ in range(50):
-        x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
+@pytest.mark.parametrize("q,n,theta", [(2, 9, 1), (4, 3, 0), (4, 3, 1), (8, 3, 0)])
+def test_im_encrypt_matches_private_chain(q, n, theta):
+    # Solving the public equations must equal the explicit chain
+    # u = Ax + c, w = u^(q^theta + 1), y = Binverse (w - d), at x = 0 (the
+    # equations' constants alone) and at random x.
+    kp = im_keygen(q, n, theta, random.Random(204))
+    field, affine = kp.field, kp.affine
+    rng = random.Random(205)
+    xs = [np.zeros(n, dtype=np.uint8)]
+    xs += [np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
+           for _ in range(50)]
+    for x in xs:
         u = field.from_coords(affine.map_x(x))
-        w = field.pow(u, kp9.h)
+        w = field.pow(u, kp.h)
         want = affine.unmap_v(np.array(field.coords(w), dtype=np.uint8))
-        assert np.array_equal(im_encrypt(kp9, x), want)
-
-
-def test_im_encrypt_at_zero_reads_constant_slot(kp9):
-    y = im_encrypt(kp9, np.zeros(9, dtype=np.uint8))
-    assert np.array_equal(y, kp9.public.quad[:, 9, 9])
+        assert np.array_equal(im_encrypt(kp, x), want)
 
 
 def test_im_map_is_not_affine(kp9):
     xs = _all_vectors(9)
-    ys = kp9.public.encrypt_many(xs)
+    ys = [im_encrypt(kp9, x) for x in xs]
     zero = im_encrypt(kp9, np.zeros(9, dtype=np.uint8))
     witness = False
     for i in (1, 2, 3):
@@ -109,7 +112,7 @@ def test_im_map_is_not_affine(kp9):
 
 
 def test_quad_polys_match_encrypt(kp9):
-    polys = quad_polys(kp9.public)
+    polys = equations(kp9.public)
     assert len(polys) == 9
     rng = random.Random(205)
     for _ in range(20):
@@ -131,6 +134,15 @@ def test_harvest_finds_full_relation_space(kp9, rels9):
         y = im_encrypt(kp9, x)
         for rel in rels9:
             assert rel.eval(base, x, y) == 0
+
+
+def test_kp9_relations_pinned(rels9):
+    # The relation basis the harvest finds for key seed 201, recorded when
+    # the power-map key had its own evaluator beside the public key's.
+    digest = hashlib.sha256(b"".join(rel.vector.tobytes() for rel in rels9))
+    assert len(rels9) == 18
+    assert digest.hexdigest() == (
+        "e5aa76b44a7193d839c085ac8499c195c3006b186b3a7f0163ddc9cd3ca3d28b")
 
 
 def test_relation_views_match_vector(rels9):
@@ -178,6 +190,28 @@ def test_random_quadratics_have_no_relations():
     assert rels == []
 
 
+def test_random_quadratic_control_at_odd_p():
+    # Power-map keys cannot reach odd q (no theta is valid there), so this
+    # control is what checks the sign of the y coefficient at odd p: every
+    # x solves to exactly one y, and that y is Q(x) for the tensor Q the
+    # control draws, n forms over the homogenized (x, 1).
+    q, n = 3, 5
+    base = base_field(q)
+    pub = random_quadratic_public(base, n, random.Random(215))
+    rng = random.Random(215)
+    quad = np.array([[[rng.randrange(q) for _ in range(n + 1)]
+                      for _ in range(n + 1)] for _ in range(n)], dtype=np.int64)
+    for x in itertools.product(range(q), repeat=n):
+        x = np.array(x, dtype=np.uint8)
+        sol = linalg.solve(base, *pub.linear_system(x))
+        assert sol is not None and sol.nullspace == []
+        xt = np.append(x, 1).astype(np.int64)
+        want = np.einsum("i,kij,j->k", xt, quad, xt) % q
+        assert np.array_equal(sol.particular, want)
+        assert np.array_equal(im_encrypt(pub, x), want)
+    assert harvest_relations(pub, rng=random.Random(216)) == []
+
+
 def test_hpe_key_resists_linearization(pair16):
     pk, _ = pair16
     rels = harvest_relations(pk, rng=random.Random(212))
@@ -185,11 +219,14 @@ def test_hpe_key_resists_linearization(pair16):
 
 
 def test_im_keygen_deterministic():
+    blocks = ("mono0", "C0", "monoy", "Cy")
     a = im_keygen(2, 9, 1, random.Random(5))
     b = im_keygen(2, 9, 1, random.Random(5))
-    assert np.array_equal(a.public.quad, b.public.quad)
     c = im_keygen(2, 9, 1, random.Random(6))
-    assert not np.array_equal(a.public.quad, c.public.quad)
+    assert all(np.array_equal(getattr(a.public, k), getattr(b.public, k))
+               for k in blocks)
+    assert not all(np.array_equal(getattr(a.public, k), getattr(c.public, k))
+                   for k in blocks)
 
 
 def test_im_composite_base_round_trip():

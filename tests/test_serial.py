@@ -156,10 +156,11 @@ def test_public_key_weight_checked(pair12):
 
 
 @pytest.mark.parametrize("fields", ["+2 12 3", "2 +12 3", "2 12 +3", "2 1_2 3",
-                                    "2 12 -1", "2 12 \uff13"])
+                                    "2 12 -1", "2 12 \uff13", "02 12 3",
+                                    "2 012 3", "2 12 03", "2 12 00"])
 def test_header_takes_ascii_digits_only(pair12, fields):
-    # int() reads a sign, underscores and non-ASCII digits, and each would
-    # dump back as another header than the one that was read.
+    # int() reads a sign, underscores, non-ASCII digits and leading zeros,
+    # and each would dump back as another header than the one that was read.
     pk, sk = pair12
     for load, text, magic in ((load_public, dump_public(pk), "HPE2"),
                               (load_private, dump_private(sk), "HPE1")):
@@ -167,6 +168,27 @@ def test_header_takes_ascii_digits_only(pair12, fields):
         # a public key must be ASCII as a whole
         with pytest.raises(FormatError, match="non-numeric key header|ASCII text"):
             load(bad)
+
+
+def test_key_numbers_are_canonical_decimals(pair12):
+    # The field descriptor 'F +2 01 12 ...' used to load as 'F 2 1 12 ...',
+    # and a block row count 'MONO0 0M' as 'MONO0 M'; each would dump back
+    # as other text than was read.
+    pk, sk = pair12
+    text = dump_private(sk)
+    descriptor = text.splitlines()[1]
+    _, p, r, n, *coeffs = descriptor.split()
+    assert (p, r, n) == ("2", "1", "12")
+    for tokens in (("+2", "01", n, *coeffs), (p, "01", n, *coeffs),
+                   (p, r, "012", *coeffs), (p, r, n, "0" + coeffs[0], *coeffs[1:]),
+                   (p, r, n, "+" + coeffs[0], *coeffs[1:])):
+        bad = text.replace(descriptor, " ".join(("F",) + tokens), 1)
+        with pytest.raises(FormatError, match="bad field descriptor"):
+            load_private(bad)
+    text = dump_public(pk)
+    head = "MONO0 %d" % len(pk.mono0)
+    with pytest.raises(FormatError, match="bad MONO0 row count"):
+        load_public(text.replace(head, "MONO0 0%d" % len(pk.mono0), 1))
 
 
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
