@@ -17,6 +17,7 @@ import sys
 import numpy as np
 
 from ..errors import LengthMismatch, SymbolOutOfAlphabet
+from ..fields import parse_decimal
 
 
 class Alphabet:
@@ -116,13 +117,13 @@ class Alphabet:
         head = lines[0].split()
         if len(head) != 4 or head[0] != "ALPHABET":
             raise ValueError("expected 'ALPHABET q e count', got %r" % lines[0])
-        q, e, count = int(head[1]), int(head[2]), int(head[3])
+        q, e, count = (parse_decimal(tok) for tok in head[1:])
         synonyms: dict[str, list[tuple]] = {}
         for line in lines[1 : 1 + count]:
             parts = line.split()
             if parts[0] != "L":
                 raise ValueError("expected a letter line 'L ...', got %r" % line)
-            code = int(parts[1])
+            code = parse_decimal(parts[1])
             if not 0 <= code <= sys.maxunicode:
                 raise ValueError("letter code %d is not a character" % code)
             ch = chr(code)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..errors import FormatError, VariableMismatch
+from ..fields import parse_decimal
 from ..mvpoly import linalg
 from ..mvpoly.linalg import inverse, matvec, random_invertible
 
@@ -167,13 +168,14 @@ class PrivatePolynomial:
             try:
                 if parts[0] == "MIX":
                     sep = parts.index(":")
-                    coeff = int(parts[1])
-                    xth = tuple(int(s) for s in parts[2:sep])
-                    mixed.append((coeff, xth, int(parts[sep + 1])))
+                    coeff = parse_decimal(parts[1])
+                    xth = tuple(parse_decimal(s) for s in parts[2:sep])
+                    mixed.append((coeff, xth, parse_decimal(parts[sep + 1])))
                 elif parts[0] == "PUREX":
-                    pure.append((int(parts[1]), tuple(int(s) for s in parts[2:])))
+                    pure.append((parse_decimal(parts[1]),
+                                 tuple(parse_decimal(s) for s in parts[2:])))
                 elif parts[0] == "CONST":
-                    const = int(parts[1])
+                    const = parse_decimal(parts[1])
                 else:
                     raise FormatError("unknown private term line: %r" % line)
             except (ValueError, IndexError) as exc:

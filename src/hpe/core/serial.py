@@ -95,10 +95,10 @@ def _read_alphabet(first: str, lines) -> Alphabet:
     if not first.startswith("ALPHABET"):
         raise FormatError("missing alphabet block")
     try:
-        count = int(first.split()[3])
+        count = parse_decimal(first.split()[3])
     except (ValueError, IndexError) as exc:
         raise FormatError("bad alphabet header: %r" % first) from exc
-    block = [first, *itertools.islice(lines, max(count, 0))]
+    block = [first, *itertools.islice(lines, count)]
     if len(block) != 1 + count:
         raise FormatError("alphabet block is truncated")
     try:
@@ -315,7 +315,7 @@ def parse_signature(text: str, q: int, n: int):
     if len(parts) != 3 or parts[0] != "SIG1":
         raise FormatError("expected 'SIG1 salt digits'")
     try:
-        salt = int(parts[1])
+        salt = parse_decimal(parts[1])
     except ValueError as exc:
         raise FormatError("bad salt: %r" % parts[1]) from exc
     if not 0 <= salt < 1 << 64:

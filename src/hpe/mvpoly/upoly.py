@@ -11,12 +11,15 @@ Root finding takes an ExtensionField K = GF(q^n) and follows the classic
 pattern: strip the squarefree product of linear factors with
 gcd(g, X^order - X), g = f made monic, then split it recursively, using
 the trace map in characteristic 2 and quadratic-residue powering for odd
-characteristic.  roots builds the matrix Q of h -> h^q on K[X]/(g), which
-is F_q-linear (Berlekamp's Q-matrix), once per call: X^order mod g is then
-n products of Q with a coordinate row.  In characteristic 2 the trace of
-cX over F_q is n - 1 more, reduced mod the factor being split, and r - 1
-squarings mod that factor, for q = 2^r, lift it to the absolute trace over
-F_2; the odd split powers X + a on scalars.
+characteristic.  roots builds the F_q-linear map h -> h^q on K[X]/(g)
+once per call, and X^order mod g is then n applications of it.  At q = 2
+it squares on packed integer rows (_SquareMap): a residue is one Python
+integer and the map XORs rows through 4-bit tables.  Every other q uses
+the matrix Q of the map over F_q (Berlekamp's Q-matrix, _QPowerMap) and
+multiplies coordinate rows by it.  In characteristic 2 the trace of cX
+over F_q is n - 1 more applications, reduced mod the factor being split,
+and r - 1 squarings mod that factor, for q = 2^r, lift it to the absolute
+trace over F_2; the odd split powers X + a on scalars.
 """
 
 from __future__ import annotations
@@ -171,7 +174,7 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
     if rng is None:
         rng = random.Random()
     g = monic(field, f)
-    qpower = _QPowerMap(field, g)
+    qpower = (_SquareMap if field.q == 2 else _QPowerMap)(field, g)
     xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), field.n))
     s = gcd(field, sub(field, xq, X), g)
     out: set = set()
@@ -223,6 +226,101 @@ class _QPowerMap:
         return acc
 
 
+class _SquareMap:
+    """h -> h^2 on K[X]/(g) on packed integers, for K = GF(2^n), g monic.
+
+    A packed element of K is its own F_2 coordinate row (bit i is the
+    coefficient of z^i), so h = h_0 + .. + h_(d-1) X^(d-1) is the integer
+    sum of h_j << (j*n).  Since h^2 = sum_j h_j^2 R_j with R_j = X^(2j)
+    mod g, and bit i of h_j adds z^(2i) to h_j^2, bit j*n + i of h maps to
+    the row z^(2i) R_j.  The rows are summed through 4-bit Kronrod tables
+    (the "Four Russians"), one per 4 bits of h: a square is one XOR per
+    table lookup.
+    """
+
+    def __init__(self, field, g: list):
+        n, d = field.n, degree(g)
+        self.n, self.d = n, d
+        width = d * n
+        # z times every n-bit slot: shift the slot up one bit and fold its top
+        # bit back as z^n, which is the modulus less its z^n term; that is
+        # below 2^n, so no product carries into the next slot
+        ones = sum(1 << (k * n) for k in range(d * d))
+        keep = ones * ((1 << (n - 1)) - 1)
+        fold = sum(c << i for i, c in enumerate(field.modulus[:n]))
+
+        def times_z(v: int) -> int:
+            return ((v & keep) << 1) ^ (((v >> (n - 1)) & ones) * fold)
+
+        # X h: shift h up one slot and fold the coefficient c carried out of it
+        # back as c X^d, X^d being g less its X^d term: one z^b (g - X^d) for
+        # each bit b of c
+        folds = [self.row(g[:d])]
+        for _ in range(n - 1):
+            folds.append(times_z(folds[-1]))
+        low = (1 << (width - n)) - 1
+
+        def times_x(h: int) -> int:
+            c, h = h >> (width - n), (h & low) << n
+            while c:
+                b = c & -c
+                h ^= folds[b.bit_length() - 1]
+                c ^= b
+            return h
+
+        powers = [1]
+        for _ in range(d - 1):
+            powers.append(times_x(times_x(powers[-1])))
+        # every R_j side by side, width bits apart, so that one times_z moves
+        # all of them; after i steps of z^2 block j is row j*n + i
+        v = sum(r << (j * width) for j, r in enumerate(powers))
+        full = (1 << width) - 1
+        rows = [0] * width
+        for i in range(n):
+            for j in range(d):
+                rows[j * n + i] = (v >> (j * width)) & full
+            v = times_z(times_z(v))
+        tables = []
+        for c in range(0, width, 4):
+            t = [0]
+            for row in rows[c : c + 4]:
+                t += [x ^ row for x in t]
+            tables.append(t)
+        # a byte of h indexes one table with each nibble; an odd last table
+        # pairs with a table for the high nibble, which is zero
+        tables.append([0])
+        self.nbytes = (width + 7) // 8
+        self.tables = tuple(zip(tables[0::2], tables[1::2]))
+
+    def row(self, h: list) -> int:
+        """The packed row of h, a polynomial of degree below d."""
+        return sum(c << (j * self.n) for j, c in enumerate(h))
+
+    def poly(self, row: int) -> list:
+        n, mask = self.n, (1 << self.n) - 1
+        return trim([(row >> (j * n)) & mask for j in range(self.d)])
+
+    def _square(self, row: int) -> int:
+        acc = 0
+        for b, (low, high) in zip(row.to_bytes(self.nbytes, "little"), self.tables):
+            acc ^= low[b & 15] ^ high[b >> 4]
+        return acc
+
+    def apply(self, row: int, times: int) -> int:
+        """The row of h^(2^times)."""
+        for _ in range(times):
+            row = self._square(row)
+        return row
+
+    def trace(self, row: int) -> int:
+        """The row of h + h^2 + .. + h^(2^(n-1)), the trace over F_2."""
+        acc = row
+        for _ in range(self.n - 1):
+            row = self._square(row)
+            acc ^= row
+        return acc
+
+
 @functools.lru_cache(maxsize=8)
 def _frobenius_tensor(field) -> np.ndarray:
     """The linalg operand of the (n, n*n) matrix whose row m, block i holds
@@ -234,7 +332,8 @@ def _frobenius_tensor(field) -> np.ndarray:
     return linalg.operand(field.base, frob.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))
 
 
-def _split_linear(field, s: list, rng: random.Random, out: set, qpower: _QPowerMap) -> None:
+def _split_linear(field, s: list, rng: random.Random, out: set,
+                  qpower: _QPowerMap | _SquareMap) -> None:
     """Recursively split a monic product of distinct linear factors.
 
     qpower is the q-power map modulo a multiple of s.  In characteristic 2

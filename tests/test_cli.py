@@ -271,6 +271,28 @@ def test_verify_rejects_corrupt_signature_file(keydir, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
+def test_noncanonical_numbers_are_data_errors(keydir, tmp_path, capsys):
+    # A zero-padded or signed number in a private key or a signature salt
+    # was read by int(): the key signed and the signature verified, each
+    # being a second text of the file that was written.
+    msg = _write(tmp_path / "m.txt", "hello\n")
+    sig = str(tmp_path / "m.sig")
+    assert main(["sign", "--priv", str(keydir / "a.key"), "--seed", "9",
+                 "--in", msg, "--out", sig]) == 0
+    salt, digits = (tmp_path / "m.sig").read_text().split()[1:]
+    _write(tmp_path / "m.sig", "SIG1 +0%s %s\n" % (salt, digits))
+    lines = (keydir / "a.key").read_text().splitlines()
+    const = next(i for i, line in enumerate(lines) if line.startswith("CONST "))
+    lines[const] = "CONST +0" + lines[const].split()[1]
+    key = _write(tmp_path / "bad.key", "\n".join(lines) + "\n")
+    capsys.readouterr()
+    for argv in (["verify", "--pub", str(keydir / "a.pub"), "--in", sig, msg],
+                 ["sign", "--priv", key, "--in", msg, "--out", str(tmp_path / "o.sig")]):
+        assert main(argv) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
 def test_signcrypt_pipeline(keydir, tmp_path, capsys):
     msg = _write(tmp_path / "m.txt", "Hi Bob\n")
     ct = str(tmp_path / "sc.txt")

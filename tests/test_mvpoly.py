@@ -235,7 +235,7 @@ def test_scalar_reference_fields_cover_every_backend():
 
 @pytest.mark.parametrize("q,n", SCALAR_REFERENCE_FIELDS)
 def test_roots_match_scalar_reference(q, n):
-    # Every field finds roots through the q-power matrix on K[X]/(g); the
+    # Every field finds roots through the q-power map on K[X]/(g); the
     # scalar algorithm must agree on the roots and on the draws from rng.
     # q=2 n=65 packs elements above 2^64.
     field = build_extension(q, n)
@@ -277,6 +277,56 @@ def test_roots_edge_cases():
         upoly.roots(field, [0, 0])
     assert upoly.roots(field, [5]) == set()
     assert upoly.roots(field, [0, 1]) == {0}
+
+
+# n = 2, 5 and 16 are log fields, 21, 32 and 65 clmul; GF(2^65) packs
+# elements above 2^64
+SQUARE_MAP_DEGREES = [2, 5, 16, 21, 32, 65]
+
+
+@st.composite
+def _square_map_cases(draw):
+    field = build_extension(2, draw(st.sampled_from(SQUARE_MAP_DEGREES)))
+    d = draw(st.integers(1, 12))
+    element = st.integers(0, field.order - 1)
+    g = draw(st.lists(element, min_size=d, max_size=d)) + [1]
+    h = upoly.trim(draw(st.lists(element, min_size=d, max_size=d)))
+    return field, g, h, draw(st.integers(0, 3))
+
+
+# g = X^12, every bit of h set: each slot carries out of its top bit and
+# every coefficient of X h carries past X^11
+@example(case=(build_extension(2, 65), [0] * 12 + [1], [(1 << 65) - 1] * 12, 3))
+@example(case=(build_extension(2, 2), [3, 1], [2], 1))
+@settings(max_examples=100, deadline=None)
+@given(case=_square_map_cases())
+def test_square_map_matches_q_power_matrix(case):
+    # At q = 2 roots squares residues mod g on packed integer rows; the
+    # matrix over F_2 is the same linear map on coordinate rows.
+    field, g, h, k = case
+    packed, matrix = upoly._SquareMap(field, g), upoly._QPowerMap(field, g)
+    assert packed.poly(packed.row(h)) == h
+    assert (packed.poly(packed.apply(packed.row(h), k))
+            == matrix.poly(matrix.apply(matrix.row(h), k)))
+    assert (packed.poly(packed.trace(packed.row(h)))
+            == matrix.poly(matrix.trace(matrix.row(h))))
+
+
+@pytest.mark.parametrize("n", [16, 32])
+def test_roots_at_q2_make_no_matrix_product(n, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("float matrix product at q = 2")
+
+    field = build_extension(2, n)
+    rng = random.Random(n)
+    want = {field.random(rng) for _ in range(5)}
+    f = [1, 1, 0, 1]  # X^3 + X + 1, no root in GF(2^n) for n not divisible by 3
+    for r in want:
+        # the first multiply on a log field builds its tables through mul_many
+        f = upoly.mul(field, f, [r, 1])
+    monkeypatch.setattr(upoly.linalg, "times", refuse)
+    monkeypatch.setattr(upoly, "_frobenius_tensor", refuse)
+    assert upoly.roots(field, f, rng) == want
 
 
 def test_multipoly_eval_and_arithmetic():

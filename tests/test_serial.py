@@ -191,6 +191,27 @@ def test_key_numbers_are_canonical_decimals(pair12):
         load_public(text.replace(head, "MONO0 0%d" % len(pk.mono0), 1))
 
 
+# int() read every one of these.  All but the level -1, which the range check
+# refused, then loaded and dumped back as the line on the left, not as the
+# text that was read.
+@pytest.mark.parametrize("line,bad", [
+    ("CONST 2445", "CONST +02445"),
+    ("CONST 2445", "CONST 02445"),
+    ("MIX 2558 0 3 : 10", "MIX 2558 0 03 : 10"),
+    ("MIX 2558 0 3 : 10", "MIX 2558 0 3 : +10"),
+    ("MIX 2558 0 3 : 10", "MIX 2558 0 3 : -1"),
+    ("PUREX 3323 2", "PUREX 3_323 2"),
+    ("ALPHABET 2 4 4", "ALPHABET 2 4 04"),
+    ("ALPHABET 2 4 4", "ALPHABET 02 4 4"),
+    ("L 65 0101 1111", "L 065 0101 1111"),
+])
+def test_private_key_numbers_are_canonical_decimals(pair12, line, bad):
+    text = dump_private(pair12[1])
+    assert line in text.splitlines()
+    with pytest.raises(FormatError):
+        load_private(text.replace(line, bad, 1))
+
+
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
 def test_public_key_format_pinned(q, n, seed):
     params = KeyGenParams(q=q, n=n, seed=seed, degX_max=max(9, q + 1))
@@ -293,8 +314,9 @@ def test_private_key_strictness(pair12):
     # the public key that used to be expanded on load is not built now.
     const = next(ln for ln in lines if ln.startswith("CONST "))
     mix = next(ln for ln in lines if ln.startswith("MIX "))
-    for old, new in ((const, "CONST 4096"), (mix, mix.rsplit(":", 1)[0] + ": 12"),
-                     (mix, mix.rsplit(":", 1)[0] + ": -1")):
+    # (A level of -1 is no canonical decimal, refused before the range check:
+    # see test_private_key_numbers_are_canonical_decimals.)
+    for old, new in ((const, "CONST 4096"), (mix, mix.rsplit(":", 1)[0] + ": 12")):
         with pytest.raises(FormatError, match="out of range"):
             load_private(text.replace(old, new, 1))
     # A singular mask is malformed input, not a linear algebra error.
@@ -360,6 +382,14 @@ def test_signature_parse_errors():
                  "SIG1 1", "SIG1 1 10a1", "SIG1 %d 1011" % (1 << 64)):
         with pytest.raises(FormatError):
             parse_signature(text, 2, 4)
+
+
+def test_signature_salt_is_canonical_decimal():
+    # 'SIG1 +00 1011' was a second text of the signature 'SIG1 0 1011'
+    assert parse_signature("SIG1 0 1011", 2, 4)[0] == 0
+    for salt in ("+00", "00", "+0", "09", "0_9", "\u0669"):
+        with pytest.raises(FormatError, match="bad salt"):
+            parse_signature("SIG1 %s 1011" % salt, 2, 4)
 
 
 def test_round_trip_survives_reload_cycle(pair16_hex):
