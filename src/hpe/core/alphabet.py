@@ -138,10 +138,14 @@ def _digits_str(vec, q: int) -> str:
 
 
 def _parse_digits(text: str, q: int, n: int) -> tuple:
+    """The n digits of a digit string, as _digits_str writes them: ASCII
+    digits for q <= 10, comma-separated canonical decimals above."""
     if q <= 10:
-        vec = tuple(int(c) for c in text)
+        if not (text.isascii() and text.isdigit()):
+            raise ValueError("not a string of ASCII digits: %r" % text)
+        vec = tuple(map(int, text))
     else:
-        vec = tuple(int(c) for c in text.split(","))
+        vec = tuple(parse_decimal(tok) for tok in text.split(","))
     if len(vec) != n or any(not 0 <= d < q for d in vec):
         raise ValueError("bad digit string %r for q=%d, n=%d" % (text, q, n))
     return vec

@@ -295,11 +295,13 @@ class PublicKey:
     def shape_violations(self) -> list:
         """Structural defects, empty for a well-formed key."""
         n = self.n
-        has_y = self.Cy.any(axis=(1, 2))
+        # the y monomials of each equation, over all y slots at once
+        ymono = self.Cy.any(axis=1)
+        has_y = ymono.any(axis=1)
         deg0 = np.where(self.C0 != 0, self.mono0.sum(axis=1), 0)
-        degy = np.where(self.Cy != 0, self.monoy.sum(axis=1), 0)
+        degy = np.where(ymono, self.monoy.sum(axis=1), 0)
         # an empty equation has degree 0
-        deg = np.maximum(deg0.max(axis=1, initial=0), degy.max(axis=(1, 2), initial=0))
+        deg = np.maximum(deg0.max(axis=1, initial=0), degy.max(axis=1, initial=0))
         out = []
         for k in range(n):
             if not has_y[k]:

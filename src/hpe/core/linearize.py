@@ -9,25 +9,33 @@ The X factors are the base-q digits of e: levels are taken mod n, since
 u^(q^n) = u, and q equal levels carry into one factor a level higher, so
 u^(q^t)^q is one factor u^(q^(t+1)).  The y factor comes last.
 
-Multiplying factors through the multiplication tensor turns the coordinates
-of the running product into dense coefficient tensors over the factors'
-blocks, (n + 1)^d columns for d factors: the base-(n + 1) digit of factor
-s is its variable, n for its constant, and with a y factor the last digit
-is the y index.  The n coordinates of the full sum are the public equations.
+Multiplying factors through the multiplication tensor turns the running
+product into dense tensors over the factors' blocks, (n + 1)^d columns for
+d factors: the base-(n + 1) digit of factor s is its variable, n for its
+constant, and with a y factor the last digit is the y index.  Each column
+is one element of K, and the n coordinates of the full sum are the public
+equations.
 
-The contraction is one flat float64 product over F_p per factor, on base-p
-digits and the base field's multiply-by matrices, so BLAS does the work for
-every q; every intermediate is an integer below 2^53, so the arithmetic is
-exact before the reduction mod p.
+At odd p the contraction is one flat float64 product over F_p per factor,
+on base-p digits and the base field's multiply-by matrices, so BLAS does
+the work; every intermediate is an integer below 2^53, so the arithmetic is
+exact before the reduction mod p.  At p = 2 a column is its packed element,
+n*r bits in uint64 words, and multiplying by a factor's columns is F_2-linear
+on those bits: each factor is one F_2 matrix product by Four Russians tables
+(the XORs of each byte's rows, as in M4RI), a gather per input byte and an
+XOR over the bytes.
 
 The public key's coefficient blocks are folded from the tensors column by
 column: the x digits of a column reduce (x^q = x) to one x monomial, the
 monomials of all columns make up the key's monomial tables, and every
-tensor entry adds into the coefficient of its equation, y slot and
-monomial.  The x digits are canonicalized once per column, not per entry.
+column's element adds into its y slot and monomial, all n equations at
+once: an XOR of packed elements at p = 2, digit sums mod p at odd p.  The x
+digits are canonicalized once per column, not per entry.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -70,28 +78,107 @@ def frobenius_factor(field, theta: int, factor: np.ndarray) -> np.ndarray:
 
 
 def expand_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
-    """Coordinate tensors of coeff * product(factors), flat shape (n, (n+1)^d).
+    """The columns of coeff * product(factors) as K elements, flat shape
+    ((n+1)^d, E) for d factors of n + 1 columns.
 
-    Each factor is an n x (n + 1) block matrix of affine coordinates; the
-    result row k is the dense coefficient tensor of coordinate k over the
-    d factors' blocks, first factor in the most significant digit.
+    Each factor is an n-row matrix of coordinates, one element of K per
+    column (n x (n + 1) for an affine block).  Column c of the result is the
+    product of the factors' columns given by the digits of c, first factor
+    in the most significant digit.  The last axis is the element: its n
+    coordinates at odd p, its n*r bits packed into E little-endian uint64
+    words at p = 2 (the bits of its packed integer).
     """
     base, n = field.base, field.n
+    if base.p == 2:
+        return _bit_product(field, coeff, factors)
     p, r = base.p, base.r
-    # row (i, k) of zmul @ fmat: coordinate k of z^i times each column's element
-    zmul = field.tensor.transpose(0, 2, 1).reshape(n * n, n)
     # running product as float64 base-p digits, rows (k, s), one column per
     # monomial of the factors so far
     g = base.mul_matrices[list(field.coords(coeff)), 0].reshape(n * r, 1)
     for fmat in factors:
         big = fmat.shape[1]
-        d = linalg.matmul(base, zmul, fmat).reshape(n, n, big)
-        # w[(i, s), (k, s', b)]: digit s' of (digit s of coordinate i) * d[i, k, b]
-        w = base.mul_matrices[d].transpose(0, 3, 1, 4, 2).reshape(n * r, n * r * big)
+        # w[(i, s), (k, s', b)]: row (i, s) of multiplying by column b's element
+        w = _digit_rows(field, fmat).transpose(0, 3, 1, 4, 2).reshape(n * r, n * r * big)
         prod = g.T @ w
         prod -= p * np.floor(prod / p)  # exact, and faster than np.mod
         g = prod.reshape(-1, n * r, big).transpose(1, 0, 2).reshape(n * r, -1)
-    return linalg.pack_digits(base, g.reshape(n, r, -1))
+    return linalg.pack_digits(base, g.reshape(n, r, -1)).T
+
+
+def _digit_rows(field, fmat: np.ndarray) -> np.ndarray:
+    """m[i, k, b, s, s']: digit s' of coordinate k of w^s z^i e_b, e_b the
+    element of column b; row (i, s) of "multiply by e_b" on base-p digits."""
+    n = field.n
+    # row (i, k) of zmul: coordinate k of z^i times each column's element
+    zmul = field.tensor.transpose(0, 2, 1).reshape(n * n, n)
+    return field.base.mul_matrices[linalg.matmul(field.base, zmul, fmat).reshape(n, n, -1)]
+
+
+def _bit_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
+    """expand_product at p = 2, on packed elements.
+
+    Multiplying by e_b is F_2-linear on the n*r bits of an element; its row
+    (i, s) is e_b times the basis element w^s z^i, one step against the
+    field's basis tables.  Each factor's rows then make tables for all its
+    columns at once, and one step multiplies every column of the running
+    product by every column of the factor.
+    """
+    n, r = field.n, field.base.r
+    words = (n * r + 63) // 64
+    basis = _basis_tables(field)
+    g = np.frombuffer(int(coeff).to_bytes(8 * words, "little"), "<u8").reshape(1, words)
+    for fmat in factors:
+        big = fmat.shape[1]
+        # bit k*r + s of e_b is digit s of its coordinate k
+        bits = np.unpackbits(fmat[:, :, None], axis=2, count=r, bitorder="little")
+        cols = _pack_bits(bits.transpose(1, 0, 2).reshape(big, n * r))
+        rows = _step(cols, basis).transpose(1, 0, 2)
+        g = _step(g, _tables(rows)).reshape(-1, words)
+    return g
+
+
+@functools.lru_cache(maxsize=8)
+def _basis_tables(field) -> np.ndarray:
+    """_tables of multiplication by each F_2 basis element w^s z^j of K,
+    from the digit rows of the base field's multiply-by matrices."""
+    n, r = field.n, field.base.r
+    # column (j, s) is w^s z^j: coordinate j is the scalar w^s, packed 2^s
+    basis = np.zeros((n, n * r), dtype=np.uint8)
+    basis[np.arange(n * r) // r, np.arange(n * r)] = 1 << np.arange(n * r) % r
+    m = _digit_rows(field, basis).transpose(0, 3, 2, 1, 4)
+    tables = _tables(_pack_bits(m.reshape(n * r, n * r, n * r).astype(np.uint8)))
+    tables.flags.writeable = False  # one array serves every caller
+    return tables
+
+
+def _pack_bits(bits: np.ndarray) -> np.ndarray:
+    """Rows of F_2 digits along the last axis as little-endian uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + ((bits.shape[-1] + 63) // 64 * 8,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def _tables(rows: np.ndarray) -> np.ndarray:
+    """Four Russians tables of F_2-linear maps given by their rows (bits,
+    maps, words): entry [t, v, b] is the XOR of the rows 8t + j of map b over
+    the set bits j of v, built by doubling."""
+    nbytes = (len(rows) + 7) // 8
+    rows = np.concatenate([rows, np.zeros((8 * nbytes - len(rows),) + rows.shape[1:],
+                                          dtype=rows.dtype)])
+    rows = rows.reshape((nbytes, 8) + rows.shape[1:])
+    tables = np.zeros_like(rows[:, :1])
+    for j in range(8):
+        tables = np.concatenate([tables, tables ^ rows[:, j:j + 1]], axis=1)
+    return tables
+
+
+def _step(g: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The images (m, maps, words) of the packed elements g (m, words) under
+    each map of the tables: one gather per byte of g and an XOR over them."""
+    nbytes = len(tables)
+    return np.bitwise_xor.reduce(tables[np.arange(nbytes), g.view(np.uint8)[:, :nbytes]],
+                                 axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -99,40 +186,39 @@ def expand_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
 
 
 def records_general(field, flat: np.ndarray, n: int, has_y: bool) -> tuple:
-    """(x rows, values) of a flat tensor: one x-exponent row per column of
-    the x factors' digits, reduced by x^q = x (e > 0 becomes
-    (e - 1) % (q - 1) + 1), and the entries as (n, x columns, slots) with
-    slot 0 for no y and slot j + 1 for y_j.  has_y says the last factor is
-    the y factor."""
+    """(x rows, values) of a flat tensor from expand_product: one x-exponent
+    row per column of the x factors' digits, reduced by x^q = x (e > 0
+    becomes (e - 1) % (q - 1) + 1), and the elements as (x columns, slots,
+    E) with slot 0 for no y and slot j + 1 for y_j.  has_y says the last
+    factor is the y factor."""
     big = n + 1
-    vals = flat.reshape(n, -1, big if has_y else 1)
-    cols = np.arange(vals.shape[1])
-    xd = round(np.log(len(cols)) / np.log(big))  # there are big**xd columns
-    exps = np.zeros((len(cols), big), dtype=np.uint8)
-    for s in range(xd):
-        exps[cols, cols // big**s % big] += 1
-    exps = np.where(exps > 0, (exps - 1) % (field.q - 1) + 1, 0)
+    vals = flat.reshape(-1, big if has_y else 1, flat.shape[-1])
+    # row c counts the x digits of column c, one more factor per pass
+    exps = np.zeros((1, big), dtype=np.uint8)
+    while len(exps) < len(vals):
+        exps = (exps[:, None] + np.eye(big, dtype=np.uint8)).reshape(-1, big)
+    reduced = [0] + [(e - 1) % (field.q - 1) + 1 for e in range(1, exps.max(initial=0) + 1)]
     # the y factor's digit n is its constant, which carries no y
-    return exps[:, :n], np.roll(vals, 1, axis=2)
+    return np.array(reduced, dtype=np.uint8)[exps[:, :n]], np.roll(vals, 1, axis=1)
 
 
 def merge_general(field, parts: list[tuple], n: int) -> tuple:
     """(mono0, C0, monoy, Cy) of the sum of the parts' tensors.
 
     The x rows of the parts' columns make up each block's monomial table,
-    and every tensor entry adds into the coefficient its column maps to."""
+    and every column's elements add into the monomial its x row maps to."""
     out = []
-    for ys, cells in ((slice(0, 1), n), (slice(1, None), n * n)):
-        used = [(rows, vals[:, :, ys]) for rows, vals in parts if vals.shape[2] > ys.start]
+    width, dtype = parts[0][1].shape[2], parts[0][1].dtype
+    for ys in (slice(0, 1), slice(1, None)):
+        used = [(rows, vals[:, ys]) for rows, vals in parts if vals.shape[1] > ys.start]
         mono, index = keys.monomial_basis(
             field.q, np.concatenate([np.zeros((0, n), np.uint8), *(r for r, _ in used)]))
-        ends = np.cumsum([len(rows) for rows, _ in used])
-        pairs = []
-        for col, (_, vals) in zip(np.split(index, ends[:-1]), used):
-            # entry (k, column, y) is cell k * (y count) + y of the block
-            cell = np.arange(n)[:, None, None] * vals.shape[2] + np.arange(vals.shape[2])
-            pairs.append((cell * len(mono) + col[:, None], vals))
-        out += [mono, linalg.scatter_sums(field.base, pairs, cells * len(mono))]
+        # with no y factor in any part the y block is empty, of n slots
+        vals = np.concatenate([np.zeros((0, n if ys.start else 1, width), dtype),
+                               *(v for _, v in used)])
+        sums = linalg.scatter_sums(field.base, index, vals, len(mono), n)
+        # sums[m, y, k] is the coefficient of equation k, y slot y, monomial m
+        out += [mono, sums.transpose(2, 1, 0)]
     return tuple(out)
 
 

@@ -219,6 +219,9 @@ def random_quadratic_public(base, n: int, rng: random.Random) -> PublicKey:
     # -y_k in equation k: no x factor, then the y slots and the constant
     minus_y = np.zeros((n, n + 1), dtype=np.uint8)
     minus_y[np.arange(n), np.arange(n)] = base.neg(1)
-    parts = [linearize.records_general(field, quad.reshape(n, -1), n, False),
-             linearize.records_general(field, minus_y, n, True)]
+    # each tensor as a one-factor product by 1: its columns as the elements
+    # that merge_general sums
+    parts = [linearize.records_general(
+                 field, linearize.expand_product(field, 1, [tensor]), n, has_y)
+             for tensor, has_y in ((quad.reshape(n, -1), False), (minus_y, True))]
     return PublicKey(base, n, 2, *linearize.merge_general(field, parts, n), None)

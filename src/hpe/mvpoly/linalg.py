@@ -171,24 +171,37 @@ def inverse(base, m: np.ndarray) -> np.ndarray:
     return red[:, n:].copy()
 
 
-def scatter_sums(base, pairs, size: int) -> np.ndarray:
-    """F_q sums into size bins of the values of each (index, values) pair of
-    like-shaped arrays, each value going to the bin its index names.
+def scatter_sums(base, index, values: np.ndarray, size: int, n: int) -> np.ndarray:
+    """Sums of elements of F_q^n into size bins, values[i] going to bin
+    index[i]; (size, ..., n) coordinate rows for (m, ..., E) values.
 
-    Elements add digit by digit in base p, so every base-p digit is summed
-    as an integer and reduced mod p (one digit, the values, for prime q).
+    The last axis of values is the element, as expand_product gives it: n
+    coordinates at odd p, whose base-p digits are summed as integers and
+    reduced mod p, or n*r bits in little-endian uint64 words at p = 2,
+    where a sum is the XOR of each run of the index sorted once.
     """
     p, r = base.p, base.r
-    sums = np.zeros((r, size))
-    for index, values in pairs:
-        index = np.ravel(index)
+    if p == 2:
+        order = np.argsort(index)
+        index = index[order]
+        starts = np.flatnonzero(np.diff(index, prepend=-1))
+        sums = np.zeros((size,) + values.shape[1:], dtype=values.dtype)
+        sums[index[starts]] = np.bitwise_xor.reduceat(values[order], starts)
+        bits = np.unpackbits(sums.view(np.uint8), axis=-1, count=n * r, bitorder="little")
+        digits = bits.reshape(-1, n, r).transpose(0, 2, 1)
+    else:
+        cells = int(np.prod(values.shape[1:]))  # coordinates per bin
+        slots = (index[:, None] * cells + np.arange(cells)).ravel()
+        sums = np.zeros((r, size * cells))
+        flat = values.ravel()
         for d in range(r):
             if d < r - 1:
-                values, digit = np.divmod(values, p)
+                flat, digit = np.divmod(flat, p)
             else:
-                digit = values  # the top digit is all that the divisions left
-            sums[d] += np.bincount(index, np.ravel(digit), minlength=size)
-    return pack_digits(base, sums % p)
+                digit = flat  # the top digit is all that the divisions left
+            sums[d] = np.bincount(slots, digit, minlength=size * cells)
+        digits = (sums % p).reshape(r, -1, n).transpose(1, 0, 2)
+    return pack_digits(base, digits).reshape((size,) + values.shape[1:-1] + (n,))
 
 
 def _kernel_basis(base, red: np.ndarray, pivots: list, cols: int) -> list[np.ndarray]:

@@ -3,7 +3,9 @@
 MultiPoly is a sparse multivariate polynomial over F_q, evaluated and
 transformed term by term; the functions below view a public key through it
 and write the term-line text of the retired HPE1 public format, whose
-digests pin the keys keygen produces.
+digests pin the keys keygen produces.  digit_product_oracle is the float64
+product that key expansion ran at every q before characteristic 2 moved to
+packed elements, and rref_oracle the column loop that row reduction ran.
 """
 
 import numpy as np
@@ -315,3 +317,22 @@ def rref_oracle(base, m):
         pivots.append((r, c))
         r += 1
     return m, pivots
+
+
+def digit_product_oracle(field, coeff, factors):
+    """Coordinates (n, columns) of coeff * product(factors), as
+    linearize.expand_product orders its columns: one float64 product over
+    F_p per factor, on base-p digits and the base field's multiply-by
+    matrices, reduced mod p after each product."""
+    base, n = field.base, field.n
+    p, r = base.p, base.r
+    zmul = field.tensor.transpose(0, 2, 1).reshape(n * n, n)
+    g = base.mul_matrices[list(field.coords(coeff)), 0].reshape(n * r, 1)
+    for fmat in factors:
+        big = fmat.shape[1]
+        d = linalg.matmul(base, zmul, fmat).reshape(n, n, big)
+        # w[(i, s), (k, s', b)]: digit s' of (digit s of coordinate i) * d[i, k, b]
+        w = base.mul_matrices[d].transpose(0, 3, 1, 4, 2).reshape(n * r, n * r * big)
+        prod = np.mod(g.T @ w, p)
+        g = prod.reshape(-1, n * r, big).transpose(1, 0, 2).reshape(n * r, -1)
+    return linalg.pack_digits(base, g.reshape(n, r, -1))

@@ -293,6 +293,28 @@ def test_noncanonical_numbers_are_data_errors(keydir, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
+def test_non_ascii_digits_are_data_errors(keydir, tmp_path, capsys):
+    # A ciphertext or signature vector with an Arabic-Indic digit was read
+    # as its ASCII twin by int(); it is malformed input.
+    msg = _write(tmp_path / "m.txt", "hello\n")
+    ct, sig = tmp_path / "m.ct", tmp_path / "m.sig"
+    assert main(["encrypt", "--pub", str(keydir / "a.pub"), "--seed", "4",
+                 "--in", msg, "--out", str(ct)]) == 0
+    assert main(["sign", "--priv", str(keydir / "a.key"), "--seed", "9",
+                 "--in", msg, "--out", str(sig)]) == 0
+    one = "\u0661"  # ARABIC-INDIC DIGIT ONE
+    for path in (ct, sig):
+        body = path.read_text()
+        at = body.rindex("1")
+        path.write_text(body[:at] + one + body[at + 1:])
+    capsys.readouterr()
+    for argv in (["decrypt", "--priv", str(keydir / "a.key"), "--in", str(ct)],
+                 ["verify", "--pub", str(keydir / "a.pub"), "--in", str(sig), msg]):
+        assert main(argv) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
 def test_signcrypt_pipeline(keydir, tmp_path, capsys):
     msg = _write(tmp_path / "m.txt", "Hi Bob\n")
     ct = str(tmp_path / "sc.txt")

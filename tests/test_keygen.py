@@ -4,16 +4,20 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpe import KeyGenParams, dump_private, dump_public, keygen
+from hpe.core import linearize
 from hpe.core.alphabet import base4, default_alphabet, hex16
-from hpe.core.keys import AffinePair, PrivatePolynomial
+from hpe.core.keys import AffinePair, PrivatePolynomial, PublicKey
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import build_extension
+from hpe.mvpoly import linalg
 from hpe.mvpoly.linalg import identity
 
 from conftest import sub_key
-from oracles import equations
+from oracles import digit_product_oracle, equations
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 sample_private = keygen_mod.sample_private
@@ -212,6 +216,80 @@ def test_repeated_and_wrapping_levels_carry(q, n, pure):
     want = np.array(field.coords(priv.eval(field, 0, field.from_coords(
         affine.map_y(y0)))), dtype=np.uint8)
     assert np.array_equal(pk.eval_at(x0, y0), want)
+
+
+def _packed_coords(field, flat):
+    """Coordinates (columns, n) of expand_product's packed char-2 elements."""
+    n, r = field.n, field.base.r
+    bits = np.unpackbits(flat.view(np.uint8), axis=1, count=n * r, bitorder="little")
+    return (bits.reshape(-1, n, r).astype(np.int64) << np.arange(r)).sum(axis=2)
+
+
+# q = 2^r with n*r = 5, 12, 33, 65, 6, 66, 9 and 8 bits: most not a multiple
+# of 8, two above one 64-bit word
+@settings(max_examples=40)
+@given(case=st.sampled_from([(2, 5), (2, 12), (2, 33), (2, 65), (4, 3), (4, 33),
+                             (8, 3), (16, 2)]),
+       d=st.integers(1, 3), zero=st.booleans(), seed=st.integers(0, 2**32 - 1))
+def test_packed_product_matches_float_product(case, d, zero, seed):
+    q, n = case
+    field = build_extension(q, n)
+    rng = np.random.default_rng(seed)
+    # the float oracle holds n*r rows of (n+1)^d digits; two factors at n >= 33
+    d = d if n < 33 else min(d, 2)
+    factors = [rng.integers(0, q, (n, n + 1), dtype=np.uint8) for _ in range(d)]
+    coeff = 0 if zero else random.Random(seed).randrange(1, field.order)
+    got = linearize.expand_product(field, coeff, factors)
+    assert got.shape == ((n + 1) ** d, (n * field.base.r + 63) // 64)
+    assert np.array_equal(_packed_coords(field, got),
+                          digit_product_oracle(field, coeff, factors).T)
+
+
+@settings(max_examples=30)
+@given(case=st.sampled_from([(2, 3), (2, 5), (4, 3), (8, 2), (16, 2), (3, 3)]),
+       parts=st.lists(st.tuples(st.integers(0, 3), st.booleans(), st.booleans()),
+                      min_size=1, max_size=3),
+       seed=st.integers(0, 2**32 - 1))
+@example(case=(2, 5), parts=[(2, False, False), (0, False, False)], seed=0)
+@example(case=(4, 3), parts=[(3, False, False), (1, False, True)], seed=1)
+def test_merged_blocks_evaluate_like_the_products(case, parts, seed):
+    # Each part is coeff * (product of d random factors), the last factor
+    # the y factor when has_y; parts with no y factor at all leave the y
+    # block empty, as a relation with no mixed term does.  The merged key
+    # must take the summed products' value at every (x, y): reduced
+    # polynomials are functions, so this pins every block entry.
+    q, n = case
+    field = build_extension(q, n)
+    base = field.base
+    rng = np.random.default_rng(seed)
+    grid = np.array(list(itertools.product(range(q), repeat=n)), dtype=np.uint8)
+    ones = np.ones((len(grid), 1), dtype=np.uint8)
+    # every (x, y), x major, with the 1 that the factors' constant digit reads
+    xh = np.repeat(np.concatenate([grid, ones], 1), len(grid), axis=0)
+    yh = np.tile(np.concatenate([grid, ones], 1), (len(grid), 1))
+    want = np.zeros((len(xh), n), dtype=np.uint8)
+    records = []
+    for d, has_y, zero in parts:
+        d = max(d, has_y)
+        factors = [rng.integers(0, q, (n, n + 1), dtype=np.uint8) for _ in range(d)]
+        coeff = 0 if zero else random.Random(seed + d).randrange(1, field.order)
+        flat = linearize.expand_product(field, coeff, factors)
+        records.append(linearize.records_general(field, flat, n, has_y))
+        # value of each column at each point: the product of its digits'
+        # variables over (x, 1), and over (y, 1) for the y factor
+        vals = np.ones((len(xh), 1), dtype=np.uint8)
+        for s in range(d):
+            var = yh if has_y and s == d - 1 else xh
+            vals = base.mul_table[vals[:, :, None], var[:, None, :]].reshape(len(xh), -1)
+        cols = digit_product_oracle(field, coeff, factors)
+        want = base.add_table[want, linalg.matmul(base, vals, cols.T)]
+    pk = PublicKey(base, n, 3, *linearize.merge_general(field, records, n), None)
+    if not any(has_y for _, has_y, _ in parts):
+        assert pk.Cy.shape == (n, n, 0)
+    rows = pk._rows(grid)  # (x, equation, (1, y))
+    got = linalg.matmul(base, rows.reshape(-1, n + 1), np.concatenate([ones, grid], 1).T)
+    got = got.reshape(len(grid), n, len(grid)).transpose(0, 2, 1).reshape(-1, n)
+    assert np.array_equal(got, want)
 
 
 def test_keygen_shapes_at_small_size():

@@ -85,6 +85,28 @@ def test_vector_parse_errors():
         parse_vector("121", 2, 3)
 
 
+def test_non_ascii_digits_are_format_errors(pair12):
+    # int() reads any Unicode decimal digit, so the Arabic-Indic '١٠١١'
+    # was the vector 1011: a ciphertext, a signature and a private key each
+    # read back as a text that was never written.
+    _, sk = pair12
+    one = "\u0661"  # ARABIC-INDIC DIGIT ONE
+    with pytest.raises(FormatError):
+        parse_vector(one + "011", 2, 4)
+    with pytest.raises(FormatError):
+        parse_vector("0," + one + ",15", 16, 3)
+    for token in ("+1", "01", "1_0", " 1"):
+        with pytest.raises(FormatError):
+            parse_vector("0,%s,15" % token, 16, 3)
+    with pytest.raises(FormatError):
+        parse_signature("SIG1 5 %s\n" % (one + "0" * 11), 2, 12)
+    lines = dump_private(sk).splitlines()
+    row = lines.index("A") + 1
+    lines[row] = one + lines[row][1:]
+    with pytest.raises(FormatError):
+        load_private("\n".join(lines) + "\n")
+
+
 def test_public_key_round_trip(pair12):
     pk, _ = pair12
     text = dump_public(pk)
