@@ -27,8 +27,6 @@ class Alphabet:
         self.q = q
         self.e = e
         self.letters = "".join(synonyms.keys())
-        self.synonyms: dict[str, tuple[tuple, ...]] = {}
-        self.reverse: dict[tuple, str] = {}
         if len(set(self.letters)) != len(self.letters):
             raise ValueError("duplicate letters in alphabet")
         for ch, strings in synonyms.items():
@@ -36,16 +34,30 @@ class Alphabet:
                 raise ValueError("letters must be single symbols")
             if len(strings) < 2:
                 raise ValueError("each letter needs at least 2 synonyms")
-            cleaned = []
-            for s in strings:
-                s = tuple(int(d) for d in s)
-                if len(s) != e or any(not 0 <= d < q for d in s):
-                    raise ValueError("synonym strings must be %d digits below %d" % (e, q))
-                if s in self.reverse:
-                    raise ValueError("synonym %r assigned twice" % (s,))
-                self.reverse[s] = ch
-                cleaned.append(s)
-            self.synonyms[ch] = tuple(cleaned)
+        flat = [s for strings in synonyms.values() for s in strings]
+        bad = ValueError("synonym strings must be %d digits below %d" % (e, q))
+        if any(len(s) != e for s in flat):
+            raise bad
+        try:
+            digits = np.array(flat, dtype=np.int64 if q <= 1 << 63 else object)
+        except OverflowError:
+            raise bad from None
+        digits = digits.reshape(len(flat), e)
+        if not ((digits >= 0) & (digits < q)).all():
+            raise bad
+        strings = list(map(tuple, digits.tolist()))
+        counts = [len(v) for v in synonyms.values()]
+        owners = [ch for ch, count in zip(self.letters, counts) for _ in range(count)]
+        self.reverse: dict[tuple, str] = dict(zip(strings, owners))
+        if len(self.reverse) < len(strings):
+            seen: set[tuple] = set()
+            twice = next(s for s in strings if s in seen or seen.add(s))
+            raise ValueError("synonym %r assigned twice" % (twice,))
+        self.synonyms: dict[str, tuple[tuple, ...]] = {}
+        start = 0
+        for ch, count in zip(self.letters, counts):
+            self.synonyms[ch] = tuple(strings[start:start + count])
+            start += count
 
     def synonym_count(self, ch: str) -> int:
         if ch not in self.synonyms:
@@ -169,11 +181,11 @@ def make_alphabet(q: int, e: int, symbols: str, s: int, seed: int) -> Alphabet:
             if v not in seen:
                 seen.add(v)
                 picks.append(v)
-    synonyms: dict[str, list[tuple]] = {}
-    for i, ch in enumerate(symbols):
-        synonyms[ch] = [
-            tuple((v // q**j) % q for j in range(e)) for v in picks[i * s : (i + 1) * s]
-        ]
+    # every pick is below space, so uint64 holds it when space <= 2^64
+    place = q ** np.arange(e, dtype=np.uint64 if space <= 1 << 64 else object)
+    digits = (np.array(picks, dtype=place.dtype)[:, None] // place % q).tolist()
+    strings = list(map(tuple, digits))
+    synonyms = {ch: strings[i * s:(i + 1) * s] for i, ch in enumerate(symbols)}
     return Alphabet(q, e, synonyms)
 
 

@@ -22,7 +22,7 @@ import numpy as np
 from ..errors import FormatError, VariableMismatch
 from ..fields import parse_decimal
 from ..mvpoly import linalg
-from ..mvpoly.linalg import inverse, matvec, random_invertible
+from ..mvpoly.linalg import inverse, matvec, random_invertible, random_scalars
 
 
 def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
@@ -203,8 +203,8 @@ class AffinePair:
     def sample(cls, base, n: int, rng) -> "AffinePair":
         a_mat = random_invertible(base, n, rng)
         b_mat = random_invertible(base, n, rng)
-        c_vec = np.array([rng.randrange(base.q) for _ in range(n)], dtype=np.uint8)
-        d_vec = np.array([rng.randrange(base.q) for _ in range(n)], dtype=np.uint8)
+        c_vec = random_scalars(base.q, n, rng)
+        d_vec = random_scalars(base.q, n, rng)
         return cls(base, a_mat, c_vec, b_mat, d_vec)
 
     def map_x(self, x_vec: np.ndarray) -> np.ndarray:

@@ -147,7 +147,7 @@ def _sample_pairs(pk, count: int, rng: random.Random):
     n, q = pk.n, pk.q
     xs, ys = [], []
     while len(xs) < count:
-        x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
+        x = linalg.random_scalars(q, n, rng)
         y = encrypt_raw(pk, x, rng)
         if y is not None:
             xs.append(x)
@@ -211,10 +211,7 @@ def random_quadratic_public(base, n: int, rng: random.Random) -> PublicKey:
     """A structureless quadratic map y = Q(x), the control for relation
     harvesting: Q is a random (n, n + 1, n + 1) tensor of forms over the
     homogenized (x, 1), published as the equations Q(x) - y."""
-    quad = np.array(
-        [[[rng.randrange(base.q) for _ in range(n + 1)]
-          for _ in range(n + 1)] for _ in range(n)],
-        dtype=np.uint8)
+    quad = linalg.random_scalars(base.q, n * (n + 1) ** 2, rng).reshape(n, n + 1, n + 1)
     field = build_extension(base.q, n)
     # -y_k in equation k: no x factor, then the y slots and the constant
     minus_y = np.zeros((n, n + 1), dtype=np.uint8)

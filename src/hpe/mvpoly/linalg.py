@@ -6,9 +6,12 @@ reduction expands an F_q matrix to its F_p matrix on base-p digits and runs
 one Gauss-Jordan over F_p on rows packed into Python integers: one bit per
 entry at p = 2, where a row update is one XOR, and an 8..64-bit slot per
 entry at odd p, reduced mod p once per pivot row and once at the end (see
-rref).  rank, solve, nullspace and inverse all go through rref.
+rref).  solve, nullspace and inverse go through rref, and so does rank at
+odd p; at p = 2 rank only reduces packed rows against a leading-bit basis.
 Pivoting is deterministic: columns in order, first nonzero row, free
-variables set to zero in particular solutions.
+variables set to zero in particular solutions.  Random scalars are read
+from the rng in bulk, draw for draw what per-entry randrange calls would
+give (see random_scalars).
 """
 
 from __future__ import annotations
@@ -85,14 +88,29 @@ def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     at F_p rows i*r.., column j*r, and F_p pivot (i*r, j*r) is F_q pivot (i, j).
     """
     m = np.asarray(m, dtype=np.uint8)
-    if m.ndim != 2:
-        raise ValueError("matrix must be two-dimensional")
-    p, r = base.p, base.r
+    reduced, pivots = _rref_fp(base.p, _fp_matrix(base, m))
+    r = base.r
     rows, cols = m.shape
-    digits = base.mul_matrices[m].transpose(0, 3, 1, 2).reshape(rows * r, cols * r)
-    reduced, pivots = _rref_fp(p, digits.astype(np.uint8))
     out = pack_digits(base, reduced[:, ::r].reshape(rows, r, cols))
     return out, [(i // r, c // r) for i, c in pivots[::r]]
+
+
+def _fp_matrix(base, m: np.ndarray) -> np.ndarray:
+    """The uint8 F_p matrix of m, as rref describes it."""
+    if m.ndim != 2:
+        raise ValueError("matrix must be two-dimensional")
+    r = base.r
+    rows, cols = m.shape
+    digits = base.mul_matrices[m].transpose(0, 3, 1, 2).reshape(rows * r, cols * r)
+    return digits.astype(np.uint8)
+
+
+def _pack_rows(data: np.ndarray) -> list[int]:
+    """Each row of a 2-D array of little-endian words as one Python integer."""
+    width = data.shape[1] * data.itemsize
+    buf = data.tobytes()
+    return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
+            for i in range(data.shape[0])]
 
 
 def _slot_bits(p: int, cols: int) -> int:
@@ -120,8 +138,7 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
     width = (cols * w + 7) // 8  # bytes per row
 
     data = np.packbits(digits, axis=1, bitorder="little") if w == 1 else digits.astype(dtype)
-    buf = data.tobytes()
-    packed = [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(n_rows)]
+    packed = _pack_rows(data)
     mask = (1 << w) - 1
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
@@ -155,7 +172,19 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
 
 
 def rank(base, m: np.ndarray) -> int:
-    return len(rref(base, m)[1])
+    """Rank over F_q.  At p = 2 no reduced form is built: each packed row of
+    the F_2 matrix is reduced against rows kept by leading bit and kept
+    itself if anything is left, and the F_2 rank is r times the F_q rank."""
+    if base.p != 2:
+        return len(rref(base, m)[1])
+    lead: dict[int, int] = {}
+    bits = np.packbits(_fp_matrix(base, as_matrix(m)), axis=1, bitorder="little")
+    for row in _pack_rows(bits):
+        while row and (other := lead.get(row.bit_length())):
+            row ^= other
+        if row:
+            lead[row.bit_length()] = row
+    return len(lead) // base.r
 
 
 def inverse(base, m: np.ndarray) -> np.ndarray:
@@ -272,11 +301,33 @@ def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
     return Solution(particular, _kernel_basis(base, red, pivots, cols))
 
 
+def random_scalars(q: int, count: int, rng: random.Random) -> np.ndarray:
+    """The uint8 array [rng.randrange(q) for _ in range(count)], leaving rng
+    in the same state, read from the generator in bulk.
+
+    CPython's randrange(q) keeps the top k = q.bit_length() bits of one
+    32-bit Mersenne Twister word and draws again while they are >= q, and
+    getrandbits(32 * m) is the next m words, least significant first.  Each
+    round reads as many words as values are still missing; a word gives at
+    most one value, so no round reads a word the loop would not have read.
+    Only getrandbits is called, so a random.Random subclass that overrides
+    randrange (such as test_mvpoly._NeverSplits) does not change these draws.
+    """
+    shift = 32 - q.bit_length()
+    out = np.empty(count, dtype=np.uint8)
+    filled = 0
+    while filled < count:
+        need = count - filled
+        words = np.frombuffer(rng.getrandbits(32 * need).to_bytes(4 * need, "little"),
+                              dtype="<u4") >> shift
+        kept = words[words < q]
+        out[filled:filled + kept.size] = kept
+        filled += kept.size
+    return out
+
+
 def random_matrix(base, shape: tuple[int, int], rng: random.Random) -> np.ndarray:
-    return np.array(
-        [[rng.randrange(base.q) for _ in range(shape[1])] for _ in range(shape[0])],
-        dtype=np.uint8,
-    )
+    return random_scalars(base.q, shape[0] * shape[1], rng).reshape(shape)
 
 
 def random_invertible(base, n: int, rng: random.Random) -> np.ndarray:

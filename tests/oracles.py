@@ -5,7 +5,9 @@ transformed term by term; the functions below view a public key through it
 and write the term-line text of the retired HPE1 public format, whose
 digests pin the keys keygen produces.  digit_product_oracle is the float64
 product that key expansion ran at every q before characteristic 2 moved to
-packed elements, and rref_oracle the column loop that row reduction ran.
+packed elements, rref_oracle the column loop that row reduction ran, and
+random_matrix_oracle the one randrange call per entry that random matrices
+were drawn with.
 """
 
 import numpy as np
@@ -336,3 +338,11 @@ def digit_product_oracle(field, coeff, factors):
         prod = np.mod(g.T @ w, p)
         g = prod.reshape(-1, n * r, big).transpose(1, 0, 2).reshape(n * r, -1)
     return linalg.pack_digits(base, g.reshape(n, r, -1))
+
+
+def random_matrix_oracle(base, shape, rng):
+    """A random matrix drawn one rng.randrange(q) per entry, row by row."""
+    return np.array(
+        [[rng.randrange(base.q) for _ in range(shape[1])] for _ in range(shape[0])],
+        dtype=np.uint8,
+    )

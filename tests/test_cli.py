@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from hpe import load_public
+from hpe import cli, dump_public, load_public
 from hpe.cli import main
 
 from oracles import dump_hpe1
@@ -373,9 +373,29 @@ def test_attack_hpe_contrast_report(capsys):
     assert fields["relation_dimension"] == "0"
 
 
-def test_bench_runs(capsys):
+def test_bench_runs(capsys, monkeypatch):
     rc = main(["bench", "--q", "2", "--n", "12", "--seed", "1",
                "--trials", "3"])
     out = capsys.readouterr().out
     assert rc == 0
     assert "keygen_ms=" in out and "round_trips=" in out
+    # keygen_ms times a second keygen from the rng state the first one began
+    # with, so both make the same key; the round trips draw from the rng the
+    # first one left, so terms= and round_trips= are those a bench that timed
+    # the first keygen printed (q=4 n=8 key seed 1 rejects 2 of 6 messages).
+    calls = []
+    keygen = cli.keygen
+
+    def recording_keygen(params, rng):
+        state = rng.getstate()
+        pk, sk = keygen(params, rng)
+        calls.append((state, dump_public(pk)))
+        return pk, sk
+
+    monkeypatch.setattr(cli, "keygen", recording_keygen)
+    rc = main(["bench", "--q", "4", "--n", "8", "--seed", "1", "--trials", "6"])
+    out = capsys.readouterr().out
+    assert rc == 0
+    assert len(calls) == 2 and calls[0] == calls[1]
+    counts = [line for line in out.splitlines() if "_ms=" not in line]
+    assert counts == ["terms=2861", "round_trips=4"]

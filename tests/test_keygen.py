@@ -12,12 +12,13 @@ from hpe.core import linearize
 from hpe.core.alphabet import base4, default_alphabet, hex16
 from hpe.core.keys import AffinePair, PrivatePolynomial, PublicKey
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
-from hpe.fields import build_extension
+from hpe.fields import base_field, build_extension
 from hpe.mvpoly import linalg
 from hpe.mvpoly.linalg import identity
 
 from conftest import sub_key
-from oracles import digit_product_oracle, equations
+from oracles import (digit_product_oracle, equations, random_matrix_oracle,
+                     rref_oracle)
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 sample_private = keygen_mod.sample_private
@@ -394,3 +395,29 @@ def test_public_equations_lazy_view(pair16):
     assert len(eqs) == 16
     assert eqs[0].nvars == 32
     assert pk.term_count() == sum(len(eq.terms) for eq in eqs)
+
+
+def _affine_oracle(base, n, rng):
+    """AffinePair.sample's masks drawn one randrange call per entry."""
+    def invertible():
+        while True:
+            m = random_matrix_oracle(base, (n, n), rng)
+            if len(rref_oracle(base, m)[1]) == n:
+                return m
+
+    a_mat, b_mat = invertible(), invertible()
+    c_vec = np.array([rng.randrange(base.q) for _ in range(n)], dtype=np.uint8)
+    d_vec = np.array([rng.randrange(base.q) for _ in range(n)], dtype=np.uint8)
+    return a_mat, c_vec, b_mat, d_vec
+
+
+@pytest.mark.parametrize("q, n", [(2, 32), (3, 8), (4, 8)])
+def test_affine_sample_draws_like_randrange(q, n):
+    base = base_field(q)
+    for seed in (1, 2, 3):
+        ref, rng = random.Random(seed), random.Random(seed)
+        affine = AffinePair.sample(base, n, rng)
+        want = _affine_oracle(base, n, ref)
+        got = (affine.a_mat, affine.c_vec, affine.b_mat, affine.d_vec)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+        assert rng.getstate() == ref.getstate()

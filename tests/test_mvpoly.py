@@ -5,15 +5,15 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hpe.errors import (HpeError, RootFindingFailed, SingularMatrix,
-                        VariableMismatch, ZeroPolynomial)
-from hpe.fields import base_field, build_extension
+from hpe.errors import (HpeError, InvalidOrder, RootFindingFailed,
+                        SingularMatrix, VariableMismatch, ZeroPolynomial)
+from hpe.fields import base_field, build_extension, prime_power_split
 from hpe.mvpoly import upoly
 from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
-                               rank, random_invertible, random_matrix, rref,
-                               solve)
+                               rank, random_invertible, random_matrix,
+                               random_scalars, rref, solve)
 
-from oracles import MultiPoly, rref_oracle
+from oracles import MultiPoly, random_matrix_oracle, rref_oracle
 
 
 def _random_poly(field, rng, deg):
@@ -480,6 +480,7 @@ def _assert_rref_matches_oracle(q, m):
     assert got.dtype == np.uint8 and got.shape == m.shape
     assert np.array_equal(got, want)
     assert pivots == want_pivots
+    assert rank(base, m) == len(want_pivots)
 
 
 @example(case=(7, np.zeros((0, 5), dtype=np.uint8)))
@@ -565,3 +566,45 @@ def test_random_invertible_is_invertible():
         for _ in range(10):
             m = random_invertible(base, 5, rng)
             assert rank(base, m) == 5
+
+
+def _is_prime_power(q):
+    try:
+        prime_power_split(q)
+    except InvalidOrder:
+        return False
+    return True
+
+
+PRIME_POWERS = [q for q in range(2, 257) if _is_prime_power(q)]
+
+
+@settings(max_examples=300)
+@given(q=st.sampled_from(PRIME_POWERS), count=st.integers(0, 1100),
+       seed=st.integers(0, 2**32))
+@example(q=2, count=0, seed=0)
+@example(q=2, count=1, seed=0)
+@example(q=256, count=1, seed=1)
+def test_random_scalars_draws_like_randrange(q, count, seed):
+    ref, rng = random.Random(seed), random.Random(seed)
+    want = [ref.randrange(q) for _ in range(count)]
+    got = random_scalars(q, count, rng)
+    assert got.dtype == np.uint8
+    assert got.tolist() == want
+    assert rng.getstate() == ref.getstate()
+
+
+def test_random_scalars_ignore_an_overridden_randrange():
+    ref = random.Random(3)
+    want = [ref.randrange(5) for _ in range(40)]
+    assert random_scalars(5, 40, _NeverSplits(3)).tolist() == want
+
+
+def test_random_matrix_matches_the_per_entry_draws():
+    for q, shape in ((2, (32, 32)), (3, (5, 7)), (4, (8, 8)), (256, (3, 2)), (9, (4, 0))):
+        base = base_field(q)
+        ref, rng = random.Random(q), random.Random(q)
+        for _ in range(3):
+            assert np.array_equal(random_matrix(base, shape, rng),
+                                  random_matrix_oracle(base, shape, ref))
+        assert rng.getstate() == ref.getstate()
