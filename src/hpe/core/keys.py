@@ -33,19 +33,27 @@ def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
     q = 2 it starts at x_{n-1}, the order of the bitmasks the format was
     first written from.  Rows pack into base-q uint64 keys, one per run of
     digits that fits, most significant first, so one lexsort orders them.
+    At q = 2 the keys are the bitmask of a row, bit j the exponent of x_j,
+    as little-endian 64-bit words from np.packbits, the word holding x_{n-1}
+    first: words of one alignment compare like the whole bitmasks.
     """
     rows = np.asarray(rows, dtype=np.uint8)
-    digits = rows[:, ::-1] if q == 2 else rows
-    width = 1
-    while q ** (width + 1) <= 1 << 64:
-        width += 1
-    keys = []
-    for lo in range(0, digits.shape[1], width):
-        key = np.zeros(len(rows), dtype=np.uint64)
-        for col in digits[:, lo:lo + width].T:
-            key = key * np.uint64(q) + col
-        keys.append(key)
-    keys = np.stack(keys)
+    if q == 2:
+        packed = np.packbits(rows, axis=1, bitorder="little")
+        words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
+        words[:, :packed.shape[1]] = packed
+        keys = words.view("<u8").T[::-1]
+    else:
+        width = 1
+        while q ** (width + 1) <= 1 << 64:
+            width += 1
+        keys = []
+        for lo in range(0, rows.shape[1], width):
+            key = np.zeros(len(rows), dtype=np.uint64)
+            for col in rows[:, lo:lo + width].T:
+                key = key * np.uint64(q) + col
+            keys.append(key)
+        keys = np.stack(keys)
     order = np.lexsort(keys[::-1])
     keys = keys[:, order]
     new = np.ones(len(rows), dtype=bool)

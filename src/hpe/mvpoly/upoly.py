@@ -20,6 +20,14 @@ multiplies coordinate rows by it.  In characteristic 2 the trace of cX
 over F_q is n - 1 more applications, reduced mod the factor being split,
 and r - 1 squarings mod that factor, for q = 2^r, lift it to the absolute
 trace over F_2; the odd split powers X + a on scalars.
+
+A quadratic factor X^2 + bX + e in characteristic 2 is solved in closed
+form: its roots are bZ and bZ + b, Z being a root of the Artin-Schreier
+equation Z^2 + Z = e/b^2.  Z -> Z^2 + Z is F_2-linear on the n*r bits of a
+packed element, and its image is the hyperplane of absolute trace 0, so one
+leading-bit basis per field (_ArtinSchreier) gives both Z and the trace.
+The random draws stay those of the trace split, which succeeds on a draw c
+exactly when Tr(cb) = 1.
 """
 
 from __future__ import annotations
@@ -332,6 +340,56 @@ def _frobenius_tensor(field) -> np.ndarray:
     return linalg.operand(field.base, frob.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))
 
 
+class _ArtinSchreier:
+    """Z -> Z^2 + Z on GF(2^m), m = n*r, as a leading-bit basis of
+    (image, preimage) pairs on packed elements, with the absolute trace.
+
+    Bit k of a packed element is an F_2 coordinate, so the map's images of
+    the m unit vectors, one squaring each, span its image: the hyperplane
+    of trace 0, since the kernel is {0, 1}.  Each is reduced against the
+    pairs kept by leading bit, like linalg.rank's rows at p = 2, and kept
+    with its reduced preimage if anything is left: m - 1 pairs.
+    """
+
+    def __init__(self, field):
+        self.pairs: dict[int, tuple[int, int]] = {}
+        for k in range(field.n * field.r):
+            pre = 1 << k
+            image = field.mul(pre, pre) ^ pre
+            while image and (pair := self.pairs.get(image.bit_length())):
+                image ^= pair[0]
+                pre ^= pair[1]
+            if image:
+                self.pairs[image.bit_length()] = (image, pre)
+        # bit k of the mask is the trace of the unit vector 1 << k: 1 at the
+        # one leading bit no pair has; a pair's image has trace 0, so its
+        # leading unit vector's trace is that of the image's lower bits, all
+        # of them already in the mask
+        self.mask = 0
+        for k in range(field.n * field.r):
+            pair = self.pairs.get(k + 1)
+            bit = (pair[0] & self.mask).bit_count() & 1 if pair else 1
+            self.mask |= bit << k
+
+    def trace(self, a: int) -> int:
+        """The absolute trace a + a^2 + .. + a^(2^(m-1)), 0 or 1."""
+        return (a & self.mask).bit_count() & 1
+
+    def solve(self, delta: int) -> int:
+        """A Z with Z^2 + Z = delta, for delta of trace 0; Z + 1 is the other."""
+        z = 0
+        while delta:
+            image, pre = self.pairs[delta.bit_length()]
+            delta ^= image
+            z ^= pre
+        return z
+
+
+@functools.lru_cache(maxsize=8)
+def _artin_schreier(field) -> _ArtinSchreier:
+    return _ArtinSchreier(field)
+
+
 def _split_linear(field, s: list, rng: random.Random, out: set,
                   qpower: _QPowerMap | _SquareMap) -> None:
     """Recursively split a monic product of distinct linear factors.
@@ -339,6 +397,13 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
     qpower is the q-power map modulo a multiple of s.  In characteristic 2
     the trace T of cX over F_q comes from it, reduced mod s; T + T^2 + .. +
     T^(2^(r-1)), for q = 2^r, is then the absolute trace over F_2.
+
+    A quadratic s = X^2 + bX + e in characteristic 2 has b != 0, s being
+    squarefree, and roots bZ and bZ + b with Z^2 + Z = e/b^2.  The trace
+    split of s by a draw c separates the roots r1 and r2 exactly when
+    Tr(c r1) != Tr(c r2), that is when Tr(cb) = 1, as r1 + r2 = b.  So c is
+    drawn until Tr(cb) = 1, as often as the trace split would draw it, and
+    the roots come from Z.
     """
     if degree(s) == 1:
         out.add(field.neg(s[0]))
@@ -347,6 +412,13 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
     for _ in range(200):
         if field.p == 2:
             c = rng.randrange(1, order)
+            if degree(s) == 2:
+                solver, b = _artin_schreier(field), s[1]
+                if solver.trace(field.mul(c, b)):
+                    z = field.mul(b, solver.solve(field.mul(s[0], field.inv(field.mul(b, b)))))
+                    out.update((z, z ^ b))
+                    return
+                continue
             t = acc = mod(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
             for _ in range(field.r - 1):
                 t = mod(field, square(field, t), s)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core import linearize
 from hpe.core.alphabet import base4, default_alphabet, hex16
-from hpe.core.keys import AffinePair, PrivatePolynomial, PublicKey
+from hpe.core.keys import AffinePair, PrivatePolynomial, PublicKey, monomial_basis
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import base_field, build_extension
 from hpe.mvpoly import linalg
@@ -291,6 +291,23 @@ def test_merged_blocks_evaluate_like_the_products(case, parts, seed):
     got = linalg.matmul(base, rows.reshape(-1, n + 1), np.concatenate([ones, grid], 1).T)
     got = got.reshape(len(grid), n, len(grid)).transpose(0, 2, 1).reshape(-1, n)
     assert np.array_equal(got, want)
+
+
+# 63, 64 and 65 variables end a bit short of a 64-bit word, at its end and
+# a bit past it
+@settings(max_examples=60, deadline=None)
+@given(n=st.sampled_from([1, 5, 32, 63, 64, 65, 130]), count=st.integers(0, 40),
+       seed=st.integers(0, 2**32 - 1))
+def test_monomial_basis_at_q2_orders_by_bitmask(n, count, seed):
+    # the packed keys must order rows like the integers sum_j e_j 2^j
+    rng = np.random.default_rng(seed)
+    rows = (rng.random((count, n)) < 0.1).astype(np.uint8)
+    rows = np.concatenate([rows, rows[: count // 3]])  # repeated rows
+    masks = [sum(int(e) << j for j, e in enumerate(row)) for row in rows]
+    distinct = sorted(set(masks))
+    table, index = monomial_basis(2, rows)
+    assert [sum(int(e) << j for j, e in enumerate(row)) for row in table] == distinct
+    assert index.tolist() == [distinct.index(m) for m in masks]
 
 
 def test_keygen_shapes_at_small_size():

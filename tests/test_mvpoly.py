@@ -224,8 +224,11 @@ def _reference_split(field, s, rng, out):
             return
 
 
+# (8, 6) is a log field and (16, 6) a coords one, so characteristic 2 is
+# covered at r = 1, 2, 3 and 4
 SCALAR_REFERENCE_FIELDS = [
-    (2, 16), (3, 8), (4, 8), (5, 6), (2, 21), (2, 32), (2, 65), (3, 13), (4, 11)]
+    (2, 16), (3, 8), (4, 8), (5, 6), (2, 21), (2, 32), (2, 65), (3, 13), (4, 11),
+    (8, 6), (16, 6)]
 
 
 def test_scalar_reference_fields_cover_every_backend():
@@ -327,6 +330,55 @@ def test_roots_at_q2_make_no_matrix_product(n, monkeypatch):
     monkeypatch.setattr(upoly.linalg, "times", refuse)
     monkeypatch.setattr(upoly, "_frobenius_tensor", refuse)
     assert upoly.roots(field, f, rng) == want
+
+
+# a log field at r = 1 and r = 2, clmul, and coords
+@pytest.mark.parametrize("q,n", [(2, 16), (4, 8), (2, 32), (16, 6)])
+def test_quadratic_factors_split_without_a_trace(q, n, monkeypatch):
+    # X^2 + bX + e is solved through Z^2 + Z = e/b^2, drawing from rng as
+    # often as the trace split would
+    def refuse(*args):
+        raise AssertionError("trace split of a quadratic")
+
+    field = build_extension(q, n)
+    rng = random.Random(q * n)
+    monkeypatch.setattr(upoly._SquareMap, "trace", refuse)
+    monkeypatch.setattr(upoly._QPowerMap, "trace", refuse)
+    for trial in range(5):
+        a, b = field.random(rng), field.random(rng)
+        if a == b:
+            continue
+        g = upoly.mul(field, [a, 1], [b, 1])
+        got_rng, ref_rng = random.Random(trial), random.Random(trial)
+        assert upoly.roots(field, g, got_rng) == {a, b}
+        assert _reference_roots(field, g, ref_rng) == {a, b}
+        assert got_rng.random() == ref_rng.random()
+
+
+@st.composite
+def _artin_schreier_cases(draw):
+    q, n = draw(st.sampled_from([(2, 5), (2, 32), (2, 65), (4, 8), (8, 6), (16, 6)]))
+    field = build_extension(q, n)
+    element = st.integers(0, field.order - 1)
+    return field, draw(element), draw(element)
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=_artin_schreier_cases())
+def test_artin_schreier_basis_solves_and_traces(case):
+    # delta = w^2 + w has trace 0, and the solved Z is w or w + 1; the
+    # trace of a is the sum of its m = n*r powers a^(2^i)
+    field, w, a = case
+    solver = upoly._artin_schreier(field)
+    delta = field.mul(w, w) ^ w
+    z = solver.solve(delta)
+    assert field.mul(z, z) ^ z == delta
+    assert solver.trace(delta) == 0
+    powers = 0
+    for i in range(field.n * field.r):
+        powers ^= field.pow(a, 2**i)
+    assert powers in (0, 1)
+    assert solver.trace(a) == powers
 
 
 def test_multipoly_eval_and_arithmetic():
