@@ -261,7 +261,7 @@ def cmd_bench(args, rng) -> int:
     msgs = []
     for _ in range(args.trials):
         msgs.append("".join(rng.choice(alphabet.letters) for _ in range(width)))
-    enc, dec, done = 0.0, 0.0, 0
+    enc, dec, done, decrypted, ambiguous = 0.0, 0.0, 0, 0, 0
     for msg in msgs:
         t2 = time.perf_counter()
         try:
@@ -269,16 +269,20 @@ def cmd_bench(args, rng) -> int:
         except EncryptionFailed:
             continue
         t3 = time.perf_counter()
-        protocol.decrypt_messages(sk, y)
+        got = protocol.decrypt_messages(sk, y)
         dec += time.perf_counter() - t3
         enc += t3 - t2
         done += 1
+        # exactly the message, or the message among several candidates
+        decrypted += got == [msg]
+        ambiguous += len(got) > 1 and msg in got
     print("keygen_ms=%.2f" % ((t1 - t0) * 1000))
     print("terms=%d" % pk.term_count())
     if done:
         print("encrypt_ms=%.2f" % (enc / done * 1000))
         print("decrypt_ms=%.2f" % (dec / done * 1000))
     print("round_trips=%d" % done)
+    print("decrypted=%d\nambiguous=%d" % (decrypted, ambiguous))
     return EX_OK
 
 

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..errors import FormatError, VariableMismatch
 from ..fields import parse_decimal
-from ..mvpoly import linalg
+from ..mvpoly import gf2, linalg
 from ..mvpoly.linalg import inverse, matvec, random_invertible, random_scalars
 
 
@@ -34,15 +34,12 @@ def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
     first written from.  Rows pack into base-q uint64 keys, one per run of
     digits that fits, most significant first, so one lexsort orders them.
     At q = 2 the keys are the bitmask of a row, bit j the exponent of x_j,
-    as little-endian 64-bit words from np.packbits, the word holding x_{n-1}
+    as little-endian 64-bit words from gf2.words, the word holding x_{n-1}
     first: words of one alignment compare like the whole bitmasks.
     """
     rows = np.asarray(rows, dtype=np.uint8)
     if q == 2:
-        packed = np.packbits(rows, axis=1, bitorder="little")
-        words = np.zeros((len(rows), -(-packed.shape[1] // 8) * 8), dtype=np.uint8)
-        words[:, :packed.shape[1]] = packed
-        keys = words.view("<u8").T[::-1]
+        keys = gf2.words(rows).T[::-1]
     else:
         width = 1
         while q ** (width + 1) <= 1 << 64:

@@ -20,10 +20,9 @@ At odd p the contraction is one flat float64 product over F_p per factor,
 on base-p digits and the base field's multiply-by matrices, so BLAS does
 the work; every intermediate is an integer below 2^53, so the arithmetic is
 exact before the reduction mod p.  At p = 2 a column is its packed element,
-n*r bits in uint64 words, and multiplying by a factor's columns is F_2-linear
-on those bits: each factor is one F_2 matrix product by Four Russians tables
-(the XORs of each byte's rows, as in M4RI), a gather per input byte and an
-XOR over the bytes.
+n*r bits in uint64 words (gf2.words), and multiplying by a factor's columns
+is F_2-linear on those bits: each factor is one F_2 matrix product by the
+Four Russians tables of gf2.tables, one gf2.step.
 
 The public key's coefficient blocks are folded from the tensors column by
 column: the x digits of a column reduce (x^q = x) to one x monomial, the
@@ -39,7 +38,7 @@ import functools
 
 import numpy as np
 
-from ..mvpoly import linalg
+from ..mvpoly import gf2, linalg
 from . import keys
 
 # ---------------------------------------------------------------------------
@@ -131,54 +130,24 @@ def _bit_product(field, coeff: int, factors: list[np.ndarray]) -> np.ndarray:
         big = fmat.shape[1]
         # bit k*r + s of e_b is digit s of its coordinate k
         bits = np.unpackbits(fmat[:, :, None], axis=2, count=r, bitorder="little")
-        cols = _pack_bits(bits.transpose(1, 0, 2).reshape(big, n * r))
-        rows = _step(cols, basis).transpose(1, 0, 2)
-        g = _step(g, _tables(rows)).reshape(-1, words)
+        cols = gf2.words(bits.transpose(1, 0, 2).reshape(big, n * r))
+        rows = gf2.step(cols, basis).transpose(1, 0, 2)
+        g = gf2.step(g, gf2.tables(rows)).reshape(-1, words)
     return g
 
 
 @functools.lru_cache(maxsize=8)
 def _basis_tables(field) -> np.ndarray:
-    """_tables of multiplication by each F_2 basis element w^s z^j of K,
+    """gf2.tables of multiplication by each F_2 basis element w^s z^j of K,
     from the digit rows of the base field's multiply-by matrices."""
     n, r = field.n, field.base.r
     # column (j, s) is w^s z^j: coordinate j is the scalar w^s, packed 2^s
     basis = np.zeros((n, n * r), dtype=np.uint8)
     basis[np.arange(n * r) // r, np.arange(n * r)] = 1 << np.arange(n * r) % r
     m = _digit_rows(field, basis).transpose(0, 3, 2, 1, 4)
-    tables = _tables(_pack_bits(m.reshape(n * r, n * r, n * r).astype(np.uint8)))
+    tables = gf2.tables(gf2.words(m.reshape(n * r, n * r, n * r).astype(np.uint8)))
     tables.flags.writeable = False  # one array serves every caller
     return tables
-
-
-def _pack_bits(bits: np.ndarray) -> np.ndarray:
-    """Rows of F_2 digits along the last axis as little-endian uint64 words."""
-    packed = np.packbits(bits, axis=-1, bitorder="little")
-    out = np.zeros(bits.shape[:-1] + ((bits.shape[-1] + 63) // 64 * 8,), dtype=np.uint8)
-    out[..., :packed.shape[-1]] = packed
-    return out.view("<u8")
-
-
-def _tables(rows: np.ndarray) -> np.ndarray:
-    """Four Russians tables of F_2-linear maps given by their rows (bits,
-    maps, words): entry [t, v, b] is the XOR of the rows 8t + j of map b over
-    the set bits j of v, built by doubling."""
-    nbytes = (len(rows) + 7) // 8
-    rows = np.concatenate([rows, np.zeros((8 * nbytes - len(rows),) + rows.shape[1:],
-                                          dtype=rows.dtype)])
-    rows = rows.reshape((nbytes, 8) + rows.shape[1:])
-    tables = np.zeros_like(rows[:, :1])
-    for j in range(8):
-        tables = np.concatenate([tables, tables ^ rows[:, j:j + 1]], axis=1)
-    return tables
-
-
-def _step(g: np.ndarray, tables: np.ndarray) -> np.ndarray:
-    """The images (m, maps, words) of the packed elements g (m, words) under
-    each map of the tables: one gather per byte of g and an XOR over them."""
-    nbytes = len(tables)
-    return np.bitwise_xor.reduce(tables[np.arange(nbytes), g.view(np.uint8)[:, :nbytes]],
-                                 axis=1)
 
 
 # ---------------------------------------------------------------------------

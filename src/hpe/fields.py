@@ -21,8 +21,8 @@ backends, chosen at construction from the field size:
   element, built on the first multiply; fields that are only used for
   public-key work (keygen, encrypt, verify) never build them.
 - "clmul", GF(2^n) above the threshold: carry-less multiply over a 4-bit
-  window with byte tables that reduce the overflow, binary extended Euclid
-  for inv, and per-k column masks for frob.
+  window with byte tables (gf2.int_tables) that reduce the overflow, binary
+  extended Euclid for inv, and per-k column masks for frob.
 - "coords", q > 2 above the threshold: mul_many of one pair, inv as
   a^(q^n - 2), and frob through P(k).
 
@@ -50,7 +50,7 @@ from array import array
 import numpy as np
 
 from .errors import InvalidDegree, InvalidOrder, NotIrreducible
-from .mvpoly import linalg, upoly
+from .mvpoly import gf2, linalg, upoly
 
 MAX_Q = 256
 TABLE_MAX_ORDER = 1 << 20  # largest K served by log/antilog tables
@@ -225,19 +225,14 @@ def _apply_linear(fp: BaseField, mat: np.ndarray, packed: np.ndarray) -> np.ndar
     """Images of packed elements under an F_p-linear map given on base-p digits.
 
     Row k of mat is the image of the k-th digit's unit vector.  For p = 2
-    packed addition is XOR, so the image is the XOR of per-byte tables;
-    otherwise the digits are unpacked in blocks and multiplied through.
+    packed addition is XOR, so the image is one gf2.step through the rows'
+    tables; otherwise the digits are unpacked in blocks and multiplied through.
     """
     p = fp.p
-    weights = np.array([p**k for k in range(len(mat))], dtype=np.int64)
     if p == 2:
-        out = np.zeros_like(packed)
-        for c in range(0, len(mat), 8):
-            rows = mat[c : c + 8]
-            bits = (np.arange(1 << len(rows))[:, None] >> np.arange(len(rows))) & 1
-            table = linalg.matmul(fp, bits, rows) @ weights
-            out ^= table.astype(packed.dtype)[(packed >> c) & 255]
-        return out
+        tables = gf2.tables(gf2.words(mat)).astype(packed.dtype)
+        return gf2.step(packed[:, None], tables)[:, 0]
+    weights = np.array([p**k for k in range(len(mat))], dtype=np.int64)
     blocks = []
     for start in range(0, len(packed), 4096):
         digits = packed[start : start + 4096, None] // weights % p
@@ -344,7 +339,7 @@ class ExtensionField:
 
     @functools.cached_property
     def _reduce_tables(self) -> tuple:
-        """Byte tables for GF(2^n): entry v of table c is v * z^(n+8c) mod modulus."""
+        """gf2.int_tables for GF(2^n): entry v of table c is v * z^(n+8c) mod modulus."""
         n, mod_int = self.n, self._mod_int
         highs = []
         cur = mod_int ^ (1 << n)
@@ -353,15 +348,7 @@ class ExtensionField:
             cur <<= 1
             if cur >> n:
                 cur ^= mod_int
-        tables = []
-        for c in range(0, n - 1, 8):
-            bits = highs[c : c + 8]
-            table = [0] * (1 << len(bits))
-            for v in range(1, len(table)):
-                low = v & -v
-                table[v] = table[v ^ low] ^ bits[low.bit_length() - 1]
-            tables.append(table)
-        return tuple(tables)
+        return tuple(gf2.int_tables(highs, 8))
 
     @functools.cached_property
     def _colmasks(self) -> tuple:

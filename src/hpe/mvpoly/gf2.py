@@ -1,0 +1,87 @@
+"""Packed F_2 rows, the one core under every characteristic-2 algorithm.
+
+A row of F_2 entries is packed little-endian, entry j at bit j, as M4RI
+does: in uint64 words along the last axis of a numpy array (words), or in
+one Python integer (ints).  An F_2-linear map is given by its rows, the
+images of the unit vectors.  Four Russians tables hold the XOR of every
+subset of k consecutive rows, built by doubling, so an image is one lookup
+per k input bits, XORed: in numpy over bytes (tables, step), or on Python
+integers (int_tables).  Basis keeps integer rows by leading bit, each with
+an XOR tag of the rows it was built from: its size is the rank, and the tag
+of a reduced row solves a map given by (image, preimage) pairs.
+"""
+
+import numpy as np
+
+
+def words(bits: np.ndarray) -> np.ndarray:
+    """Rows of F_2 entries along the last axis as little-endian uint64 words."""
+    packed = np.packbits(bits, axis=-1, bitorder="little")
+    out = np.zeros(bits.shape[:-1] + ((bits.shape[-1] + 63) // 64 * 8,), dtype=np.uint8)
+    out[..., :packed.shape[-1]] = packed
+    return out.view("<u8")
+
+
+def ints(rows: np.ndarray) -> list[int]:
+    """Each row of a 2-D array of little-endian words as one Python integer."""
+    width = rows.shape[1] * rows.itemsize
+    buf = rows.tobytes()
+    return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(len(rows))]
+
+
+def tables(rows: np.ndarray) -> np.ndarray:
+    """Byte tables of F_2-linear maps given by their rows (bits, ..., words):
+    entry [t, v, ...] is the XOR of the rows 8t + j over the set bits j of v."""
+    nbytes = (len(rows) + 7) // 8
+    pad = np.zeros((8 * nbytes - len(rows),) + rows.shape[1:], dtype=rows.dtype)
+    rows = np.concatenate([rows, pad]).reshape((nbytes, 8) + rows.shape[1:])
+    out = np.zeros_like(rows[:, :1])
+    for j in range(8):
+        out = np.concatenate([out, out ^ rows[:, j:j + 1]], axis=1)
+    return out
+
+
+def step(g: np.ndarray, tables: np.ndarray) -> np.ndarray:
+    """The images (m, ..., words) of the packed rows g (m, words of any
+    width) under the maps of the tables: one gather per byte of g, XORed."""
+    data = g.view(np.uint8)
+    out = tables[0][data[:, 0]]
+    for t in range(1, len(tables)):
+        out ^= tables[t][data[:, t]]
+    return out
+
+
+def int_tables(rows: list[int], k: int) -> list[list[int]]:
+    """Tables of integer rows, k at a time: entry v of table c is the XOR of
+    the rows kc + j over the set bits j of v."""
+    out = []
+    for c in range(0, len(rows), k):
+        table = [0]
+        for row in rows[c:c + k]:
+            table += [x ^ row for x in table]
+        out.append(table)
+    return out
+
+
+class Basis:
+    """Integer rows by leading bit, each as (row, XOR of the tags it sums)."""
+
+    def __init__(self):
+        self.rows: dict[int, tuple[int, int]] = {}
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def reduce(self, row: int, tag: int = 0) -> tuple[int, int]:
+        """(rest, tag): row XOR the kept rows that reduce it, and tag XOR
+        their tags.  rest is 0 exactly when row lies in the span."""
+        while row and (kept := self.rows.get(row.bit_length())):
+            row ^= kept[0]
+            tag ^= kept[1]
+        return row, tag
+
+    def add(self, row: int, tag: int = 0) -> None:
+        """Keep what is left of row after reduce, if anything, with its tag."""
+        row, tag = self.reduce(row, tag)
+        if row:
+            self.rows[row.bit_length()] = (row, tag)

@@ -3,11 +3,11 @@
 Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  A
 product is one float64 product over F_p for every q (see matmul).  Row
 reduction expands an F_q matrix to its F_p matrix on base-p digits and runs
-one Gauss-Jordan over F_p on rows packed into Python integers: one bit per
-entry at p = 2, where a row update is one XOR, and an 8..64-bit slot per
-entry at odd p, reduced mod p once per pivot row and once at the end (see
-rref).  solve, nullspace and inverse go through rref, and so does rank at
-odd p; at p = 2 rank only reduces packed rows against a leading-bit basis.
+one Gauss-Jordan over F_p on rows packed into Python integers by gf2.ints:
+one bit per entry at p = 2, where a row update is one XOR, and an 8..64-bit
+slot per entry at odd p, reduced mod p once per pivot row and once at the
+end (see rref).  solve, nullspace and inverse go through rref, and so does
+rank at odd p; at p = 2 rank only adds the packed rows to a gf2.Basis.
 Pivoting is deterministic: columns in order, first nonzero row, free
 variables set to zero in particular solutions.  Random scalars are read
 from the rng in bulk, draw for draw what per-entry randrange calls would
@@ -22,6 +22,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ..errors import SingularMatrix
+from . import gf2
 
 
 def as_matrix(rows) -> np.ndarray:
@@ -105,14 +106,6 @@ def _fp_matrix(base, m: np.ndarray) -> np.ndarray:
     return digits.astype(np.uint8)
 
 
-def _pack_rows(data: np.ndarray) -> list[int]:
-    """Each row of a 2-D array of little-endian words as one Python integer."""
-    width = data.shape[1] * data.itemsize
-    buf = data.tobytes()
-    return [int.from_bytes(buf[i * width:(i + 1) * width], "little")
-            for i in range(data.shape[0])]
-
-
 def _slot_bits(p: int, cols: int) -> int:
     """Bits per entry of a packed F_p row of cols entries.
 
@@ -138,7 +131,7 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
     width = (cols * w + 7) // 8  # bytes per row
 
     data = np.packbits(digits, axis=1, bitorder="little") if w == 1 else digits.astype(dtype)
-    packed = _pack_rows(data)
+    packed = gf2.ints(data)
     mask = (1 << w) - 1
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
@@ -172,19 +165,15 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
 
 
 def rank(base, m: np.ndarray) -> int:
-    """Rank over F_q.  At p = 2 no reduced form is built: each packed row of
-    the F_2 matrix is reduced against rows kept by leading bit and kept
-    itself if anything is left, and the F_2 rank is r times the F_q rank."""
+    """Rank over F_q.  At p = 2 no reduced form is built: the packed rows of
+    the F_2 matrix go into a gf2.Basis, whose size, the F_2 rank, is r times
+    the F_q rank."""
     if base.p != 2:
         return len(rref(base, m)[1])
-    lead: dict[int, int] = {}
-    bits = np.packbits(_fp_matrix(base, as_matrix(m)), axis=1, bitorder="little")
-    for row in _pack_rows(bits):
-        while row and (other := lead.get(row.bit_length())):
-            row ^= other
-        if row:
-            lead[row.bit_length()] = row
-    return len(lead) // base.r
+    basis = gf2.Basis()
+    for row in gf2.ints(gf2.words(_fp_matrix(base, as_matrix(m)))):
+        basis.add(row)
+    return len(basis) // base.r
 
 
 def inverse(base, m: np.ndarray) -> np.ndarray:

@@ -14,9 +14,9 @@ the trace map in characteristic 2 and quadratic-residue powering for odd
 characteristic.  roots builds the F_q-linear map h -> h^q on K[X]/(g)
 once per call, and X^order mod g is then n applications of it.  At q = 2
 it squares on packed integer rows (_SquareMap): a residue is one Python
-integer and the map XORs rows through 4-bit tables.  Every other q uses
-the matrix Q of the map over F_q (Berlekamp's Q-matrix, _QPowerMap) and
-multiplies coordinate rows by it.  In characteristic 2 the trace of cX
+integer and the map XORs rows through 4-bit gf2.int_tables.  Every other
+q uses the matrix Q of the map over F_q (Berlekamp's Q-matrix, _QPowerMap)
+and multiplies coordinate rows by it.  In characteristic 2 the trace of cX
 over F_q is n - 1 more applications, reduced mod the factor being split,
 and r - 1 squarings mod that factor, for q = 2^r, lift it to the absolute
 trace over F_2; the odd split powers X + a on scalars.
@@ -25,9 +25,9 @@ A quadratic factor X^2 + bX + e in characteristic 2 is solved in closed
 form: its roots are bZ and bZ + b, Z being a root of the Artin-Schreier
 equation Z^2 + Z = e/b^2.  Z -> Z^2 + Z is F_2-linear on the n*r bits of a
 packed element, and its image is the hyperplane of absolute trace 0, so one
-leading-bit basis per field (_ArtinSchreier) gives both Z and the trace.
-The random draws stay those of the trace split, which succeeds on a draw c
-exactly when Tr(cb) = 1.
+gf2.Basis per field of its images, tagged with their preimages
+(_artin_schreier), gives both Z and the trace.  The random draws stay those
+of the trace split, which succeeds on a draw c exactly when Tr(cb) = 1.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ import random
 import numpy as np
 
 from ..errors import RootFindingFailed, ZeroPolynomial
-from . import linalg
+from . import gf2, linalg
 
 X = [0, 1]
 
@@ -242,8 +242,8 @@ class _SquareMap:
     sum of h_j << (j*n).  Since h^2 = sum_j h_j^2 R_j with R_j = X^(2j)
     mod g, and bit i of h_j adds z^(2i) to h_j^2, bit j*n + i of h maps to
     the row z^(2i) R_j.  The rows are summed through 4-bit Kronrod tables
-    (the "Four Russians"), one per 4 bits of h: a square is one XOR per
-    table lookup.
+    (the "Four Russians", gf2.int_tables), one per 4 bits of h: a square is
+    one XOR per table lookup.
     """
 
     def __init__(self, field, g: list):
@@ -288,15 +288,9 @@ class _SquareMap:
             for j in range(d):
                 rows[j * n + i] = (v >> (j * width)) & full
             v = times_z(times_z(v))
-        tables = []
-        for c in range(0, width, 4):
-            t = [0]
-            for row in rows[c : c + 4]:
-                t += [x ^ row for x in t]
-            tables.append(t)
         # a byte of h indexes one table with each nibble; an odd last table
         # pairs with a table for the high nibble, which is zero
-        tables.append([0])
+        tables = gf2.int_tables(rows, 4) + [[0]]
         self.nbytes = (width + 7) // 8
         self.tables = tuple(zip(tables[0::2], tables[1::2]))
 
@@ -340,54 +334,21 @@ def _frobenius_tensor(field) -> np.ndarray:
     return linalg.operand(field.base, frob.reshape(n, n, n).transpose(1, 0, 2).reshape(n, n * n))
 
 
-class _ArtinSchreier:
-    """Z -> Z^2 + Z on GF(2^m), m = n*r, as a leading-bit basis of
-    (image, preimage) pairs on packed elements, with the absolute trace.
-
-    Bit k of a packed element is an F_2 coordinate, so the map's images of
-    the m unit vectors, one squaring each, span its image: the hyperplane
-    of trace 0, since the kernel is {0, 1}.  Each is reduced against the
-    pairs kept by leading bit, like linalg.rank's rows at p = 2, and kept
-    with its reduced preimage if anything is left: m - 1 pairs.
-    """
-
-    def __init__(self, field):
-        self.pairs: dict[int, tuple[int, int]] = {}
-        for k in range(field.n * field.r):
-            pre = 1 << k
-            image = field.mul(pre, pre) ^ pre
-            while image and (pair := self.pairs.get(image.bit_length())):
-                image ^= pair[0]
-                pre ^= pair[1]
-            if image:
-                self.pairs[image.bit_length()] = (image, pre)
-        # bit k of the mask is the trace of the unit vector 1 << k: 1 at the
-        # one leading bit no pair has; a pair's image has trace 0, so its
-        # leading unit vector's trace is that of the image's lower bits, all
-        # of them already in the mask
-        self.mask = 0
-        for k in range(field.n * field.r):
-            pair = self.pairs.get(k + 1)
-            bit = (pair[0] & self.mask).bit_count() & 1 if pair else 1
-            self.mask |= bit << k
-
-    def trace(self, a: int) -> int:
-        """The absolute trace a + a^2 + .. + a^(2^(m-1)), 0 or 1."""
-        return (a & self.mask).bit_count() & 1
-
-    def solve(self, delta: int) -> int:
-        """A Z with Z^2 + Z = delta, for delta of trace 0; Z + 1 is the other."""
-        z = 0
-        while delta:
-            image, pre = self.pairs[delta.bit_length()]
-            delta ^= image
-            z ^= pre
-        return z
-
-
 @functools.lru_cache(maxsize=8)
-def _artin_schreier(field) -> _ArtinSchreier:
-    return _ArtinSchreier(field)
+def _artin_schreier(field) -> gf2.Basis:
+    """Z -> Z^2 + Z on GF(2^m), m = n*r, as a gf2.Basis of its images on
+    packed elements, each tagged with its preimage.
+
+    Bit k of a packed element is an F_2 coordinate, so the images of the m
+    unit vectors, one squaring each, span the image: the hyperplane of
+    trace 0, since the kernel is {0, 1}.  So a reduces to 0 exactly when
+    Tr(a) = 0, and a delta of trace 0 reduces with the tag Z, Z^2 + Z = delta.
+    """
+    basis = gf2.Basis()
+    for k in range(field.n * field.r):
+        pre = 1 << k
+        basis.add(field.mul(pre, pre) ^ pre, pre)
+    return basis
 
 
 def _split_linear(field, s: list, rng: random.Random, out: set,
@@ -413,9 +374,10 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
         if field.p == 2:
             c = rng.randrange(1, order)
             if degree(s) == 2:
-                solver, b = _artin_schreier(field), s[1]
-                if solver.trace(field.mul(c, b)):
-                    z = field.mul(b, solver.solve(field.mul(s[0], field.inv(field.mul(b, b)))))
+                basis, b = _artin_schreier(field), s[1]
+                # Tr(cb) = 1 exactly when cb is left over; Z is the tag of e/b^2
+                if basis.reduce(field.mul(c, b))[0]:
+                    z = field.mul(b, basis.reduce(field.mul(s[0], field.inv(field.mul(b, b))))[1])
                     out.update((z, z ^ b))
                     return
                 continue

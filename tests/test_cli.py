@@ -398,4 +398,4 @@ def test_bench_runs(capsys, monkeypatch):
     assert rc == 0
     assert len(calls) == 2 and calls[0] == calls[1]
     counts = [line for line in out.splitlines() if "_ms=" not in line]
-    assert counts == ["terms=2861", "round_trips=4"]
+    assert counts == ["terms=2861", "round_trips=4", "decrypted=4", "ambiguous=0"]

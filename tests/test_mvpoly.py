@@ -366,19 +366,21 @@ def _artin_schreier_cases(draw):
 @settings(max_examples=60, deadline=None)
 @given(case=_artin_schreier_cases())
 def test_artin_schreier_basis_solves_and_traces(case):
-    # delta = w^2 + w has trace 0, and the solved Z is w or w + 1; the
-    # trace of a is the sum of its m = n*r powers a^(2^i)
+    # delta = w^2 + w has trace 0, so it reduces to 0 and its tag Z is w or
+    # w + 1; the trace of a, the sum of its m = n*r powers a^(2^i), is 1
+    # exactly when a is left over
     field, w, a = case
-    solver = upoly._artin_schreier(field)
+    basis = upoly._artin_schreier(field)
+    assert len(basis) == field.n * field.r - 1
     delta = field.mul(w, w) ^ w
-    z = solver.solve(delta)
+    rest, z = basis.reduce(delta)
+    assert rest == 0
     assert field.mul(z, z) ^ z == delta
-    assert solver.trace(delta) == 0
     powers = 0
     for i in range(field.n * field.r):
         powers ^= field.pow(a, 2**i)
     assert powers in (0, 1)
-    assert solver.trace(a) == powers
+    assert (basis.reduce(a)[0] != 0) == powers
 
 
 def test_multipoly_eval_and_arithmetic():
