@@ -8,11 +8,15 @@ n exponents reduced by x^q = x, in monomial_basis order.  The nonzero
 entries of C0[k] and then Cy[k] are equation k's terms.
 
 One kernel evaluates the key.  At each x of a batch it computes the value
-of every monomial (at most t mul_table gathers over the homogenized
-(x, 1)) and multiplies the values by C0 and Cy, giving each equation as a
-row over (1, y_0..y_{n-1}).  The linear system for encryption, the values
-at (x, y) and the batch zero test of exhaustive search are all those rows
-times (1, y).
+of every monomial of both blocks, one flat mul_table take per factor over
+the homogenized (x, 1), and multiplies the values by C0 and Cy, giving each
+equation as a row over (1, y_0..y_{n-1}).  At p = 2, for every q = 2^r,
+each block is held as packed F_2 rows, the r bit-planes w^s C of every
+monomial, and its product XORs the rows that the values' bits select; at
+odd p it is one float64 product (linalg.packed_operand, linalg.operand).
+Either is built on first use, not by keygen or load_public.  The linear
+system for encryption, the values at (x, y) and the batch zero test of
+exhaustive search are all those rows times (1, y).
 """
 
 from dataclasses import dataclass
@@ -252,36 +256,45 @@ class PublicKey:
     def term_count(self) -> int:
         return int(np.count_nonzero(self.C0) + np.count_nonzero(self.Cy))
 
-    def _blocks(self) -> list:
-        """Per block: its monomials as (degree, M) indices into the
-        homogenized (x, 1), index n standing for the 1, and the float64
-        right operand of its coefficients, built on first use."""
+    def _blocks(self) -> tuple:
+        """The monomials of both blocks, mono0's then monoy's, as (degree,
+        M0 + My) indices into the homogenized (x, 1), index n standing for
+        the 1; then the product with the coefficients of each block and its
+        right operand: packed F_2 rows at p = 2, float64 at odd p.  Built
+        on first use."""
         if self._kernel is None:
             n = self.n
-            self._kernel = []
-            for mono, coeffs in ((self.mono0, self.C0),
-                                 (self.monoy, self.Cy.reshape(n * n, -1))):
-                # factor j of a monomial is the first variable whose
-                # running exponent sum passes j, or n once they all stop
-                ends = np.cumsum(mono, axis=1)
-                degree = max(1, int(ends[:, -1].max(initial=0)))
-                factors = np.array([(ends <= j).sum(axis=1) for j in range(degree)])
-                self._kernel.append((factors, linalg.operand(self.base, coeffs.T)))
+            # factor j of a monomial is the first variable whose running
+            # exponent sum passes j, or n once they all stop
+            ends = np.cumsum(np.concatenate([self.mono0, self.monoy]), axis=1)
+            degree = max(1, int(ends[:, -1].max(initial=0)))
+            factors = np.array([(ends <= j).sum(axis=1) for j in range(degree)])
+            if self.base.p == 2:
+                build, times = linalg.packed_operand, linalg.packed_times
+            else:
+                build, times = linalg.operand, linalg.times
+            rights = [build(self.base, self.C0.T),
+                      build(self.base, self.Cy.reshape(n * n, -1).T)]
+            self._kernel = factors, times, rights
         return self._kernel
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
         """The kernel: every equation collapsed at each x of an (m, n)
         batch, as (m, n, n + 1) rows over (1, y_0..y_{n-1})."""
         m, n = xs.shape
-        mul = self.base.mul_table
+        factors, times, (right0, righty) = self._blocks()
+        mul = self.base.mul_table.ravel()
         xh = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
-        out = []
-        for factors, right in self._blocks():
-            vals = xh[:, factors[0]]
-            for idx in factors[1:]:
-                vals = mul[vals, xh[:, idx]]
-            out.append(linalg.times(self.base, vals, right))
-        return np.concatenate([out[0][:, :, None], out[1].reshape(m, n, n)], axis=2)
+        # a product a*b of scalars is entry q*b + a of the flat table
+        xq = xh * np.intp(self.q)
+        vals = xh.take(factors[0], axis=1)
+        for idx in factors[1:]:
+            vals = mul.take(xq.take(idx, axis=1) + vals)
+        split = len(self.mono0)
+        out = np.empty((m, n, n + 1), dtype=np.uint8)
+        out[:, :, 0] = times(self.base, vals[:, :split], right0)
+        out[:, :, 1:] = times(self.base, vals[:, split:], righty).reshape(m, n, n)
+        return out
 
     def linear_system(self, x_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(matrix, rhs) of the system the ciphertext x imposes on y."""

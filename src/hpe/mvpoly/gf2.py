@@ -2,7 +2,8 @@
 
 A row of F_2 entries is packed little-endian, entry j at bit j, as M4RI
 does: in uint64 words along the last axis of a numpy array (words), or in
-one Python integer (ints).  An F_2-linear map is given by its rows, the
+one Python integer (ints).  sums XORs the rows that each row of a bit
+matrix selects.  An F_2-linear map is given by its rows, the
 images of the unit vectors.  Four Russians tables hold the XOR of every
 subset of k consecutive rows, built by doubling, so an image is one lookup
 per k input bits, XORed: in numpy over bytes (tables, step), or on Python
@@ -27,6 +28,22 @@ def ints(rows: np.ndarray) -> list[int]:
     width = rows.shape[1] * rows.itemsize
     buf = rows.tobytes()
     return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(len(rows))]
+
+
+def sums(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
+    """Row i of the (m, words) result is the XOR of rows[j + 1] over the set
+    bits j of row i of the (m, k) array bits.  rows[0] must be zero: every
+    sum also takes it, so none is empty.  One flat pass finds the set bits
+    of bits padded to a power-of-two width, where a bit's column is a mask
+    of its index; the selected rows are gathered and XOR-reduced in one run
+    per row of bits, which starts at the zero row."""
+    m, k = bits.shape
+    width = 1 << k.bit_length()
+    sel = np.zeros((m, width), dtype=bool)
+    sel[:, 0] = True
+    sel[:, 1:k + 1] = bits
+    cols = np.flatnonzero(sel) & (width - 1)
+    return np.bitwise_xor.reduceat(rows.take(cols, axis=0), np.flatnonzero(cols == 0))
 
 
 def tables(rows: np.ndarray) -> np.ndarray:

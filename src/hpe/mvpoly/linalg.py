@@ -1,17 +1,21 @@
 """Exact linear algebra over F_q.
 
 Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  A
-product is one float64 product over F_p for every q (see matmul).  Row
-reduction expands an F_q matrix to its F_p matrix on base-p digits and runs
-one Gauss-Jordan over F_p on rows packed into Python integers by gf2.ints:
-one bit per entry at p = 2, where a row update is one XOR, and an 8..64-bit
-slot per entry at odd p, reduced mod p once per pivot row and once at the
-end (see rref).  solve, nullspace and inverse go through rref, and so does
-rank at odd p; at p = 2 rank only adds the packed rows to a gf2.Basis.
-Pivoting is deterministic: columns in order, first nonzero row, free
-variables set to zero in particular solutions.  Random scalars are read
-from the rng in bulk, draw for draw what per-entry randrange calls would
-give (see random_scalars).
+product is one float64 product over F_p (see matmul), except where
+characteristic 2 makes addition the XOR of the indices: there matvec is one
+table gather and one XOR reduction, and a right factor kept as packed F_2
+rows multiplies by XORing the rows that the left factor's bits select (see
+packed_operand).  Row reduction expands an F_q matrix to its F_p matrix on
+base-p digits and runs one Gauss-Jordan over F_p on rows packed into Python
+integers by gf2.ints: one bit per entry at p = 2, where a row update is one
+XOR, and an 8..64-bit slot per entry at odd p, reduced mod p once per pivot
+row and where it is read (see rref).  rref and inverse unpack the reduced
+rows; solve and nullspace read only the entries they need from the packed
+rows.  rank at odd p counts rref's pivots; at p = 2 it only adds the packed
+rows to a gf2.Basis.  Pivoting is deterministic: columns in order, first
+nonzero row, free variables set to zero in particular solutions.  Random
+scalars are read from the rng in bulk, draw for draw what per-entry
+randrange calls would give (see random_scalars).
 """
 
 from __future__ import annotations
@@ -65,6 +69,32 @@ def times(base, a: np.ndarray, right: np.ndarray) -> np.ndarray:
     return pack_digits(base, out.reshape(m, r, right.shape[1] // r))
 
 
+def packed_operand(base, b: np.ndarray) -> tuple:
+    """At p = 2, the right factor b (k, cols) as gf2.sums rows, with its
+    column count and the (q, r) table of scalar bits: row 1 + j*r + s holds
+    the digits of w^s b[j], digit d of column c at bit d*cols + c, the F_2
+    matrix that operand holds in float64; row 0 is the zero row that
+    gf2.sums asks for."""
+    r = base.r
+    k, cols = b.shape
+    digits = base.mul_matrices.astype(np.uint8)
+    rows = np.zeros((1 + k * r, r * cols), dtype=np.uint8)
+    rows[1:] = digits.take(b, axis=0).transpose(0, 2, 3, 1).reshape(k * r, r * cols)
+    return gf2.words(rows), cols, digits[:, 0]
+
+
+def packed_times(base, a: np.ndarray, right: tuple) -> np.ndarray:
+    """a times the matrix whose packed_operand(base, b) is right, at p = 2:
+    bit s of a[i, j] selects row 1 + j*r + s, and row i of the product is
+    the XOR of what row i selects, its digits then packed into scalars."""
+    r = base.r
+    rows, cols, bits = right
+    m, k = a.shape
+    out = gf2.sums(rows, bits.take(a, axis=0).reshape(m, k * r))
+    out = np.unpackbits(out.view(np.uint8), axis=-1, count=r * cols, bitorder="little")
+    return np.packbits(out.reshape(m, r, cols), axis=1, bitorder="little")[:, 0]
+
+
 def pack_digits(base, digits: np.ndarray) -> np.ndarray:
     """Scalars from their base-p digits (each below p) along the
     second-to-last axis; the values fit in uint8, so uint8 arithmetic is exact."""
@@ -76,7 +106,11 @@ def pack_digits(base, digits: np.ndarray) -> np.ndarray:
 
 
 def matvec(base, a: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return matmul(base, a, np.asarray(v, dtype=np.uint8).reshape(-1, 1))[:, 0]
+    """a v over the base field."""
+    v = np.asarray(v, dtype=np.uint8)
+    if base.p == 2:
+        return np.bitwise_xor.reduce(base.mul_table[a, v], axis=-1)
+    return matmul(base, a, v.reshape(-1, 1))[:, 0]
 
 
 def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -89,11 +123,19 @@ def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     at F_p rows i*r.., column j*r, and F_p pivot (i*r, j*r) is F_q pivot (i, j).
     """
     m = np.asarray(m, dtype=np.uint8)
-    reduced, pivots = _rref_fp(base.p, _fp_matrix(base, m))
+    packed, w, pivots = _reduce(base, m)
     r = base.r
     rows, cols = m.shape
-    out = pack_digits(base, reduced[:, ::r].reshape(rows, r, cols))
-    return out, [(i // r, c // r) for i, c in pivots[::r]]
+    reduced = _unpack_fp(base.p, packed, w, cols * r)
+    return pack_digits(base, reduced[:, ::r].reshape(rows, r, cols)), pivots
+
+
+def _reduce(base, m: np.ndarray) -> tuple[list[int], int, list[tuple[int, int]]]:
+    """The packed F_p rows of the RREF of m, their slot width, and the F_q
+    pivot list (see rref)."""
+    packed, w, pivots = _rref_fp(base.p, _fp_matrix(base, m))
+    r = base.r
+    return packed, w, [(i // r, c // r) for i, c in pivots[::r]]
 
 
 def _fp_matrix(base, m: np.ndarray) -> np.ndarray:
@@ -117,13 +159,14 @@ def _slot_bits(p: int, cols: int) -> int:
     return next(w for w in (8, 16, 32, 64) if p + cols * p * p < 1 << w)
 
 
-def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+def _rref_fp(p: int, digits: np.ndarray) -> tuple[list[int], int, list[tuple[int, int]]]:
     """Gauss-Jordan over F_p with each row packed into one Python integer,
-    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p).
+    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p): the
+    packed rows, w and the pivot list.
 
     At p = 2 a row update is one XOR.  At odd p it is R += (p - f) * P, with
-    the pivot row P reduced and scaled to a leading 1 as it is chosen; every
-    row is reduced mod p once at the end.  Columns are taken in order.
+    the pivot row P reduced and scaled to a leading 1 as it is chosen; a
+    slot is reduced mod p only where it is read.  Columns are taken in order.
     """
     n_rows, cols = digits.shape
     w = _slot_bits(p, cols)
@@ -155,13 +198,30 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
                       for row in packed]
         packed[top] = pivot
         pivots.append((top, c))
-    buf = b"".join([row.to_bytes(width, "little") for row in packed])
+    return packed, w, pivots
+
+
+def _unpack_fp(p: int, packed: list[int], w: int, cols: int) -> np.ndarray:
+    """The uint8 F_p matrix of rows packed as _rref_fp packs them."""
+    dtype = np.dtype("<u%d" % ((w + 7) // 8))
+    width = (cols * w + 7) // 8
+    buf = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in packed]), dtype)
     if w == 1:
-        out = np.unpackbits(np.frombuffer(buf, dtype).reshape(n_rows, width), axis=1,
-                            count=cols, bitorder="little")
+        out = np.unpackbits(buf.reshape(len(packed), width), axis=1, count=cols,
+                            bitorder="little")
     else:
-        out = np.frombuffer(buf, dtype).reshape(n_rows, cols) % p
-    return out.astype(np.uint8), pivots
+        out = buf.reshape(len(packed), cols) % p
+    return out.astype(np.uint8)
+
+
+def _read_columns(base, packed: list[int], w: int, rows: int, columns: list[int]) -> np.ndarray:
+    """F_q entries (rows, len(columns)) of the first rows rows of an RREF at
+    the given columns, read from its packed F_p rows with integer shifts."""
+    p, r = base.p, base.r
+    mask = (1 << w) - 1
+    shifts = [c * r * w for c in columns]
+    digits = [(row >> s & mask) % p for row in packed[:rows * r] for s in shifts]
+    return pack_digits(base, np.array(digits, dtype=np.uint8).reshape(rows, r, len(columns)))
 
 
 def rank(base, m: np.ndarray) -> int:
@@ -222,27 +282,11 @@ def scatter_sums(base, index, values: np.ndarray, size: int, n: int) -> np.ndarr
     return pack_digits(base, digits).reshape((size,) + values.shape[1:-1] + (n,))
 
 
-def _kernel_basis(base, red: np.ndarray, pivots: list, cols: int) -> list[np.ndarray]:
-    """One kernel vector per free column among the first cols of an rref."""
-    pivot_cols = {c for _, c in pivots}
-    neg_t = base.neg_table
-    basis = []
-    for fc in range(cols):
-        if fc in pivot_cols:
-            continue
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[fc] = 1
-        for r, c in pivots:
-            vec[c] = neg_t[red[r, fc]]
-        basis.append(vec)
-    return basis
-
-
 def nullspace(base, m: np.ndarray) -> list[np.ndarray]:
     """Basis of the right kernel of m, one vector per free column."""
     m = as_matrix(m)
-    red, pivots = rref(base, m)
-    return _kernel_basis(base, red, pivots, m.shape[1])
+    zero = np.zeros((m.shape[0], 1), dtype=np.uint8)
+    return _solution(base, np.concatenate([m, zero], axis=1), m.shape[1]).nullspace
 
 
 @dataclass
@@ -279,15 +323,29 @@ def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
     b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
     if a.shape[0] != b.shape[0]:
         raise ValueError("matrix and right-hand side disagree on row count")
-    cols = a.shape[1]
-    aug = np.concatenate([a, b], axis=1)
-    red, pivots = rref(base, aug)
+    return _solution(base, np.concatenate([a, b], axis=1), a.shape[1])
+
+
+def _solution(base, aug: np.ndarray, cols: int) -> Solution | None:
+    """The solutions of the system whose augmented matrix is aug, cols
+    unknowns, or None.  The particular solution (free variables zero) and
+    one kernel vector per free column are read from the packed rows of the
+    RREF, at its last column and at the free columns."""
+    packed, w, pivots = _reduce(base, aug)
     if any(c == cols for _, c in pivots):
         return None
+    pivot_cols = [c for _, c in pivots]
+    free = sorted(set(range(cols)).difference(pivot_cols))
+    vals = _read_columns(base, packed, w, len(pivots), [cols] + free)
     particular = np.zeros(cols, dtype=np.uint8)
-    for r, c in pivots:
-        particular[c] = red[r, cols]
-    return Solution(particular, _kernel_basis(base, red, pivots, cols))
+    particular[pivot_cols] = vals[:, 0]
+    basis = []
+    for t, fc in enumerate(free, 1):
+        vec = np.zeros(cols, dtype=np.uint8)
+        vec[fc] = 1
+        vec[pivot_cols] = base.neg_table[vals[:, t]]
+        basis.append(vec)
+    return Solution(particular, basis)
 
 
 def random_scalars(q: int, count: int, rng: random.Random) -> np.ndarray:

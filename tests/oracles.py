@@ -1,9 +1,10 @@
 """Reference implementations the tests check the library against.
 
 MultiPoly is a sparse multivariate polynomial over F_q, evaluated and
-transformed term by term; the functions below view a public key through it
-and write the term-line text of the retired HPE1 public format, whose
-digests pin the keys keygen produces.  digit_product_oracle is the float64
+transformed term by term; the functions below view a public key through it,
+evaluate its equations at x term by term (kernel_rows_oracle), and write the
+term-line text of the retired HPE1 public format, whose digests pin the keys
+keygen produces.  digit_product_oracle is the float64
 product that key expansion ran at every q before characteristic 2 moved to
 packed elements, rref_oracle the column loop that row reduction ran, and
 random_matrix_oracle the one randrange call per entry that random matrices
@@ -253,6 +254,23 @@ def equations(pk) -> list:
         terms = dict(zip(map(tuple, exps.tolist()), coeffs.tolist()))
         out.append(MultiPoly(pk.base, 2 * pk.n, terms))
     return out
+
+
+def kernel_rows_oracle(pk, xs):
+    """What PublicKey._rows computes, term by term: entry [i, k, 0] is the
+    sum of equation k's terms with no y at x = xs[i], entry [i, k, 1 + j]
+    the sum of its terms in y_j with y_j = 1, each evaluated as a MultiPoly
+    in the n x variables."""
+    n = pk.n
+    parts = [[{} for _ in range(n + 1)] for _ in range(n)]
+    for k in range(n):
+        coeffs, exps = equation_terms(pk, k)
+        for coeff, e in zip(coeffs.tolist(), exps.tolist()):
+            slot = 1 + e[n:].index(1) if any(e[n:]) else 0
+            parts[k][slot][tuple(e[:n])] = coeff
+    polys = [MultiPoly(pk.base, n, terms) for row in parts for terms in row]
+    rows = [[poly.eval(x) for poly in polys] for x in np.asarray(xs).tolist()]
+    return np.array(rows, dtype=np.uint8).reshape(len(xs), n, n + 1)
 
 
 def _token_table(q):

@@ -527,6 +527,21 @@ def _field_matrices(draw):
     return q, np.array(entries, dtype=np.uint8).reshape(rows, cols)
 
 
+def _kernel_oracle(base, red, pivots, cols):
+    """One kernel vector per free column among the first cols of an RREF:
+    1 there, minus the free column's entry at each pivot."""
+    pivot_cols = {c for _, c in pivots}
+    out = []
+    for fc in range(cols):
+        if fc not in pivot_cols:
+            vec = np.zeros(cols, dtype=np.uint8)
+            vec[fc] = 1
+            for i, c in pivots:
+                vec[c] = base.neg_table[red[i, fc]]
+            out.append(vec)
+    return out
+
+
 def _assert_rref_matches_oracle(q, m):
     base = base_field(q)
     got, pivots = rref(base, m)
@@ -535,6 +550,39 @@ def _assert_rref_matches_oracle(q, m):
     assert np.array_equal(got, want)
     assert pivots == want_pivots
     assert rank(base, m) == len(want_pivots)
+    assert _same_vectors(nullspace(base, m), _kernel_oracle(base, want, want_pivots, m.shape[1]))
+    if m.shape[1]:
+        _assert_solve_matches_oracle(base, m, want, want_pivots)
+
+
+def _same_vectors(got, want):
+    return len(got) == len(want) and all(
+        g.dtype == np.uint8 and np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def _assert_solve_matches_oracle(base, m, red, pivots):
+    # m is the augmented system [a | b]; the oracle reads its solutions from
+    # the RREF: the particular solution with free variables zero and one
+    # kernel vector per free column, or none if the last column pivots.
+    cols = m.shape[1] - 1
+    sol = solve(base, m[:, :cols], m[:, cols])
+    if any(c == cols for _, c in pivots):
+        assert sol is None
+        return
+    particular = np.zeros(cols, dtype=np.uint8)
+    for i, c in pivots:
+        particular[c] = red[i, cols]
+    kernel = _kernel_oracle(base, red, pivots, cols)
+    assert _same_vectors([sol.particular], [particular])
+    assert _same_vectors(sol.nullspace, kernel)
+    # sample draws one randrange(q) per kernel vector, in order
+    seed = int(m.sum()) * 31 + cols
+    rng, oracle_rng = random.Random(seed), random.Random(seed)
+    want = particular
+    for vec in kernel:
+        want = base.add_table[want, base.mul_table[oracle_rng.randrange(base.q), vec]]
+    assert np.array_equal(sol.sample(base, rng), want)
+    assert rng.getstate() == oracle_rng.getstate()
 
 
 @example(case=(7, np.zeros((0, 5), dtype=np.uint8)))
@@ -546,6 +594,10 @@ def _assert_rref_matches_oracle(q, m):
 # a zero first column under a nonzero row: the pivot row is swapped up
 @example(case=(3, np.array([[0, 1, 2], [2, 0, 1], [1, 1, 0]], dtype=np.uint8)))
 @example(case=(16, np.array([[0, 9], [0, 4], [13, 2]], dtype=np.uint8)))
+# as systems [a | b]: x0 + 2 x1 = 3 and = 0 over F_4 is inconsistent; row 1
+# is 2 times row 0 over F_16, so one equation in two unknowns, nullity 1
+@example(case=(4, np.array([[1, 2, 3], [1, 2, 0]], dtype=np.uint8)))
+@example(case=(16, np.array([[3, 3, 5], [6, 6, 10]], dtype=np.uint8)))
 @settings(max_examples=200, deadline=None)
 @given(case=_field_matrices())
 def test_rref_matches_oracle(case):

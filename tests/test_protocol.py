@@ -1,5 +1,7 @@
 import functools
+import os
 import random
+import subprocess
 import sys
 
 import numpy as np
@@ -7,18 +9,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import hpe
 from hpe import (KeyGenParams, batch_zero_mask, decrypt, decrypt_messages,
                  decrypt_raw, encrypt, encrypt_raw, exhaustive_invert, keygen,
                  private_relation_check)
 from hpe.core.alphabet import default_alphabet
-from hpe.core.keys import AffinePair
+from hpe.core.keys import AffinePair, PublicKey
 from hpe.errors import (AmbiguousDecryption, EncryptionFailed,
                         NoValidCandidate, TooLarge)
-from hpe.fields import build_extension
+from hpe.fields import base_field, build_extension
 from hpe.mvpoly.linalg import matvec
 
 from conftest import random_messages, sub_key
-from oracles import equations
+from oracles import equations, kernel_rows_oracle
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 
@@ -267,3 +270,102 @@ def test_kernel_matches_multipoly_oracle(q, empty, data):
         assert np.array_equal(pk.eval_at(x, y), vals)
         matrix, rhs = pk.linear_system(x)
         assert np.array_equal(pk.base.sub_table[matvec(pk.base, matrix, y), rhs], vals)
+
+
+# Each q with values of n whose packed row widths, n*r bits for the block
+# without y and n*n*r for the y block, end just short of a 64-bit word, at
+# one, or just past one: 63, 64 and 65 bits at q=2, n*n = 64 and 961 = 15
+# words and a bit.  q=3 takes the float64 product.
+_WORD_EDGE_N = {2: (8, 31, 63, 64, 65), 4: (8, 31, 32, 33), 8: (20, 21, 22),
+                16: (4, 15, 16, 17), 3: (5, 64)}
+
+
+@st.composite
+def _sparse_keys(draw):
+    """A public key of random sparse blocks, at most two variables a
+    monomial, and a batch of 1 to 64 x."""
+    q = draw(st.sampled_from(sorted(_WORD_EDGE_N)))
+    n = draw(st.sampled_from(_WORD_EDGE_N[q]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    base = base_field(q)
+
+    def monomials(count):
+        mono = np.zeros((count, n), dtype=np.uint8)
+        for row in mono:
+            cols = rng.choice(n, size=rng.integers(0, 3), replace=False)
+            row[cols] = rng.integers(1, q, size=len(cols))
+        return np.unique(mono, axis=0)
+
+    mono0, monoy = monomials(draw(st.integers(0, 6))), monomials(draw(st.integers(0, 4)))
+    C0 = rng.integers(0, q, (n, len(mono0)), dtype=np.uint8)
+    C0[rng.random(C0.shape) < 0.7] = 0
+    Cy = rng.integers(0, q, (n, n, len(monoy)), dtype=np.uint8)
+    Cy[rng.random(Cy.shape) < 0.97] = 0
+    pk = PublicKey(base, n, 3, mono0, C0, monoy, Cy, None)
+    xs = rng.integers(0, q, (draw(st.integers(1, 64)), n), dtype=np.uint8)
+    return pk, xs, rng.integers(0, q, n, dtype=np.uint8)
+
+
+@settings(max_examples=40)
+@given(case=_sparse_keys())
+def test_rows_match_term_by_term_evaluation(case):
+    # _rows (packed F_2 rows at p = 2) and eval_at against each equation's
+    # terms evaluated one by one, at word-edge widths, on batches of x.
+    pk, xs, y = case
+    want = kernel_rows_oracle(pk, xs)
+    assert np.array_equal(pk._rows(xs), want)
+    add, mul = pk.base.add_table, pk.base.mul_table
+    vals = want[:, :, 0]
+    for j in range(pk.n):
+        vals = add[vals, mul[want[:, :, 1 + j], y[j]]]
+    assert np.array_equal(pk.eval_at(xs, y), vals)
+    assert np.array_equal(pk.eval_at(xs[0], y), vals[0])
+
+
+# Run under python -O with linalg.solve returning the solution with one
+# coordinate moved along a nonzero column of the system, so not a solution.
+_NON_SOLUTION = """
+import random, sys
+import numpy as np
+from hpe import KeyGenParams, encrypt_raw, keygen
+from hpe.mvpoly import linalg
+
+if not sys.flags.optimize:
+    sys.exit("not running under python -O")
+solve = linalg.solve
+
+def off_by_one(base, a, b):
+    sol = solve(base, a, b)
+    moved = np.flatnonzero(a.any(axis=0))
+    if sol is not None and moved.size:
+        j = moved[0]
+        sol.particular[j] = base.add_table[sol.particular[j], 1]
+        sol.nullspace = []
+    return sol
+
+linalg.solve = off_by_one
+pk, _ = keygen(KeyGenParams(q=%d, n=8, seed=1))
+rng = random.Random(0)
+for _ in range(100):
+    x = np.array([rng.randrange(pk.q) for _ in range(pk.n)], dtype=np.uint8)
+    try:
+        encrypt_raw(pk, x, rng)
+    except AssertionError as exc:
+        print("AssertionError:", exc)
+        break
+else:
+    sys.exit("the self-check never fired")
+"""
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_self_check_survives_python_O(q):
+    # The check that the sampled y solves the system is no assert statement,
+    # so python -O keeps it, and a non-solution raises AssertionError, not an
+    # HpeError that callers count as a documented failure.
+    src = os.path.dirname(os.path.dirname(hpe.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_SOLUTION % q],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "AssertionError: solver returned a non-solution"
