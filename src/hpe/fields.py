@@ -30,11 +30,11 @@ mul_many, the one coordinate multiply, takes the F_q products of two
 elements' coordinates times T.  coords_array and pack_array convert between
 packed elements and coordinate rows, vectorized up to q^n = 2^64.
 
-Root finding in K (upoly.roots) builds the q-power map of K[X]/(g) once
-per call, the same way on every backend.  At q = 2 a packed element is its
-own F_2 coordinate row, so the map squares on packed integer rows; every
-other q uses it as one F_q matrix built from P(1) and T, applied to
-coordinate rows.
+Root finding in K (upoly.roots) builds a Frobenius map of K[X]/(g) once
+per call, the same way on every backend.  In characteristic 2 a packed
+element is its own F_2 row of n*r bits, so the map squares packed integer
+rows with no multiply in K; at odd p it is h -> h^q, one F_q matrix built
+from P(1) and T, applied to coordinate rows.
 
 Moduli default to the lexicographically least monic irreducible of the right
 degree, least meaning smallest integer encoding sum(c_i * q^i) + q^deg; the

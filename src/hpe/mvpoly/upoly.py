@@ -11,15 +11,12 @@ Root finding takes an ExtensionField K = GF(q^n) and follows the classic
 pattern: strip the squarefree product of linear factors with
 gcd(g, X^order - X), g = f made monic, then split it recursively, using
 the trace map in characteristic 2 and quadratic-residue powering for odd
-characteristic.  roots builds the F_q-linear map h -> h^q on K[X]/(g)
-once per call, and X^order mod g is then n applications of it.  At q = 2
-it squares on packed integer rows (_SquareMap): a residue is one Python
-integer and the map XORs rows through 4-bit gf2.int_tables.  Every other
-q uses the matrix Q of the map over F_q (Berlekamp's Q-matrix, _QPowerMap)
-and multiplies coordinate rows by it.  In characteristic 2 the trace of cX
-over F_q is n - 1 more applications, reduced mod the factor being split,
-and r - 1 squarings mod that factor, for q = 2^r, lift it to the absolute
-trace over F_2; the odd split powers X + a on scalars.
+characteristic.  roots builds a Frobenius map of K[X]/(g) once per call;
+X^order mod g is order_steps applications of it.  In characteristic 2,
+K = GF(2^m) with m = n*r, the map squares packed integer rows (_SquareMap),
+X^order is m squarings and the trace of cX over F_2 is m - 1 more.  At odd
+p it is the matrix Q of h -> h^q over F_q (Berlekamp's Q-matrix,
+_QPowerMap), applied n times, and the split powers X + a on scalars.
 
 A quadratic factor X^2 + bX + e in characteristic 2 is solved in closed
 form: its roots are bZ and bZ + b, Z being a root of the Artin-Schreier
@@ -182,8 +179,8 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
     if rng is None:
         rng = random.Random()
     g = monic(field, f)
-    qpower = (_SquareMap if field.q == 2 else _QPowerMap)(field, g)
-    xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), field.n))
+    qpower = (_SquareMap if field.p == 2 else _QPowerMap)(field, g)
+    xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), qpower.order_steps))
     s = gcd(field, sub(field, xq, X), g)
     out: set = set()
     if degree(s) >= 1:
@@ -192,7 +189,7 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
 
 
 class _QPowerMap:
-    """h -> h^q on K[X]/(g) as one matrix over F_q, for K = GF(q^n), g monic.
+    """h -> h^q on K[X]/(g) as one matrix over F_q, for K = GF(q^n), q odd.
 
     An element h = h_0 + .. + h_(d-1) X^(d-1) is the row of the n*d
     coordinates of h_0, .., h_(d-1).  Since h^q = sum_j h_j^q R_j with
@@ -209,7 +206,7 @@ class _QPowerMap:
         entries = [c for r in powers for c in r + [0] * (d - len(r))]
         blocks = linalg.times(base, field.coords_array(entries), _frobenius_tensor(field))
         matrix = blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n)
-        self.field, self.d = field, d
+        self.field, self.d, self.order_steps = field, d, n
         self.operand = linalg.operand(base, matrix)
 
     def row(self, h: list) -> np.ndarray:
@@ -225,51 +222,57 @@ class _QPowerMap:
             row = linalg.times(self.field.base, row, self.operand)
         return row
 
-    def trace(self, row: np.ndarray) -> np.ndarray:
-        """The row of h + h^q + .. + h^(q^(n-1)), the trace over F_q."""
-        base, acc = self.field.base, row
-        for _ in range(self.field.n - 1):
-            row = linalg.times(base, row, self.operand)
-            acc = base.add_table[acc, row]
-        return acc
-
 
 class _SquareMap:
-    """h -> h^2 on K[X]/(g) on packed integers, for K = GF(2^n), g monic.
+    """h -> h^2 on K[X]/(g) on packed integers, for K = GF(2^m), g monic.
 
-    A packed element of K is its own F_2 coordinate row (bit i is the
-    coefficient of z^i), so h = h_0 + .. + h_(d-1) X^(d-1) is the integer
-    sum of h_j << (j*n).  Since h^2 = sum_j h_j^2 R_j with R_j = X^(2j)
-    mod g, and bit i of h_j adds z^(2i) to h_j^2, bit j*n + i of h maps to
-    the row z^(2i) R_j.  The rows are summed through 4-bit Kronrod tables
-    (the "Four Russians", gf2.int_tables), one per 4 bits of h: a square is
-    one XOR per table lookup.
+    A packed element of K = GF(q^n), q = 2^r, is its own F_2 row of m = n*r
+    bits: bit i*r + s is the coefficient of w^s z^i, w the F_q element 2.  So
+    h = sum_j h_j X^j is the integer sum of h_j << (j*m).  Since h^2 = sum_j
+    h_j^2 R_j with R_j = X^(2j) mod g, and bit i*r + s of h_j adds
+    w^(2s) z^(2i) to h_j^2, bit j*m + i*r + s of h maps to the row
+    w^(2s) z^(2i) R_j.  The rows are summed through 4-bit Kronrod tables (the
+    "Four Russians", gf2.int_tables): a square is one XOR per table lookup.
     """
 
     def __init__(self, field, g: list):
-        n, d = field.n, degree(g)
-        self.n, self.d = n, d
-        width = d * n
-        # z times every n-bit slot: shift the slot up one bit and fold its top
-        # bit back as z^n, which is the modulus less its z^n term; that is
-        # below 2^n, so no product carries into the next slot
-        ones = sum(1 << (k * n) for k in range(d * d))
-        keep = ones * ((1 << (n - 1)) - 1)
-        fold = sum(c << i for i, c in enumerate(field.modulus[:n]))
+        n, r, d = field.n, field.r, degree(g)
+        self.m = self.order_steps = m = n * r
+        self.d, width = d, d * m
+        # a in F_q times every r-bit digit (digits has bit 0 of each set): bit t
+        # adds a w^t, which is below 2^r, so nothing carries into the next digit
+        digits, mul = ((1 << (d * d * m)) - 1) // ((1 << r) - 1), field.base.mul
+
+        def times_scalar(v: int, a: int) -> int:
+            out = 0
+            for t in range(r):
+                out ^= ((v >> t) & digits) * mul(a, 1 << t)
+            return out
+
+        # z times every m-bit slot (ones has bit 0 of each set): shift the slot
+        # up one digit and fold its top digit back bit by bit as w^s z^n, w^s
+        # times the modulus less its z^n term, below 2^m, so nothing carries
+        ones = ((1 << (d * d * m)) - 1) // ((1 << m) - 1)
+        keep = ones * ((1 << (m - r)) - 1)
+        modulus = sum(c << (i * r) for i, c in enumerate(field.modulus[:n]))
+        zfolds = [(m - r + s, times_scalar(modulus, 1 << s)) for s in range(r)]
 
         def times_z(v: int) -> int:
-            return ((v & keep) << 1) ^ (((v >> (n - 1)) & ones) * fold)
+            out = (v & keep) << r
+            for top, fold in zfolds:
+                out ^= ((v >> top) & ones) * fold
+            return out
 
         # X h: shift h up one slot and fold the coefficient c carried out of it
-        # back as c X^d, X^d being g less its X^d term: one z^b (g - X^d) for
-        # each bit b of c
-        folds = [self.row(g[:d])]
-        for _ in range(n - 1):
-            folds.append(times_z(folds[-1]))
-        low = (1 << (width - n)) - 1
+        # back as c X^d, X^d being g less its X^d term: one w^s z^i (g - X^d)
+        # for each bit i*r + s of c
+        folds = [times_scalar(self.row(g[:d]), 1 << s) for s in range(r)]
+        while len(folds) < m:
+            folds.append(times_z(folds[-r]))
+        low = (1 << (width - m)) - 1
 
         def times_x(h: int) -> int:
-            c, h = h >> (width - n), (h & low) << n
+            c, h = h >> (width - m), (h & low) << m
             while c:
                 b = c & -c
                 h ^= folds[b.bit_length() - 1]
@@ -280,14 +283,15 @@ class _SquareMap:
         for _ in range(d - 1):
             powers.append(times_x(times_x(powers[-1])))
         # every R_j side by side, width bits apart, so that one times_z moves
-        # all of them; after i steps of z^2 block j is row j*n + i
-        v = sum(r << (j * width) for j, r in enumerate(powers))
-        full = (1 << width) - 1
-        rows = [0] * width
-        for i in range(n):
-            for j in range(d):
-                rows[j * n + i] = (v >> (j * width)) & full
+        # all; after i steps of z^2, block j of w^(2s) v is row j*m + i*r + s
+        v = sum(rj << (j * width) for j, rj in enumerate(powers))
+        squares = [mul(1 << s, 1 << s) for s in range(1, r)]
+        stack = []
+        for _ in range(n):
+            stack += [v] + [times_scalar(v, a) for a in squares]
             v = times_z(times_z(v))
+        full = (1 << width) - 1
+        rows = [(u >> (j * width)) & full for j in range(d) for u in stack]
         # a byte of h indexes one table with each nibble; an odd last table
         # pairs with a table for the high nibble, which is zero
         tables = gf2.int_tables(rows, 4) + [[0]]
@@ -296,11 +300,11 @@ class _SquareMap:
 
     def row(self, h: list) -> int:
         """The packed row of h, a polynomial of degree below d."""
-        return sum(c << (j * self.n) for j, c in enumerate(h))
+        return sum(c << (j * self.m) for j, c in enumerate(h))
 
     def poly(self, row: int) -> list:
-        n, mask = self.n, (1 << self.n) - 1
-        return trim([(row >> (j * n)) & mask for j in range(self.d)])
+        m, mask = self.m, (1 << self.m) - 1
+        return trim([(row >> (j * m)) & mask for j in range(self.d)])
 
     def _square(self, row: int) -> int:
         acc = 0
@@ -315,9 +319,9 @@ class _SquareMap:
         return row
 
     def trace(self, row: int) -> int:
-        """The row of h + h^2 + .. + h^(2^(n-1)), the trace over F_2."""
+        """The row of h + h^2 + .. + h^(2^(m-1)), the trace over F_2."""
         acc = row
-        for _ in range(self.n - 1):
+        for _ in range(self.m - 1):
             row = self._square(row)
             acc ^= row
         return acc
@@ -355,9 +359,8 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
                   qpower: _QPowerMap | _SquareMap) -> None:
     """Recursively split a monic product of distinct linear factors.
 
-    qpower is the q-power map modulo a multiple of s.  In characteristic 2
-    the trace T of cX over F_q comes from it, reduced mod s; T + T^2 + .. +
-    T^(2^(r-1)), for q = 2^r, is then the absolute trace over F_2.
+    qpower is the Frobenius map modulo a multiple of s.  In characteristic 2
+    it gives the trace of cX over F_2, which the gcd reduces mod s.
 
     A quadratic s = X^2 + bX + e in characteristic 2 has b != 0, s being
     squarefree, and roots bZ and bZ + b with Z^2 + Z = e/b^2.  The trace
@@ -381,11 +384,7 @@ def _split_linear(field, s: list, rng: random.Random, out: set,
                     out.update((z, z ^ b))
                     return
                 continue
-            t = acc = mod(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
-            for _ in range(field.r - 1):
-                t = mod(field, square(field, t), s)
-                acc = add(field, acc, t)
-            d = gcd(field, acc, s)
+            d = gcd(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
         else:
             a = rng.randrange(order)
             h = powmod(field, add(field, X, [a]), (order - 1) // 2, s)

@@ -238,7 +238,7 @@ def test_scalar_reference_fields_cover_every_backend():
 
 @pytest.mark.parametrize("q,n", SCALAR_REFERENCE_FIELDS)
 def test_roots_match_scalar_reference(q, n):
-    # Every field finds roots through the q-power map on K[X]/(g); the
+    # Every field finds roots through a Frobenius map on K[X]/(g); the
     # scalar algorithm must agree on the roots and on the draws from rng.
     # q=2 n=65 packs elements above 2^64.
     field = build_extension(q, n)
@@ -282,14 +282,17 @@ def test_roots_edge_cases():
     assert upoly.roots(field, [0, 1]) == {0}
 
 
-# n = 2, 5 and 16 are log fields, 21, 32 and 65 clmul; GF(2^65) packs
-# elements above 2^64
-SQUARE_MAP_DEGREES = [2, 5, 16, 21, 32, 65]
+# At q = 2, n = 2, 5 and 16 are log fields, 21, 32 and 65 clmul; GF(2^65)
+# packs elements above 2^64.  (4, 8) and (8, 6) are log fields at r = 2 and 3,
+# (16, 6) and (4, 33) coords fields at r = 4 and 2, the last one with 66-bit
+# elements.
+SQUARE_MAP_FIELDS = [(2, 2), (2, 5), (2, 16), (2, 21), (2, 32), (2, 65),
+                     (4, 8), (8, 6), (16, 6), (4, 33)]
 
 
 @st.composite
 def _square_map_cases(draw):
-    field = build_extension(2, draw(st.sampled_from(SQUARE_MAP_DEGREES)))
+    field = build_extension(*draw(st.sampled_from(SQUARE_MAP_FIELDS)))
     d = draw(st.integers(1, 12))
     element = st.integers(0, field.order - 1)
     g = draw(st.lists(element, min_size=d, max_size=d)) + [1]
@@ -297,33 +300,44 @@ def _square_map_cases(draw):
     return field, g, h, draw(st.integers(0, 3))
 
 
-# g = X^12, every bit of h set: each slot carries out of its top bit and
-# every coefficient of X h carries past X^11
+# g = X^12 or X^5, every bit of h set: each slot carries out of its top bit
+# and every coefficient of X h carries past the top power of X; at r = 3 the
+# 3-bit digits of an element straddle bytes
 @example(case=(build_extension(2, 65), [0] * 12 + [1], [(1 << 65) - 1] * 12, 3))
+@example(case=(build_extension(8, 6), [0] * 5 + [1], [(1 << 18) - 1] * 5, 3))
 @example(case=(build_extension(2, 2), [3, 1], [2], 1))
 @settings(max_examples=100, deadline=None)
 @given(case=_square_map_cases())
 def test_square_map_matches_q_power_matrix(case):
-    # At q = 2 roots squares residues mod g on packed integer rows; the
-    # matrix over F_2 is the same linear map on coordinate rows.
+    # In characteristic 2 roots squares residues mod g on packed integer
+    # rows; scalar squaring mod g is the same map, and the sum of the m
+    # squares h^(2^j), j < m, is the trace over F_2 of GF(2^m).
     field, g, h, k = case
-    packed, matrix = upoly._SquareMap(field, g), upoly._QPowerMap(field, g)
+    packed = upoly._SquareMap(field, g)
     assert packed.poly(packed.row(h)) == h
-    assert (packed.poly(packed.apply(packed.row(h), k))
-            == matrix.poly(matrix.apply(matrix.row(h), k)))
-    assert (packed.poly(packed.trace(packed.row(h)))
-            == matrix.poly(matrix.trace(matrix.row(h))))
+    m, powers = field.n * field.r, [upoly.mod(field, h, g)]
+    while len(powers) < max(m, k + 1):
+        powers.append(upoly.mod(field, upoly.square(field, powers[-1]), g))
+    assert packed.poly(packed.apply(packed.row(h), k)) == powers[k]
+    trace = []
+    for power in powers[:m]:
+        trace = upoly.add(field, trace, power)
+    assert packed.poly(packed.trace(packed.row(h))) == trace
 
 
-@pytest.mark.parametrize("n", [16, 32])
-def test_roots_at_q2_make_no_matrix_product(n, monkeypatch):
+# every characteristic-2 log field makes no float64 product once its tables
+# are built, at r = 1, 2 and 3, and clmul never makes one
+@pytest.mark.parametrize("q,n", [(2, 16), (2, 32), (4, 8), (8, 6)])
+def test_roots_at_q2_make_no_matrix_product(q, n, monkeypatch):
     def refuse(*args):
-        raise AssertionError("float matrix product at q = 2")
+        raise AssertionError("float matrix product in characteristic 2")
 
-    field = build_extension(2, n)
+    field = build_extension(q, n)
     rng = random.Random(n)
     want = {field.random(rng) for _ in range(5)}
-    f = [1, 1, 0, 1]  # X^3 + X + 1, no root in GF(2^n) for n not divisible by 3
+    # X^5 + X^2 + 1 has no root in GF(2^m) for m = n*r not divisible by 5;
+    # X^3 + X + 1 would have three at r = 3, in the subfield GF(8)
+    f = [1, 0, 1, 0, 0, 1]
     for r in want:
         # the first multiply on a log field builds its tables through mul_many
         f = upoly.mul(field, f, [r, 1])
@@ -343,7 +357,6 @@ def test_quadratic_factors_split_without_a_trace(q, n, monkeypatch):
     field = build_extension(q, n)
     rng = random.Random(q * n)
     monkeypatch.setattr(upoly._SquareMap, "trace", refuse)
-    monkeypatch.setattr(upoly._QPowerMap, "trace", refuse)
     for trial in range(5):
         a, b = field.random(rng), field.random(rng)
         if a == b:
