@@ -15,14 +15,12 @@ import numpy as np
 
 from . import imattack, sigs
 from .core import protocol, serial
-from .core.alphabet import default_alphabet
 from .core.keygen import keygen
 from .core.keys import KeyGenParams
-from .errors import (AmbiguousDecryption, BadTheta, EncryptionFailed,
-                     FormatError, GenerationFailed, HpeError, InvalidDegree,
-                     InvalidOrder, LengthMismatch, NoValidCandidate,
-                     SigncryptionFailed, SigningFailed, SolutionSpaceTooLarge,
-                     SymbolOutOfAlphabet, TooLarge, VariableMismatch)
+from .errors import (BadTheta, EncryptionFailed, FormatError, HpeError,
+                     InvalidDegree, InvalidOrder, LengthMismatch,
+                     SolutionSpaceTooLarge, SymbolOutOfAlphabet, TooLarge,
+                     VariableMismatch)
 from .mvpoly.linalg import random_scalars
 
 EX_OK = 0
@@ -33,8 +31,6 @@ EX_DATA = 65
 
 _USAGE_ERRORS = (InvalidOrder, InvalidDegree, VariableMismatch, BadTheta)
 _DATA_ERRORS = (FormatError, SymbolOutOfAlphabet, LengthMismatch, TooLarge)
-_PROTOCOL_ERRORS = (EncryptionFailed, NoValidCandidate, SigningFailed,
-                    SigncryptionFailed, GenerationFailed)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -46,8 +42,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 class SystemExit2(Exception):
-    def __init__(self, message):
-        super().__init__(message)
+    """An argparse usage error, reported with the usage exit code."""
 
 
 def _read_text(path: str) -> str:
@@ -78,17 +73,6 @@ def _read_message(path: str) -> str:
     return text
 
 
-def _chunk_message(alphabet, n: int, message: str) -> list:
-    """Split into fixed-size letter groups, padding the tail."""
-    width = alphabet.blocks_for(n)
-    pad = alphabet.letters[0]
-    chunks = []
-    for i in range(0, max(len(message), 1), width):
-        piece = message[i : i + width]
-        chunks.append(piece + pad * (width - len(piece)))
-    return chunks
-
-
 def cmd_keygen(args, rng) -> int:
     params = KeyGenParams(q=args.q, n=args.n, t_max=args.t,
                           degX_max=args.degx)
@@ -100,25 +84,33 @@ def cmd_keygen(args, rng) -> int:
     return EX_OK
 
 
-def cmd_encrypt(args, rng) -> int:
-    pk = serial.load_public(_read_text(args.pub))
+def _seal(args, key, seal) -> int:
+    """Write seal(block) for each block of the --in message, one per line.
+
+    key, read before the message, sets the block width and the digits; the
+    last block is padded with the alphabet's first letter.
+    """
     message = _read_message(args.infile)
-    lines = []
-    for chunk in _chunk_message(pk.alphabet, pk.n, message):
-        y, _ = protocol.encrypt(pk, chunk, rng, max_trials=args.trials)
-        lines.append(serial.dump_vector(y, pk.q))
+    width = key.alphabet.blocks_for(key.n)
+    pad = key.alphabet.letters[0]
+    lines = [serial.dump_vector(seal(message[i:i + width].ljust(width, pad)),
+                                key.base.q)
+             for i in range(0, max(len(message), 1), width)]
     _write_text(args.out, "\n".join(lines) + "\n")
     return EX_OK
 
 
-def cmd_decrypt(args, rng) -> int:
-    sk = serial.load_private(_read_text(args.priv))
+def _open(args, key, alphabet, candidates) -> int:
+    """Join the one candidate of each --in ciphertext line into the message.
+
+    key, read before the ciphertext, sets the line's digits.  Reports
+    every block with several candidates and fails if there is one.
+    """
     body = _read_text(args.infile)
     pieces = []
     ambiguous = False
     for lineno, line in enumerate(ln for ln in body.splitlines() if ln.strip()):
-        y = serial.parse_vector(line, sk.base.q, sk.n)
-        cands = protocol.decrypt_messages(sk, y)
+        cands = candidates(serial.parse_vector(line, key.base.q, key.n))
         if not cands:
             print("block %d: no valid candidate" % lineno, file=sys.stderr)
             return EX_PROTOCOL
@@ -128,10 +120,21 @@ def cmd_decrypt(args, rng) -> int:
         pieces.append(cands)
     if ambiguous:
         return EX_PROTOCOL
-    pad = sk.alphabet.letters[0]
-    recovered = "".join(c[0] for c in pieces).rstrip(pad)
+    recovered = "".join(c[0] for c in pieces).rstrip(alphabet.letters[0])
     _write_text(args.out, recovered + "\n")
     return EX_OK
+
+
+def cmd_encrypt(args, rng) -> int:
+    pk = serial.load_public(_read_text(args.pub))
+    return _seal(args, pk, lambda chunk: protocol.encrypt(
+        pk, chunk, rng, max_trials=args.trials)[0])
+
+
+def cmd_decrypt(args, rng) -> int:
+    sk = serial.load_private(_read_text(args.priv))
+    return _open(args, sk, sk.alphabet,
+                 lambda y: protocol.decrypt_messages(sk, y))
 
 
 def cmd_sign(args, rng) -> int:
@@ -156,93 +159,58 @@ def cmd_verify(args, rng) -> int:
 def cmd_signcrypt(args, rng) -> int:
     sk = serial.load_private(_read_text(args.priv))
     pk = serial.load_public(_read_text(args.pub))
-    message = _read_message(args.infile)
-    lines = []
-    for chunk in _chunk_message(sk.alphabet, sk.n, message):
-        y = sigs.signcrypt(sk, pk, chunk, rng, max_trials=args.trials)
-        lines.append(serial.dump_vector(y, pk.q))
-    _write_text(args.out, "\n".join(lines) + "\n")
-    return EX_OK
+    return _seal(args, sk, lambda chunk: sigs.signcrypt(
+        sk, pk, chunk, rng, max_trials=args.trials))
 
 
 def cmd_unsigncrypt(args, rng) -> int:
     sk = serial.load_private(_read_text(args.priv))
     pk = serial.load_public(_read_text(args.pub))
-    body = _read_text(args.infile)
-    pieces = []
-    ambiguous = False
-    for lineno, line in enumerate(ln for ln in body.splitlines() if ln.strip()):
-        y = serial.parse_vector(line, pk.q, pk.n)
-        cands = sigs.unsigncrypt(sk, pk, y)
-        if len(cands) > 1:
-            ambiguous = True
-            print("block %d candidates: %s" % (lineno, "|".join(cands)))
-        pieces.append(cands)
-    if ambiguous:
-        return EX_PROTOCOL
-    pad = sk.alphabet.letters[0]
-    recovered = "".join(c[0] for c in pieces).rstrip(pad)
-    _write_text(args.out, recovered + "\n")
-    return EX_OK
+    return _open(args, pk, sk.alphabet,
+                 lambda y: sigs.unsigncrypt(sk, pk, y))
 
 
 def cmd_attack(args, rng) -> int:
-    report = []
+    t0 = time.perf_counter()
     if args.target == "im":
-        t0 = time.perf_counter()
         kp = imattack.im_keygen(args.q, args.n, rng=rng)
-        report.append("target=im")
-        report.append("q=%d" % args.q)
-        report.append("n=%d" % args.n)
-        report.append("theta=%d" % kp.theta)
-        t1 = time.perf_counter()
-        rels = imattack.harvest_relations(kp.public, rng=rng)
-        t2 = time.perf_counter()
-        report.append("relation_dimension=%d" % len(rels))
-        report.append("harvest_seconds=%.3f" % (t2 - t1))
-        trials = args.trials
-        recovered = 0
-        residual_max = 0
+        pk, shape = kp.public, "theta=%d" % kp.theta
+    else:
+        # contrast experiment against the newer keys
+        params = KeyGenParams(q=args.q, n=args.n, t_max=args.t,
+                              degX_max=args.degx)
+        pk, _sk = keygen(params, rng)
+        shape = "t=%d" % pk.t
+    t1 = time.perf_counter()
+    rels = imattack.harvest_relations(pk, rng=rng)
+    t2 = time.perf_counter()
+    report = ["target=" + args.target, "q=%d" % args.q, "n=%d" % args.n,
+              shape, "relation_dimension=%d" % len(rels),
+              "keygen_seconds=%.3f" % (t1 - t0),
+              "harvest_seconds=%.3f" % (t2 - t1)]
+    ok = True
+    if args.target == "im":
+        recovered = residual_max = 0
         try:
-            for _ in range(trials):
+            for _ in range(args.trials):
                 x = random_scalars(args.q, args.n, rng)
                 y = imattack.im_encrypt(kp, x)
-                cands = imattack.patarin_attack(kp.public, rels, y)
+                cands = imattack.patarin_attack(pk, rels, y)
                 residual_max = max(residual_max, len(cands))
                 if any(np.array_equal(c, x) for c in cands):
                     recovered += 1
         except SolutionSpaceTooLarge as exc:
             report.append("error=%s" % exc)
-            report.append("success=false")
-            print("\n".join(report))
-            return EX_ATTACK
-        t3 = time.perf_counter()
-        report.append("attack_seconds=%.3f" % (t3 - t2))
-        report.append("keygen_seconds=%.3f" % (t1 - t0))
-        report.append("ciphertexts=%d" % trials)
-        report.append("recovered=%d" % recovered)
-        report.append("residual_max=%d" % residual_max)
-        ok = recovered == trials
-        report.append("success=%s" % ("true" if ok else "false"))
-        print("\n".join(report))
-        return EX_OK if ok else EX_ATTACK
-    # contrast experiment against the newer keys
-    t0 = time.perf_counter()
-    params = KeyGenParams(q=args.q, n=args.n, t_max=args.t, degX_max=args.degx)
-    pk, _sk = keygen(params, rng)
-    t1 = time.perf_counter()
-    rels = imattack.harvest_relations(pk, rng=rng)
-    t2 = time.perf_counter()
-    report.append("target=hpe")
-    report.append("q=%d" % args.q)
-    report.append("n=%d" % args.n)
-    report.append("t=%d" % pk.t)
-    report.append("relation_dimension=%d" % len(rels))
-    report.append("keygen_seconds=%.3f" % (t1 - t0))
-    report.append("harvest_seconds=%.3f" % (t2 - t1))
-    report.append("success=true")
+            ok = False
+        else:
+            report += ["attack_seconds=%.3f" % (time.perf_counter() - t2),
+                       "ciphertexts=%d" % args.trials,
+                       "recovered=%d" % recovered,
+                       "residual_max=%d" % residual_max]
+            ok = recovered == args.trials
+    report.append("success=%s" % ("true" if ok else "false"))
     print("\n".join(report))
-    return EX_OK
+    return EX_OK if ok else EX_ATTACK
 
 
 def cmd_bench(args, rng) -> int:
@@ -258,10 +226,9 @@ def cmd_bench(args, rng) -> int:
     t1 = time.perf_counter()
     alphabet = pk.alphabet
     width = alphabet.blocks_for(pk.n)
-    msgs = []
-    for _ in range(args.trials):
-        msgs.append("".join(rng.choice(alphabet.letters) for _ in range(width)))
-    enc, dec, done, decrypted, ambiguous = 0.0, 0.0, 0, 0, 0
+    msgs = ["".join(rng.choice(alphabet.letters) for _ in range(width))
+            for _ in range(args.trials)]
+    enc, dec, decrypted, ambiguous = [], [], 0, 0
     for msg in msgs:
         t2 = time.perf_counter()
         try:
@@ -270,18 +237,18 @@ def cmd_bench(args, rng) -> int:
             continue
         t3 = time.perf_counter()
         got = protocol.decrypt_messages(sk, y)
-        dec += time.perf_counter() - t3
-        enc += t3 - t2
-        done += 1
+        dec.append(time.perf_counter() - t3)
+        enc.append(t3 - t2)
         # exactly the message, or the message among several candidates
         decrypted += got == [msg]
         ambiguous += len(got) > 1 and msg in got
     print("keygen_ms=%.2f" % ((t1 - t0) * 1000))
     print("terms=%d" % pk.term_count())
-    if done:
-        print("encrypt_ms=%.2f" % (enc / done * 1000))
-        print("decrypt_ms=%.2f" % (dec / done * 1000))
-    print("round_trips=%d" % done)
+    if enc:
+        # medians, since one slow round trip on a busy host moves a mean
+        print("encrypt_ms=%.2f" % (np.median(enc) * 1000))
+        print("decrypt_ms=%.2f" % (np.median(dec) * 1000))
+    print("round_trips=%d" % len(enc))
     print("decrypted=%d\nambiguous=%d" % (decrypted, ambiguous))
     return EX_OK
 
@@ -392,13 +359,6 @@ def main(argv=None) -> int:
     except _DATA_ERRORS as exc:
         print("hpe: %s" % exc, file=sys.stderr)
         return EX_DATA
-    except AmbiguousDecryption as exc:
-        print("hpe: ambiguous result: %s" % "|".join(exc.candidates),
-              file=sys.stderr)
-        return EX_PROTOCOL
-    except _PROTOCOL_ERRORS as exc:
-        print("hpe: %s" % exc, file=sys.stderr)
-        return EX_PROTOCOL
     except SolutionSpaceTooLarge as exc:
         print("hpe: %s" % exc, file=sys.stderr)
         return EX_ATTACK

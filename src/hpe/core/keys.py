@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import FormatError, VariableMismatch
 from ..fields import parse_decimal
-from ..mvpoly import gf2, linalg
+from ..mvpoly import gf2, linalg, upoly
 from ..mvpoly.linalg import inverse, matvec, random_invertible, random_scalars
 
 
@@ -64,6 +64,11 @@ def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
     return rows[order[new]], index
 
 
+# Largest X-degree of a hidden relation, for keygen and for a private key
+# read from a file: decryption roots a polynomial of this degree.
+MAX_DEGX = 64
+
+
 @dataclass(frozen=True)
 class KeyGenParams:
     """Knobs for key generation.
@@ -86,8 +91,8 @@ class KeyGenParams:
             raise VariableMismatch("extension degree must be at least 2")
         if self.t_max < 2:
             raise VariableMismatch("t_max must be at least 2")
-        if not 2 <= self.degX_max <= 64:
-            raise VariableMismatch("degX_max must lie in [2, 64]")
+        if not 2 <= self.degX_max <= MAX_DEGX:
+            raise VariableMismatch("degX_max must lie in [2, %d]" % MAX_DEGX)
         if self.n_monomials < 1:
             raise VariableMismatch("need at least one mixed monomial")
 
@@ -149,14 +154,8 @@ class PrivatePolynomial:
         return out
 
     def eval(self, field, u: int, v: int) -> int:
-        q = field.base.q
-        acc = self.const
-        for a, xth, yth in self.mixed:
-            term = field.mul(a, field.pow(u, self.x_exponent(q, xth)))
-            acc = field.add(acc, field.mul(term, field.frob(v, yth)))
-        for b, xth in self.pure:
-            acc = field.add(acc, field.mul(b, field.pow(u, self.x_exponent(q, xth))))
-        return acc
+        """f(u, v): the polynomial that decryption roots, evaluated at u."""
+        return upoly.eval_poly(field, self.univariate_in_x(field, v), u)
 
     def to_lines(self) -> list[str]:
         out = []

@@ -59,6 +59,27 @@ def _fresh_choices(alphabet, message, choices, tried, space, rng):
             return cand
 
 
+def _over_encodings(alphabet, message, n, rng, max_trials, attempt, error):
+    """Run attempt on a message's synonym encodings until one gives a value.
+
+    Returns (value, trials used); raises error when trials or encodings run out.
+    """
+    space = alphabet.encoding_space(message)
+    x_vec, choices = alphabet.encode(message, rng, n)
+    tried = {choices}
+    for trial in range(1, max_trials + 1):
+        out = attempt(x_vec)
+        if out is not None:
+            return out, trial
+        choices = _fresh_choices(alphabet, message, choices, tried, space, rng)
+        if choices is None:
+            raise error("all %d encodings of %r rejected" % (space, message))
+        tried.add(choices)
+        x_vec = alphabet.encode_with_choices(message, choices)
+    raise error(
+        "no solvable encoding of %r in %d trials" % (message, max_trials))
+
+
 def encrypt(pk, message: str, rng: random.Random,
             max_trials: int = _DEFAULT_TRIALS):
     """Encrypt a message, retrying over synonym encodings on failure.
@@ -67,22 +88,8 @@ def encrypt(pk, message: str, rng: random.Random,
     EncryptionFailed when the trial budget or the encoding space for the
     message runs out first.
     """
-    alphabet = pk.alphabet
-    space = alphabet.encoding_space(message)
-    x_vec, choices = alphabet.encode(message, rng, pk.n)
-    tried = {choices}
-    for trial in range(1, max_trials + 1):
-        y = encrypt_raw(pk, x_vec, rng)
-        if y is not None:
-            return y, trial
-        choices = _fresh_choices(alphabet, message, choices, tried, space, rng)
-        if choices is None:
-            raise EncryptionFailed(
-                "all %d encodings of %r rejected" % (space, message))
-        tried.add(choices)
-        x_vec = alphabet.encode_with_choices(message, choices)
-    raise EncryptionFailed(
-        "no solvable encoding of %r in %d trials" % (message, max_trials))
+    return _over_encodings(pk.alphabet, message, pk.n, rng, max_trials,
+                           lambda x: encrypt_raw(pk, x, rng), EncryptionFailed)
 
 
 def decrypt_raw(sk, y_vec: np.ndarray, rng: random.Random | None = None):

@@ -39,8 +39,8 @@ from ..errors import (FormatError, InvalidDegree, InvalidOrder, NotIrreducible,
 from ..fields import base_field, parse_decimal, parse_descriptor
 from .alphabet import Alphabet, _digits_str, _parse_digits
 from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it here)
-from .keys import (AffinePair, PrivateKey, PrivatePolynomial, PublicKey,
-                   monomial_basis)
+from .keys import (MAX_DEGX, AffinePair, PrivateKey, PrivatePolynomial,
+                   PublicKey, monomial_basis)
 
 MAGIC = "HPE1"  # private keys, and the retired public format
 PUBLIC_MAGIC = "HPE2"
@@ -290,6 +290,9 @@ def load_private(text: str) -> PrivateKey:
             or not all(0 <= c < field.order for c in coeffs)):
         raise FormatError("private relation has a level or coefficient "
                           "out of range")
+    if priv.deg_x(q) > MAX_DEGX:
+        raise FormatError("private relation has X-degree %d, above %d"
+                          % (priv.deg_x(q), MAX_DEGX))
     try:
         a_mat, pos = _parse_matrix(lines, pos, "A", q, n)
         c_vec, pos = _parse_shift(lines, pos, "c", q, n)

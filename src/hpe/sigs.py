@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.protocol import _fresh_choices, decrypt_raw, encrypt_raw
+from .core.protocol import _over_encodings, decrypt_raw, encrypt_raw
 from .errors import (NoValidCandidate, SigncryptionFailed, SigningFailed,
                      VariableMismatch)
 from .mvpoly import linalg
@@ -112,26 +112,17 @@ def signcrypt(sk_sender, pk_receiver, message: str, rng: random.Random,
     """
     if pk_receiver.q != sk_sender.base.q or pk_receiver.n != sk_sender.n:
         raise VariableMismatch("sender and receiver keys disagree on q or n")
-    alphabet = sk_sender.alphabet
-    space = alphabet.encoding_space(message)
-    target, choices = alphabet.encode(message, rng, sk_sender.n)
-    tried = {choices}
-    for _ in range(max_trials):
+
+    def attempt(target):
         xs = _invert_target(sk_sender, target, rng)
-        order = list(range(len(xs)))
-        rng.shuffle(order)
-        for i in order:
-            y = encrypt_raw(pk_receiver, xs[i], rng)
+        rng.shuffle(xs)
+        for x in xs:
+            y = encrypt_raw(pk_receiver, x, rng)
             if y is not None:
                 return y
-        choices = _fresh_choices(alphabet, message, choices, tried, space, rng)
-        if choices is None:
-            raise SigncryptionFailed(
-                "all %d encodings of %r exhausted" % (space, message))
-        tried.add(choices)
-        target = alphabet.encode_with_choices(message, choices)
-    raise SigncryptionFailed(
-        "no transmissible preimage of %r in %d trials" % (message, max_trials))
+
+    return _over_encodings(sk_sender.alphabet, message, sk_sender.n, rng,
+                           max_trials, attempt, SigncryptionFailed)[0]
 
 
 def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray,

@@ -343,6 +343,55 @@ def test_unsigncrypt_wrong_sender_fails(keydir, tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.fixture(scope="module")
+def keydir4(tmp_path_factory):
+    """The q=4 n=8 pair of key seed 1, which rejects both encodings of "z"."""
+    d = tmp_path_factory.mktemp("keys4")
+    assert main(["keygen", "--q", "4", "--n", "8", "--seed", "1",
+                 "--pub", str(d / "c.pub"), "--priv", str(d / "c.key")]) == 0
+    return d
+
+
+@pytest.mark.parametrize("command,keys", [
+    ("encrypt", ["--pub", "c.pub"]),
+    ("signcrypt", ["--priv", "c.key", "--pub", "c.pub"]),
+])
+def test_spent_encodings_exit_1_with_one_line(keydir4, tmp_path, capsys,
+                                              command, keys):
+    msg = _write(tmp_path / "m.txt", "z\n")
+    out = tmp_path / "c.txt"
+    keys = [str(keydir4 / k) if k.startswith("c.") else k for k in keys]
+    capsys.readouterr()
+    rc = main([command, *keys, "--seed", "1", "--trials", "2",
+               "--in", msg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert len(err) == 1 and err[0].startswith("hpe: all 2 encodings of 'z' ")
+    assert not out.exists()
+
+
+def test_decrypt_refuses_a_relation_of_huge_x_degree(keydir, tmp_path, capsys):
+    # PUREX levels (1, 12) make f(X, v) of degree 2 + 4096, which decryption
+    # would try to root; the key file is refused as malformed instead.
+    msg = _write(tmp_path / "m.txt", "Go\n")
+    ct = str(tmp_path / "c.txt")
+    assert main(["encrypt", "--pub", str(keydir / "a.pub"), "--seed", "4",
+                 "--in", msg, "--out", ct]) == 0
+    text = (keydir / "a.key").read_text()
+    pure = next(ln for ln in text.splitlines() if ln.startswith("PUREX "))
+    bad = _write(tmp_path / "bad.key", text.replace(
+        pure, "PUREX %s 1 12" % pure.split()[1], 1))
+    capsys.readouterr()
+    for command in ("decrypt", "sign"):
+        rc = main([command, "--priv", bad, "--in",
+                   ct if command == "decrypt" else msg])
+        err = capsys.readouterr().err.splitlines()
+        assert rc == 65
+        assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
 def test_attack_im_report(capsys):
     rc = main(["attack", "--target", "im", "--q", "2", "--n", "9",
                "--seed", "3", "--trials", "5"])
@@ -350,6 +399,8 @@ def test_attack_im_report(capsys):
     assert rc == 0
     fields = dict(line.split("=", 1) for line in out.splitlines())
     assert fields["target"] == "im"
+    assert float(fields["keygen_seconds"]) >= 0
+    assert float(fields["harvest_seconds"]) >= 0
     assert int(fields["relation_dimension"]) >= 9
     assert fields["recovered"] == "5"
     assert fields["success"] == "true"
@@ -370,6 +421,8 @@ def test_attack_hpe_contrast_report(capsys):
     assert rc == 0
     fields = dict(line.split("=", 1) for line in out.splitlines())
     assert fields["target"] == "hpe"
+    assert float(fields["keygen_seconds"]) >= 0
+    assert float(fields["harvest_seconds"]) >= 0
     assert fields["relation_dimension"] == "0"
 
 

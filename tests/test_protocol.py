@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import os
 import random
 import subprocess
@@ -15,10 +16,11 @@ from hpe import (KeyGenParams, batch_zero_mask, decrypt, decrypt_messages,
                  private_relation_check)
 from hpe.core.alphabet import default_alphabet
 from hpe.core.keys import AffinePair, PublicKey
-from hpe.errors import (AmbiguousDecryption, EncryptionFailed,
+from hpe.errors import (AmbiguousDecryption, EncryptionFailed, HpeError,
                         NoValidCandidate, TooLarge)
 from hpe.fields import base_field, build_extension
 from hpe.mvpoly.linalg import matvec
+from hpe.sigs import signcrypt
 
 from conftest import random_messages, sub_key
 from oracles import equations, kernel_rows_oracle
@@ -80,6 +82,60 @@ def test_encrypt_trials_bounded_by_encoding_space():
         except EncryptionFailed:
             outcomes.add("fail")
     assert "ok" in outcomes
+
+
+@functools.lru_cache(maxsize=None)
+def _walk_key(q, n, seed):
+    return keygen(KeyGenParams(q=q, n=n), random.Random(seed))
+
+
+# (sender, receiver) key parameters; encrypt uses the sender's public key
+_WALK_KEYS = {"q2": ((2, 16, 7), (2, 16, 5)), "q4": ((4, 8, 1), (4, 8, 1))}
+
+# The encoding walk's outcome and the SHA-256 of the ciphertext bytes and
+# the rng state it leaves, pinned on the code that wrote the walk twice.
+# The cases cover a first-trial success, a later one, a spent trial budget
+# (q2 "AA" and "zz" at 2 trials) and a spent encoding space (q4 "z", whose
+# one letter has two encodings): the failures pin the draw that picks a
+# fresh encoding after the last failed trial.
+_WALK_PINS = [
+    ("encrypt", "q2", "ab", 1, 1, "ok 1", "20f685ab7273ef24"),
+    ("encrypt", "q2", "Hi", 2, 1, "ok 2", "9101c4535b26d18e"),
+    ("encrypt", "q2", "AA", 2, 1, "EncryptionFailed", "cbb0617cc24d98d1"),
+    ("encrypt", "q2", "AA", 10, 1, "ok 3", "709b083ccbafb8ad"),
+    ("encrypt", "q4", "H", 1, 3, "ok 1", "690553ed8090d46b"),
+    ("encrypt", "q4", "a", 1, 1, "EncryptionFailed", "0a69a066ef0b192e"),
+    ("encrypt", "q4", "a", 2, 1, "ok 2", "b0a8ac02723e4abf"),
+    ("encrypt", "q4", "z", 2, 1, "EncryptionFailed", "0a69a066ef0b192e"),
+    ("signcrypt", "q2", "ab", 1, 1, "ok", "abdd7a2ea58dc3aa"),
+    ("signcrypt", "q2", "zz", 2, 1, "SigncryptionFailed", "cbb0617cc24d98d1"),
+    ("signcrypt", "q2", "zz", 10, 1, "ok", "fd88aed8986e54bb"),
+    ("signcrypt", "q4", "H", 1, 1, "SigncryptionFailed", "0a69a066ef0b192e"),
+    ("signcrypt", "q4", "H", 2, 1, "ok", "eed7e562473a1172"),
+    ("signcrypt", "q4", "z", 2, 1, "SigncryptionFailed", "0a69a066ef0b192e"),
+]
+
+
+@pytest.mark.parametrize("op,keys,message,max_trials,seed,outcome,digest",
+                         _WALK_PINS)
+def test_encoding_walk_pinned(op, keys, message, max_trials, seed, outcome,
+                              digest):
+    (pk_s, sk_s), (pk_r, _) = (_walk_key(*k) for k in _WALK_KEYS[keys])
+    rng = random.Random(seed)
+    y = b""
+    try:
+        if op == "encrypt":
+            y, trials = encrypt(pk_s, message, rng, max_trials=max_trials)
+            got = "ok %d" % trials
+        else:
+            y = signcrypt(sk_s, pk_r, message, rng, max_trials=max_trials)
+            got = "ok"
+        y = np.asarray(y, dtype=np.uint8).tobytes()
+    except HpeError as exc:
+        got = type(exc).__name__
+    state = repr(rng.getstate()).encode()
+    assert got == outcome
+    assert hashlib.sha256(y + state).hexdigest()[:16] == digest
 
 
 def test_encrypt_rejects_wrong_length(pair16):

@@ -347,6 +347,21 @@ def test_private_key_strictness(pair12):
         load_private("\n".join(bad) + "\n")
 
 
+def test_private_relation_x_degree_is_bounded(pair12):
+    # Decryption roots f(X, v), whose degree is the relation's X-degree; a
+    # level near n would make that q^(n-1).  Above keygen's cap of 64 the
+    # file is malformed, and at the cap it still loads.
+    _, sk = pair12
+    text = dump_private(sk)
+    pure = next(ln for ln in text.splitlines() if ln.startswith("PUREX "))
+    coeff = pure.split()[1]
+    for levels, degree in (("0 6", 65), ("1 11", 2050)):
+        with pytest.raises(FormatError, match="X-degree %d" % degree):
+            load_private(text.replace(pure, "PUREX %s %s" % (coeff, levels), 1))
+    again = load_private(text.replace(pure, "PUREX %s 6" % coeff, 1))
+    assert again.priv.deg_x(2) == 64
+
+
 # Files whose header or field descriptor names a field that cannot exist:
 # the order is no prime power, the degree is below 2, the modulus is
 # reducible, or the descriptor's p is not prime.  The field layer's
