@@ -73,10 +73,13 @@ def _read_message(path: str) -> str:
     return text
 
 
+def _key_params(args) -> KeyGenParams:
+    """The key parameters that keygen, attack and bench take as flags."""
+    return KeyGenParams(q=args.q, n=args.n, t_max=args.t, degX_max=args.degx)
+
+
 def cmd_keygen(args, rng) -> int:
-    params = KeyGenParams(q=args.q, n=args.n, t_max=args.t,
-                          degX_max=args.degx)
-    pk, sk = keygen(params, rng)
+    pk, sk = keygen(_key_params(args), rng)
     _write_text(args.pub, serial.dump_public(pk))
     _write_text(args.priv, serial.dump_private(sk))
     print("equations=%d terms=%d t=%d q=%d n=%d" % (
@@ -177,9 +180,7 @@ def cmd_attack(args, rng) -> int:
         pk, shape = kp.public, "theta=%d" % kp.theta
     else:
         # contrast experiment against the newer keys
-        params = KeyGenParams(q=args.q, n=args.n, t_max=args.t,
-                              degX_max=args.degx)
-        pk, _sk = keygen(params, rng)
+        pk, _sk = keygen(_key_params(args), rng)
         shape = "t=%d" % pk.t
     t1 = time.perf_counter()
     rels = imattack.harvest_relations(pk, rng=rng)
@@ -214,7 +215,7 @@ def cmd_attack(args, rng) -> int:
 
 
 def cmd_bench(args, rng) -> int:
-    params = KeyGenParams(q=args.q, n=args.n, t_max=args.t, degX_max=args.degx)
+    params = _key_params(args)
     # The first keygen also builds the field tables; keygen_ms times a second
     # one from the same rng state, which draws the same key.
     state = rng.getstate()
@@ -280,7 +281,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pub", required=True)
     p.add_argument("--in", dest="infile", default="-", help="message file")
     p.add_argument("--out", default=None, help="ciphertext file")
-    p.add_argument("--trials", type=int, default=10,
+    p.add_argument("--trials", type=int, default=protocol._DEFAULT_TRIALS,
                    help="encodings to try per block")
     p.set_defaults(func=cmd_encrypt)
 
@@ -311,7 +312,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pub", required=True, help="receiver public key")
     p.add_argument("--in", dest="infile", default="-", help="message file")
     p.add_argument("--out", default=None)
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=int, default=protocol._DEFAULT_TRIALS)
     p.set_defaults(func=cmd_signcrypt)
 
     p = sub.add_parser("unsigncrypt", help="open a signcrypted message")

@@ -109,10 +109,8 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
     x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
     y_factor = linearize.affine_block_matrix(field, affine.b_mat, affine.d_vec)
 
-    terms = [*priv.mixed, *((b, xth, None) for b, xth in priv.pure),
-             (priv.const, (), None)]
     parts = []
-    for coeff, xth, yth in terms:
+    for coeff, xth, yth in priv.terms():
         fs = [linearize.frobenius_factor(field, t, x_factor)
               for t in linearize.x_levels(base.q, n, xth)]
         if yth is not None:

@@ -105,52 +105,42 @@ class PrivatePolynomial:
     a * X^(sum q^theta) * Y^(q^y_theta); pure holds (coeff, x_thetas)
     pairs with no Y factor; const is the constant coefficient.
     Exponents of X are carried as sorted tuples of Frobenius levels.
+    Everything but the file lines walks the relation through terms().
     """
 
     mixed: tuple = ()
     pure: tuple = ()
     const: int = 0
 
+    def terms(self) -> list:
+        """Every term as (coeff, x_thetas, y_theta): the mixed terms, the
+        pure ones with y_theta None, and last (const, (), None)."""
+        return [*self.mixed, *((b, xth, None) for b, xth in self.pure),
+                (self.const, (), None)]
+
     def t(self) -> int:
         """Largest total weight (number of q-power factors) of any term."""
-        best = 0
-        for _, xth, _ in self.mixed:
-            best = max(best, len(xth) + 1)
-        for _, xth in self.pure:
-            best = max(best, len(xth))
-        return best
+        return max(len(xth) + (yth is not None) for _, xth, yth in self.terms())
 
     def x_exponent(self, q: int, thetas: tuple) -> int:
         return sum(q**t for t in thetas)
 
     def deg_x(self, q: int) -> int:
-        degs = [self.x_exponent(q, xth) for _, xth, _ in self.mixed]
-        degs += [self.x_exponent(q, xth) for _, xth in self.pure]
-        return max(degs, default=0)
+        return max(self.x_exponent(q, xth) for _, xth, _ in self.terms())
 
     def univariate_in_x(self, field, v: int) -> list:
-        """Coefficients of g(X) = f(X, v), low to high, over the big field."""
+        """Coefficients of g(X) = f(X, v), low to high, over the big field,
+        with no zero coefficient at the top ([] when every term cancels)."""
         q = field.base.q
-        bucket: dict[int, int] = {}
-
-        def put(e: int, c: int) -> None:
-            s = field.add(bucket.get(e, 0), c)
-            if s:
-                bucket[e] = s
-            else:
-                bucket.pop(e, None)
-
-        for a, xth, yth in self.mixed:
-            put(self.x_exponent(q, xth), field.mul(a, field.frob(v, yth)))
-        for b, xth in self.pure:
-            put(self.x_exponent(q, xth), b)
-        if self.const:
-            put(0, self.const)
-        if not bucket:
-            return []
-        out = [0] * (max(bucket) + 1)
-        for e, c in bucket.items():
-            out[e] = c
+        out = []
+        for c, xth, yth in self.terms():
+            if yth is not None:
+                c = field.mul(c, field.frob(v, yth))
+            e = self.x_exponent(q, xth)
+            out += [0] * (e + 1 - len(out))  # extended up to X^e if shorter
+            out[e] = field.add(out[e], c)
+        while out and not out[-1]:
+            out.pop()
         return out
 
     def eval(self, field, u: int, v: int) -> int:

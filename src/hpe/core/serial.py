@@ -89,9 +89,9 @@ def _parse_header(line: str, magic: str = MAGIC):
     return q, n, t
 
 
-def _read_alphabet(first: str, lines) -> Alphabet:
-    """The alphabet block whose header line is first; its letter lines are
-    the next ones in the iterator lines."""
+def _read_alphabet(first: str, lines, q: int) -> Alphabet:
+    """The alphabet block whose header line is first, over the key's F_q;
+    its letter lines are the next ones in the iterator lines."""
     if not first.startswith("ALPHABET"):
         raise FormatError("missing alphabet block")
     try:
@@ -102,9 +102,13 @@ def _read_alphabet(first: str, lines) -> Alphabet:
     if len(block) != 1 + count:
         raise FormatError("alphabet block is truncated")
     try:
-        return Alphabet.from_lines(block)
+        alphabet = Alphabet.from_lines(block)
     except (ValueError, IndexError) as exc:
         raise FormatError("bad alphabet block") from exc
+    if alphabet.q != q:
+        raise FormatError("the alphabet is over F_%d, the key over F_%d"
+                          % (alphabet.q, q))
+    return alphabet
 
 
 def _block_head(line: str, tag: str, counted: bool) -> int | None:
@@ -212,19 +216,16 @@ def load_public(text: str) -> PublicKey:
         raise FormatError("the HPE1 public key format is retired; "
                           "public keys are read as HPE2 only")
     q, n, t = _parse_header(header, PUBLIC_MAGIC)
-    alphabet = _read_alphabet(next(lines, ""), lines)
     try:
         base = base_field(q)
     except InvalidOrder as exc:
         raise FormatError("bad key header: %s" % exc) from exc
+    alphabet = _read_alphabet(next(lines, ""), lines, q)
     return _read_blocks(lines, base, n, t, alphabet)
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:
-    out = [name]
-    for row in mat:
-        out.append(_digits_str([int(d) for d in row], q))
-    return out
+    return [name, *(dump_vector(row, q) for row in mat)]
 
 
 def _parse_matrix(lines: list, pos: int, name: str, q: int, n: int):
@@ -250,9 +251,9 @@ def dump_private(sk: PrivateKey) -> str:
     out.extend(sk.alphabet.to_lines())
     out.extend(sk.priv.to_lines())
     out.extend(_matrix_lines("A", sk.affine.a_mat, q))
-    out.append("c %s" % _digits_str([int(d) for d in sk.affine.c_vec], q))
+    out.append("c %s" % dump_vector(sk.affine.c_vec, q))
     out.extend(_matrix_lines("B", sk.affine.b_mat, q))
-    out.append("d %s" % _digits_str([int(d) for d in sk.affine.d_vec], q))
+    out.append("d %s" % dump_vector(sk.affine.d_vec, q))
     return "\n".join(out) + "\n"
 
 
@@ -274,7 +275,7 @@ def load_private(text: str) -> PrivateKey:
     if field.q != q or field.n != n:
         raise FormatError("field descriptor does not match key header")
     rest = iter(lines[3:])
-    alphabet = _read_alphabet(lines[2] if len(lines) > 2 else "", rest)
+    alphabet = _read_alphabet(lines[2] if len(lines) > 2 else "", rest, q)
     lines, pos = list(rest), 0
     term_lines = []
     while pos < len(lines) and lines[pos].split()[0] in ("MIX", "PUREX", "CONST"):
@@ -283,13 +284,11 @@ def load_private(text: str) -> PrivateKey:
     priv = PrivatePolynomial.from_lines(term_lines)
     if not priv.mixed:
         raise FormatError("private relation has no mixed term")
-    levels = [lv for _, xth, yth in priv.mixed for lv in (*xth, yth)]
-    levels += [lv for _, xth in priv.pure for lv in xth]
-    coeffs = [term[0] for term in (*priv.mixed, *priv.pure)] + [priv.const]
-    if (not all(0 <= lv < n for lv in levels)
-            or not all(0 <= c < field.order for c in coeffs)):
-        raise FormatError("private relation has a level or coefficient "
-                          "out of range")
+    for coeff, xth, yth in priv.terms():
+        levels = xth if yth is None else (*xth, yth)
+        if not (0 <= coeff < field.order and all(0 <= lv < n for lv in levels)):
+            raise FormatError("private relation has a level or coefficient "
+                              "out of range")
     if priv.deg_x(q) > MAX_DEGX:
         raise FormatError("private relation has X-degree %d, above %d"
                           % (priv.deg_x(q), MAX_DEGX))

@@ -9,13 +9,14 @@ packed_operand).  Row reduction expands an F_q matrix to its F_p matrix on
 base-p digits and runs one Gauss-Jordan over F_p on rows packed into Python
 integers by gf2.ints: one bit per entry at p = 2, where a row update is one
 XOR, and an 8..64-bit slot per entry at odd p, reduced mod p once per pivot
-row and where it is read (see rref).  rref and inverse unpack the reduced
-rows; solve and nullspace read only the entries they need from the packed
-rows.  rank at odd p counts rref's pivots; at p = 2 it only adds the packed
-rows to a gf2.Basis.  Pivoting is deterministic: columns in order, first
-nonzero row, free variables set to zero in particular solutions.  Random
-scalars are read from the rng in bulk, draw for draw what per-entry
-randrange calls would give (see random_scalars).
+row and where it is read (see rref).  That elimination is the one reader
+of its packed rows: it hands back the reduced F_p matrix, and inverse,
+solve and nullspace read rref's F_q matrix.  rank at odd p counts rref's
+pivots; at p = 2 it only adds the packed rows to a gf2.Basis.  Pivoting
+is deterministic: columns in order, first nonzero row, free variables set
+to zero in particular solutions.  Random scalars are read from the rng in
+bulk, draw for draw what per-entry randrange calls would give (see
+random_scalars).
 """
 
 from __future__ import annotations
@@ -123,19 +124,11 @@ def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     at F_p rows i*r.., column j*r, and F_p pivot (i*r, j*r) is F_q pivot (i, j).
     """
     m = np.asarray(m, dtype=np.uint8)
-    packed, w, pivots = _reduce(base, m)
+    reduced, pivots = _rref_fp(base.p, _fp_matrix(base, m))
     r = base.r
     rows, cols = m.shape
-    reduced = _unpack_fp(base.p, packed, w, cols * r)
-    return pack_digits(base, reduced[:, ::r].reshape(rows, r, cols)), pivots
-
-
-def _reduce(base, m: np.ndarray) -> tuple[list[int], int, list[tuple[int, int]]]:
-    """The packed F_p rows of the RREF of m, their slot width, and the F_q
-    pivot list (see rref)."""
-    packed, w, pivots = _rref_fp(base.p, _fp_matrix(base, m))
-    r = base.r
-    return packed, w, [(i // r, c // r) for i, c in pivots[::r]]
+    return (pack_digits(base, reduced[:, ::r].reshape(rows, r, cols)),
+            [(i // r, c // r) for i, c in pivots[::r]])
 
 
 def _fp_matrix(base, m: np.ndarray) -> np.ndarray:
@@ -159,10 +152,10 @@ def _slot_bits(p: int, cols: int) -> int:
     return next(w for w in (8, 16, 32, 64) if p + cols * p * p < 1 << w)
 
 
-def _rref_fp(p: int, digits: np.ndarray) -> tuple[list[int], int, list[tuple[int, int]]]:
+def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     """Gauss-Jordan over F_p with each row packed into one Python integer,
-    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p): the
-    packed rows, w and the pivot list.
+    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p), and
+    the one reader of those rows: the reduced uint8 F_p matrix and the pivots.
 
     At p = 2 a row update is one XOR.  At odd p it is R += (p - f) * P, with
     the pivot row P reduced and scaled to a leading 1 as it is chosen; a
@@ -198,30 +191,13 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[list[int], int, list[tuple[int
                       for row in packed]
         packed[top] = pivot
         pivots.append((top, c))
-    return packed, w, pivots
-
-
-def _unpack_fp(p: int, packed: list[int], w: int, cols: int) -> np.ndarray:
-    """The uint8 F_p matrix of rows packed as _rref_fp packs them."""
-    dtype = np.dtype("<u%d" % ((w + 7) // 8))
-    width = (cols * w + 7) // 8
     buf = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in packed]), dtype)
     if w == 1:
-        out = np.unpackbits(buf.reshape(len(packed), width), axis=1, count=cols,
+        out = np.unpackbits(buf.reshape(n_rows, width), axis=1, count=cols,
                             bitorder="little")
     else:
-        out = buf.reshape(len(packed), cols) % p
-    return out.astype(np.uint8)
-
-
-def _read_columns(base, packed: list[int], w: int, rows: int, columns: list[int]) -> np.ndarray:
-    """F_q entries (rows, len(columns)) of the first rows rows of an RREF at
-    the given columns, read from its packed F_p rows with integer shifts."""
-    p, r = base.p, base.r
-    mask = (1 << w) - 1
-    shifts = [c * r * w for c in columns]
-    digits = [(row >> s & mask) % p for row in packed[:rows * r] for s in shifts]
-    return pack_digits(base, np.array(digits, dtype=np.uint8).reshape(rows, r, len(columns)))
+        out = buf.reshape(n_rows, cols) % p
+    return out.astype(np.uint8), pivots
 
 
 def rank(base, m: np.ndarray) -> int:
@@ -329,21 +305,20 @@ def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
 def _solution(base, aug: np.ndarray, cols: int) -> Solution | None:
     """The solutions of the system whose augmented matrix is aug, cols
     unknowns, or None.  The particular solution (free variables zero) and
-    one kernel vector per free column are read from the packed rows of the
+    one kernel vector per free column are read from the pivot rows of the
     RREF, at its last column and at the free columns."""
-    packed, w, pivots = _reduce(base, aug)
+    red, pivots = rref(base, aug)
     if any(c == cols for _, c in pivots):
         return None
     pivot_cols = [c for _, c in pivots]
-    free = sorted(set(range(cols)).difference(pivot_cols))
-    vals = _read_columns(base, packed, w, len(pivots), [cols] + free)
+    red = red[:len(pivots)]
     particular = np.zeros(cols, dtype=np.uint8)
-    particular[pivot_cols] = vals[:, 0]
+    particular[pivot_cols] = red[:, cols]
     basis = []
-    for t, fc in enumerate(free, 1):
+    for fc in sorted(set(range(cols)).difference(pivot_cols)):
         vec = np.zeros(cols, dtype=np.uint8)
         vec[fc] = 1
-        vec[pivot_cols] = base.neg_table[vals[:, t]]
+        vec[pivot_cols] = base.neg_table[red[:, fc]]
         basis.append(vec)
     return Solution(particular, basis)
 

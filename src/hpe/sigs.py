@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core.protocol import _over_encodings, decrypt_raw, encrypt_raw
+from .core.protocol import _DEFAULT_TRIALS, _over_encodings, decrypt_raw, encrypt_raw
 from .errors import (NoValidCandidate, SigncryptionFailed, SigningFailed,
                      VariableMismatch)
 from .mvpoly import linalg
@@ -102,7 +102,7 @@ def verify(pk, message, sig: Signature) -> bool:
 
 
 def signcrypt(sk_sender, pk_receiver, message: str, rng: random.Random,
-              max_trials: int = 10) -> np.ndarray:
+              max_trials: int = _DEFAULT_TRIALS) -> np.ndarray:
     """Authenticated encryption of a message for one receiver.
 
     The encoded message is pulled back through the sender's private

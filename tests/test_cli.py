@@ -225,6 +225,28 @@ def test_letter_code_beyond_unicode_is_data_error(keydir, tmp_path, capsys):
         assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
+@pytest.mark.parametrize("command,kind", [("encrypt", "pub"), ("signcrypt", "key")])
+def test_alphabet_over_another_field_is_data_error(keydir, tmp_path, capsys,
+                                                  command, kind):
+    # An F_3 alphabet with a digit 2 in the space's first synonym, inside a
+    # q=2 key: encoding the space used to index past the F_2 tables.
+    msg = _write(tmp_path / "m.txt", " \n")
+    text = (keydir / ("a." + kind)).read_text()
+    space = next(ln for ln in text.splitlines() if ln.startswith("L 32 "))
+    synonyms = space.split()[2:]
+    bad_space = " ".join(["L", "32", "2" + synonyms[0][1:], *synonyms[1:]])
+    text = text.replace("ALPHABET 2 ", "ALPHABET 3 ", 1).replace(space, bad_space, 1)
+    key = _write(tmp_path / ("bad." + kind), text)
+    keys = (["--pub", key] if kind == "pub"
+            else ["--priv", key, "--pub", str(keydir / "b.pub")])
+    capsys.readouterr()
+    for seed in ("1", "2", "3"):
+        assert main([command, *keys, "--seed", seed, "--in", msg,
+                     "--out", str(tmp_path / "out.txt")]) == 65
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("hpe: ")
+
+
 def test_message_outside_alphabet_is_data_error(keydir, tmp_path, capsys):
     msg = _write(tmp_path / "m.txt", "naïve\n")
     rc = main(["encrypt", "--pub", str(keydir / "a.pub"), "--seed", "1",

@@ -118,6 +118,68 @@ def test_generation_failure_modes():
         sample_private(KeyGenParams(q=2, n=8, n_monomials=9), field, rng)
 
 
+def _walk_oracle(field, priv, v):
+    """(univariate_in_x, t, deg_x) of priv term by term: each term's X
+    exponent from its levels, its coefficient at Y = v through field.pow,
+    summed into a dict and trimmed above the top nonzero coefficient."""
+    q = field.base.q
+    terms = [(a, xth, field.pow(v, q ** yth)) for a, xth, yth in priv.mixed]
+    terms += [(b, xth, 1) for b, xth in priv.pure]
+    sums = {0: priv.const}
+    for coeff, xth, y_value in terms:
+        e = sum(q ** lv for lv in xth)
+        sums[e] = field.add(sums.get(e, 0), field.mul(coeff, y_value))
+    top = max((e for e, c in sums.items() if c), default=-1)
+    g = [sums.get(e, 0) for e in range(top + 1)]
+    weight = max([len(xth) + 1 for _, xth, _ in priv.mixed]
+                 + [len(xth) for _, xth in priv.pure], default=0)
+    degree = max((sum(q ** lv for lv in xth) for _, xth, *_ in
+                  (*priv.mixed, *priv.pure)), default=0)
+    return g, weight, degree
+
+
+def _colliding_relations(field, v):
+    """Relations whose terms share X-degrees and cancel at Y = v: the top
+    term cancelled, every term cancelled (the constant too, in the last),
+    and a zero constant."""
+    a = 1 + (v % (field.order - 1))  # some nonzero coefficient
+    cancel = field.neg(field.mul(a, field.frob(v, 1)))
+    top = (a, (0, 1), 1)  # a X^(1+q) Y^q
+    return {
+        "top cancelled": PrivatePolynomial(
+            mixed=(top, (a, (0,), 0)),
+            pure=((cancel, (0, 1)), (a, (1,))), const=a),
+        "all cancelled": PrivatePolynomial(
+            mixed=(top,), pure=((cancel, (0, 1)),), const=0),
+        "zero constant": PrivatePolynomial(
+            mixed=(top,), pure=((a, (0, 1)), (field.neg(a), (0,)),
+                                (a, (0,)), (a, (0, 0, 1))), const=0),
+        "constant cancelled": PrivatePolynomial(
+            mixed=((a, (), 0),), pure=((a, (1,)), (field.neg(a), (1,))),
+            const=field.neg(field.mul(a, v))),
+    }
+
+
+@pytest.mark.parametrize("q,n", [(2, 6), (4, 3), (3, 4)])
+def test_relation_walks_match_a_term_by_term_oracle(q, n):
+    # The relations collide in X-degree so that sums cancel: the top of
+    # f(X, v) must be trimmed, and a relation that cancels out gives [].
+    field = build_extension(q, n)
+    rng = random.Random(q * 100 + n)
+    for _ in range(6):
+        v = field.random_nonzero(rng)
+        for name, priv in _colliding_relations(field, v).items():
+            g, weight, degree = _walk_oracle(field, priv, v)
+            assert priv.univariate_in_x(field, v) == g, name
+            assert priv.t() == weight and priv.deg_x(q) == degree, name
+            if name in ("all cancelled", "constant cancelled"):
+                assert g == []
+            if name == "top cancelled":
+                assert len(g) < degree + 1
+            if name == "zero constant":
+                assert g[0] == 0 and g[-1] != 0
+
+
 def test_expansion_of_cubic_times_y_identity_masks():
     # f(X, Y) = X^3 Y over GF(4) with identity masks, checked at every point.
     field = build_extension(2, 2)

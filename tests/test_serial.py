@@ -13,7 +13,7 @@ from hpe import (KeyGenParams, dump_private, dump_public, dump_signature,
                  parse_signature, parse_vector, sigs)
 from hpe.core import protocol
 from hpe.core.alphabet import default_alphabet
-from hpe.core.keys import PublicKey, monomial_basis
+from hpe.core.keys import PrivateKey, PrivatePolynomial, PublicKey, monomial_basis
 from hpe.errors import FormatError
 from hpe.fields import base_field
 
@@ -311,6 +311,31 @@ def test_alphabet_tags_are_checked(pair12):
             load_public(public_text.replace(old, new, 1))
         with pytest.raises(FormatError, match="alphabet"):
             load_private(private_text.replace(old, new, 1))
+
+
+def test_alphabet_q_must_match_the_key(pair12):
+    # An alphabet over F_3 in a q=2 key parses on its own, and its digit 2
+    # would index past the key's F_2 tables; the header q must agree.
+    pk, sk = pair12
+    for load, text in ((load_public, dump_public(pk)),
+                       (load_private, dump_private(sk))):
+        head = next(ln for ln in text.splitlines() if ln.startswith("ALPHABET"))
+        bad = text.replace(head, head.replace("ALPHABET 2 ", "ALPHABET 3 ", 1), 1)
+        with pytest.raises(FormatError, match="alphabet"):
+            load(bad)
+
+
+def test_purex_without_levels_reads_back_as_purex(pair12):
+    # A pure term with no levels is a constant in value, but its file line
+    # stays PUREX: the key dumps back to the text it was read from.
+    _, sk = pair12
+    priv = sk.priv
+    priv = PrivatePolynomial(priv.mixed, priv.pure + ((5, ()),), priv.const)
+    text = dump_private(PrivateKey(sk.field, priv, sk.affine, sk.alphabet))
+    assert "PUREX 5" in [ln.strip() for ln in text.splitlines()]
+    again = load_private(text)
+    assert again.priv == priv
+    assert dump_private(again) == text
 
 
 def test_private_key_strictness(pair12):
