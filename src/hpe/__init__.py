@@ -20,9 +20,8 @@ from .core.serial import (dump_private, dump_public, dump_signature,
                           parse_signature, parse_vector)
 from .fields import (BaseField, ExtensionField, base_field, build_extension,
                      parse_descriptor)
-from .imattack import (BilinearRelation, IMKeyPair, default_theta,
-                       harvest_relations, im_decrypt, im_encrypt, im_keygen,
-                       patarin_attack, random_quadratic_public)
+from .imattack import (BilinearRelation, default_theta, harvest_relations,
+                       im_keygen, patarin_attack, random_quadratic_public)
 from .mvpoly.linalg import Solution, nullspace, solve
 from .sigs import (Signature, hash_to_y, sign, signcrypt, unsigncrypt,
                    verify)

@@ -176,8 +176,9 @@ def cmd_unsigncrypt(args, rng) -> int:
 def cmd_attack(args, rng) -> int:
     t0 = time.perf_counter()
     if args.target == "im":
-        kp = imattack.im_keygen(args.q, args.n, rng=rng)
-        pk, shape = kp.public, "theta=%d" % kp.theta
+        theta = imattack.default_theta(args.q, args.n)
+        pk, _sk = imattack.im_keygen(args.q, args.n, theta, rng)
+        shape = "theta=%d" % theta
     else:
         # contrast experiment against the newer keys
         pk, _sk = keygen(_key_params(args), rng)
@@ -195,7 +196,7 @@ def cmd_attack(args, rng) -> int:
         try:
             for _ in range(args.trials):
                 x = random_scalars(args.q, args.n, rng)
-                y = imattack.im_encrypt(kp, x)
+                y = protocol.encrypt_raw(pk, x, rng)
                 cands = imattack.patarin_attack(pk, rels, y)
                 residual_max = max(residual_max, len(cands))
                 if any(np.array_equal(c, x) for c in cands):

@@ -386,9 +386,7 @@ class ExtensionField:
         if self.order > 1 << 64:
             return np.array([self.coords(int(a)) for a in elems], dtype=np.uint8).reshape(-1, self.n)
         arr = np.asarray(elems, dtype=np.uint64).reshape(-1, 1)
-        if self.q & (self.q - 1):
-            return (arr // self._weights % self.q).astype(np.uint8)
-        return ((arr >> self._shifts) & (self.q - 1)).astype(np.uint8)
+        return (arr // self._weights % self.q).astype(np.uint8)
 
     def pack_array(self, coord_rows: np.ndarray) -> np.ndarray:
         """Packed elements of coordinate rows; Python ints (dtype object)
@@ -403,20 +401,12 @@ class ExtensionField:
         """q^i for each coordinate i, as uint64; only for q^n <= 2^64."""
         return np.array(self._qpows[: self.n], dtype=np.uint64)
 
-    @functools.cached_property
-    def _shifts(self) -> np.ndarray:
-        """log2(q^i) for each coordinate i, for q a power of two."""
-        return np.arange(self.n, dtype=np.uint64) * (self.q.bit_length() - 1)
-
     # -- element arithmetic ------------------------------------------------
 
     def add(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        bt = self.base.add_table
-        return self.from_coords(
-            [int(bt[x, y]) for x, y in zip(self.coords(a), self.coords(b))]
-        )
+        return self._digitwise(self.base.add_table, a, b)
 
     def neg(self, a: int) -> int:
         if self.p == 2:
@@ -427,7 +417,13 @@ class ExtensionField:
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:
             return a ^ b
-        return self.add(a, self.neg(b))
+        return self._digitwise(self.base.sub_table, a, b)
+
+    def _digitwise(self, table, a: int, b: int) -> int:
+        """The element whose digit i is table[a_i, b_i]: add or sub at odd p."""
+        return self.from_coords(
+            [int(table[x, y]) for x, y in zip(self.coords(a), self.coords(b))]
+        )
 
     def mul(self, a: int, b: int) -> int:
         return self._mul(a, b)

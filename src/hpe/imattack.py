@@ -3,9 +3,12 @@
 The old scheme is the paper's design with the simplest hidden relation,
 f(X, Y) = X^(q^theta + 1) - Y: the same affine masks u = A x + c and
 v = B y + d, and the same expansion into public equations as the newer
-keys.  Since f is linear in Y with a unit coefficient, every plaintext has
+keys.  Its keys are an ordinary (PublicKey, PrivateKey) pair, so
+protocol.encrypt_raw and protocol.decrypt_raw serve them like any other.
+Since f is linear in Y with a unit coefficient, every plaintext has
 exactly one ciphertext, and each ciphertext coordinate is an explicit
-quadratic form in the plaintext.  That structure leaks: the hidden identity
+quadratic form in the plaintext; since q^theta + 1 is coprime to q^n - 1,
+f(X, v) has exactly one root.  That structure leaks: the hidden identity
 u * v^(q^theta) = u^(q^2theta) * v induces equations bilinear in
 (plaintext, ciphertext), and those can be learned from public encryptions
 alone, then used to strip almost all entropy from any target ciphertext.
@@ -20,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core.keygen import expand_keypair
-from .core.keys import AffinePair, PrivatePolynomial, PublicKey
+from .core.keys import AffinePair, PrivateKey, PrivatePolynomial, PublicKey
 from .core.protocol import batch_zero_mask, encrypt_raw
 from .errors import BadTheta, SolutionSpaceTooLarge
 from .fields import build_extension
@@ -28,17 +31,7 @@ from .core import linearize
 from .mvpoly import linalg
 
 
-@dataclass
-class IMKeyPair:
-    field: object
-    theta: int
-    h: int
-    h_prime: int
-    affine: AffinePair
-    public: PublicKey
-
-
-def _check_theta(q: int, n: int, theta: int) -> int:
+def _check_theta(q: int, n: int, theta: int) -> None:
     if not 0 <= theta < n:
         raise BadTheta("theta=%d is outside [0, %d)" % (theta, n))
     if q == 2 and theta == 0:
@@ -49,7 +42,6 @@ def _check_theta(q: int, n: int, theta: int) -> int:
         raise BadTheta(
             "gcd(q^theta+1, q^n-1) = gcd(%d, %d) = %d, map is not 1-1"
             % (h, q**n - 1, g))
-    return h
 
 
 def default_theta(q: int, n: int) -> int:
@@ -63,69 +55,34 @@ def default_theta(q: int, n: int) -> int:
 
 
 def im_keygen(q: int, n: int, theta: int | None = None,
-              rng: random.Random | None = None) -> IMKeyPair:
-    """Build a power-map key: masks, exponent data and the public equations
-    of f(X, Y) = X^(q^theta + 1) - Y, expanded like any hidden relation."""
+              rng: random.Random | None = None) -> tuple[PublicKey, PrivateKey]:
+    """A (public, private) power-map key pair: the hidden relation
+    f(X, Y) = X^(q^theta + 1) - Y behind random masks, expanded like any
+    other.  The keys carry no alphabet."""
     if rng is None:
         rng = random.Random()
     if theta is None:
         theta = default_theta(q, n)
-    h = _check_theta(q, n, theta)
-    h_prime = pow(h, -1, q**n - 1)
+    _check_theta(q, n, theta)
     field = build_extension(q, n)
     affine = AffinePair.sample(field.base, n, rng)
     relation = PrivatePolynomial(mixed=((field.neg(1), (), 0),),
                                  pure=((1, (0, theta)),))
     public = expand_keypair(field, relation, affine, None)
-    return IMKeyPair(field, theta, h, h_prime, affine, public)
-
-
-def im_encrypt(kp_or_pub, x_vec: np.ndarray) -> np.ndarray:
-    """The one ciphertext of x under a key pair or a public key whose
-    equations are linear in y with an invertible y block."""
-    pub = getattr(kp_or_pub, "public", kp_or_pub)
-    matrix, rhs = pub.linear_system(np.asarray(x_vec, dtype=np.uint8))
-    return linalg.solve(pub.base, matrix, rhs).particular
-
-
-def im_decrypt(kp: IMKeyPair, y_vec: np.ndarray) -> np.ndarray:
-    """Invert the chain: v = By + d, u = v^(h'), x = A^(-1)(u - c)."""
-    field = kp.field
-    v = field.from_coords(kp.affine.map_y(np.asarray(y_vec, dtype=np.uint8)))
-    u = field.pow(v, kp.h_prime)
-    return kp.affine.unmap_u(np.array(field.coords(u), dtype=np.uint8))
+    return public, PrivateKey(field, relation, affine, None, public)
 
 
 # ---------------------------------------------------------------------------
 # relation learning
 
-# Monomial layout for relation vectors: x_i y_j at i*n + j, then the n
-# x_i, then the n y_j, then the constant 1.
-
 
 @dataclass
 class BilinearRelation:
     """A form sum g_ij x_i y_j + sum d_i x_i + sum e_j y_j + z that
-    vanishes on every honest (plaintext, ciphertext) pair."""
+    vanishes on every honest (plaintext, ciphertext) pair; vector holds
+    its coefficients in the monomial order of _monomial_rows."""
 
     vector: np.ndarray
-    n: int
-
-    @property
-    def gamma(self) -> np.ndarray:
-        return self.vector[: self.n * self.n].reshape(self.n, self.n)
-
-    @property
-    def delta(self) -> np.ndarray:
-        return self.vector[self.n * self.n : self.n * self.n + self.n]
-
-    @property
-    def epsilon(self) -> np.ndarray:
-        return self.vector[self.n * self.n + self.n : self.n * self.n + 2 * self.n]
-
-    @property
-    def zeta(self) -> int:
-        return int(self.vector[-1])
 
     def eval(self, base, x_vec, y_vec) -> int:
         row = _monomial_rows(base, np.asarray(x_vec, dtype=np.uint8)[None, :],
@@ -134,6 +91,8 @@ class BilinearRelation:
 
 
 def _monomial_rows(base, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """One row per (x, y) pair: x_i y_j at i*n + j, then the n x_i, then
+    the n y_j, then the constant 1."""
     m, n = xs.shape
     ones = np.ones((m, 1), dtype=np.uint8)
     xy = base.mul_table[xs[:, :, None], ys[:, None, :]].reshape(m, n * n)
@@ -155,31 +114,26 @@ def _sample_pairs(pk, count: int, rng: random.Random):
     return np.array(xs, dtype=np.uint8), np.array(ys, dtype=np.uint8)
 
 
-def harvest_relations(pk, sample_count: int | None = None,
-                      rng: random.Random | None = None) -> list:
+def harvest_relations(pk, rng: random.Random | None = None) -> list:
     """Learn every bilinear (x, y) relation a key's traffic satisfies.
 
-    Uses public encryptions only.  The default sample count doubles the
-    monomial count so spurious relations do not survive; the returned
+    Uses public encryptions only, twice as many pairs as there are
+    monomials, so that spurious relations do not survive; the returned
     list is a basis of the relation space (empty when none exist).
     """
     if rng is None:
         rng = random.Random()
     n = pk.n
-    ncols = n * n + 2 * n + 1
-    if sample_count is None:
-        sample_count = 2 * ncols
-    xs, ys = _sample_pairs(pk, sample_count, rng)
-    rows = _monomial_rows(pk.base, xs, ys)
-    basis = linalg.nullspace(pk.base, rows)
-    return [BilinearRelation(vec, n) for vec in basis]
+    xs, ys = _sample_pairs(pk, 2 * (n * n + 2 * n + 1), rng)
+    basis = linalg.nullspace(pk.base, _monomial_rows(pk.base, xs, ys))
+    return [BilinearRelation(vec) for vec in basis]
 
 
 def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
                    guard: int = 1 << 20) -> list:
     """Recover plaintext candidates for one ciphertext from relations.
 
-    Substituting the target y into each relation leaves equations linear
+    Substituting the target y into each relation leaves equations affine
     in x; the affine solution space is enumerated (bounded by guard) and
     filtered by the public equations, so every returned candidate is a true
     preimage.  Empty when the relations exclude everything.
@@ -187,16 +141,15 @@ def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
     base = pk.base
     n = pk.n
     y = np.asarray(y_target, dtype=np.uint8)
-    # With no relations the system is empty and every x is a candidate.
-    gamma = np.array([rel.gamma for rel in relations], dtype=np.uint8)
-    delta = np.array([rel.delta for rel in relations], dtype=np.uint8)
-    eps = np.array([rel.epsilon for rel in relations], dtype=np.uint8)
-    zeta = np.array([rel.zeta for rel in relations], dtype=np.uint8)
-    gamma_y = linalg.matvec(base, gamma.reshape(-1, n), y).reshape(-1, n)
-    mat = base.add_table[gamma_y, delta.reshape(-1, n)]
-    eps_y = linalg.matvec(base, eps.reshape(-1, n), y)
-    rhs = base.neg_table[base.add_table[eps_y, zeta]]
-    sol = linalg.solve(base, mat, rhs)
+    # Each relation's value at (0, y) is its constant in x, and its value
+    # at (e_i, y) less that constant is the coefficient of x_i.  With no
+    # relations the system is empty and every x is a candidate.
+    xs = np.concatenate([np.zeros((1, n), dtype=np.uint8), linalg.identity(n)])
+    rows = _monomial_rows(base, xs, np.tile(y, (n + 1, 1)))
+    vecs = np.array([rel.vector for rel in relations], dtype=np.uint8)
+    vals = linalg.matmul(base, vecs.reshape(-1, rows.shape[1]), rows.T)
+    mat = base.sub_table[vals[:, 1:], vals[:, :1]]
+    sol = linalg.solve(base, mat, base.neg_table[vals[:, 0]])
     if sol is None:
         return []
     if sol.count(base) > guard:

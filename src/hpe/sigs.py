@@ -125,14 +125,13 @@ def signcrypt(sk_sender, pk_receiver, message: str, rng: random.Random,
                            max_trials, attempt, SigncryptionFailed)[0]
 
 
-def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray,
-                enum_cap: int = _ENUM_CAP) -> list:
+def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray) -> list:
     """Candidate messages behind a signcrypted vector, sorted.
 
     Decrypts to raw preimage candidates with the receiver's key, then
     for each solves the sender's public equations for the y block and
     keeps solutions that decode under the alphabet.  Solution spaces
-    larger than enum_cap are skipped; honest traffic never gets there.
+    larger than _ENUM_CAP are skipped; honest traffic never gets there.
     """
     if pk_sender.q != sk_receiver.base.q or pk_sender.n != sk_receiver.n:
         raise VariableMismatch("sender and receiver keys disagree on q or n")
@@ -142,7 +141,7 @@ def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray,
     for x_b in decrypt_raw(sk_receiver, y_vec):
         matrix, rhs = pk_sender.linear_system(x_b)
         sol = linalg.solve(base, matrix, rhs)
-        if sol is None or sol.count(base) > enum_cap:
+        if sol is None or sol.count(base) > _ENUM_CAP:
             continue
         for candidate in sol.enumerate(base):
             msg = alphabet.decode(candidate)

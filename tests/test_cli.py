@@ -428,6 +428,19 @@ def test_attack_im_report(capsys):
     assert fields["success"] == "true"
 
 
+@pytest.mark.parametrize("q,seed,dimension", [(2, 3, 18), (4, 1, 9)])
+def test_attack_im_report_pinned(capsys, q, seed, dimension):
+    # every line of the report but the timings
+    rc = main(["attack", "--target", "im", "--q", str(q), "--n", "9",
+               "--seed", str(seed), "--trials", "20"])
+    out = capsys.readouterr().out.splitlines()
+    assert rc == 0
+    assert [ln for ln in out if "_seconds=" not in ln] == [
+        "target=im", "q=%d" % q, "n=9", "theta=1",
+        "relation_dimension=%d" % dimension, "ciphertexts=20",
+        "recovered=20", "residual_max=1", "success=true"]
+
+
 def test_attack_im_rejects_bad_degree(capsys):
     # n = 8 admits no bijective exponent, a parameter-level failure.
     rc = main(["attack", "--target", "im", "--q", "2", "--n", "8",

@@ -6,12 +6,11 @@ import random
 import numpy as np
 import pytest
 
-from hpe import KeyGenParams, keygen
+from hpe import KeyGenParams, decrypt_raw, encrypt_raw, keygen
 from hpe.errors import BadTheta, SolutionSpaceTooLarge
 from hpe.fields import base_field
-from hpe.imattack import (BilinearRelation, default_theta, harvest_relations,
-                          im_decrypt, im_encrypt, im_keygen, patarin_attack,
-                          random_quadratic_public)
+from hpe.imattack import (default_theta, harvest_relations, im_keygen,
+                          patarin_attack, random_quadratic_public)
 from hpe.mvpoly import linalg
 
 from oracles import equations
@@ -24,7 +23,13 @@ def kp9():
 
 @pytest.fixture(scope="module")
 def rels9(kp9):
-    return harvest_relations(kp9.public, rng=random.Random(202))
+    return harvest_relations(kp9[0], rng=random.Random(202))
+
+
+def _encrypt(pk, x):
+    # a power-map key, like the quadratic control, solves every x to one y
+    # (nullity 0), so encrypt_raw draws nothing from the rng
+    return encrypt_raw(pk, x, random.Random(0))
 
 
 def _all_vectors(n):
@@ -63,45 +68,41 @@ def test_default_theta_choices():
         default_theta(3, 4)
 
 
-def test_power_map_inverse_exponent(kp9):
-    field = kp9.field
-    assert (kp9.h * kp9.h_prime) % (field.order - 1) == 1
-    rng = random.Random(203)
-    for _ in range(20):
-        w = field.random(rng)
-        assert field.pow(field.pow(w, kp9.h_prime), kp9.h) == w
-
-
 def test_im_round_trip_exhaustive(kp9):
+    pk, sk = kp9
     xs = _all_vectors(9)
-    ys = [im_encrypt(kp9, x) for x in xs]
+    ys = [_encrypt(pk, x) for x in xs]
     for i in range(512):
-        back = im_decrypt(kp9, ys[i])
-        assert np.array_equal(back, xs[i])
+        back = decrypt_raw(sk, ys[i])
+        assert len(back) == 1 and np.array_equal(back[0], xs[i])
 
 
 @pytest.mark.parametrize("q,n,theta", [(2, 9, 1), (4, 3, 0), (4, 3, 1), (8, 3, 0)])
 def test_im_encrypt_matches_private_chain(q, n, theta):
     # Solving the public equations must equal the explicit chain
     # u = Ax + c, w = u^(q^theta + 1), y = Binverse (w - d), at x = 0 (the
-    # equations' constants alone) and at random x.
-    kp = im_keygen(q, n, theta, random.Random(204))
-    field, affine = kp.field, kp.affine
+    # equations' constants alone) and at random x; and the trapdoor must
+    # find exactly that x again, the one root of X^(q^theta + 1) - v.
+    pk, sk = im_keygen(q, n, theta, random.Random(204))
+    field, affine = sk.field, sk.affine
     rng = random.Random(205)
     xs = [np.zeros(n, dtype=np.uint8)]
     xs += [np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
            for _ in range(50)]
     for x in xs:
         u = field.from_coords(affine.map_x(x))
-        w = field.pow(u, kp.h)
+        w = field.pow(u, q**theta + 1)
         want = affine.unmap_v(np.array(field.coords(w), dtype=np.uint8))
-        assert np.array_equal(im_encrypt(kp, x), want)
+        assert np.array_equal(_encrypt(pk, x), want)
+        back = decrypt_raw(sk, want)
+        assert len(back) == 1 and np.array_equal(back[0], x)
 
 
 def test_im_map_is_not_affine(kp9):
+    pk, _ = kp9
     xs = _all_vectors(9)
-    ys = [im_encrypt(kp9, x) for x in xs]
-    zero = im_encrypt(kp9, np.zeros(9, dtype=np.uint8))
+    ys = [_encrypt(pk, x) for x in xs]
+    zero = _encrypt(pk, np.zeros(9, dtype=np.uint8))
     witness = False
     for i in (1, 2, 3):
         for j in (4, 8, 16):
@@ -112,12 +113,13 @@ def test_im_map_is_not_affine(kp9):
 
 
 def test_quad_polys_match_encrypt(kp9):
-    polys = equations(kp9.public)
+    pk, _ = kp9
+    polys = equations(pk)
     assert len(polys) == 9
     rng = random.Random(205)
     for _ in range(20):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
-        y = im_encrypt(kp9, x)
+        y = _encrypt(pk, x)
         point = list(map(int, x)) + list(map(int, y))
         for p in polys:
             assert p.eval(point) == 0
@@ -126,12 +128,13 @@ def test_quad_polys_match_encrypt(kp9):
 def test_harvest_finds_full_relation_space(kp9, rels9):
     # The hidden relation u^(q^theta) v = u v^(q^n-th power back) spans at
     # least n independent bilinear identities.
+    pk, _ = kp9
     assert len(rels9) >= 9
     base = base_field(2)
     rng = random.Random(206)
     for _ in range(100):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
-        y = im_encrypt(kp9, x)
+        y = _encrypt(pk, x)
         for rel in rels9:
             assert rel.eval(base, x, y) == 0
 
@@ -148,39 +151,45 @@ def test_kp9_relations_pinned(rels9):
 def test_relation_views_match_vector(rels9):
     rel = rels9[0]
     base = base_field(2)
+    # the monomial layout [x_i y_j | x_i | y_j | 1], read in the test
+    gamma = rel.vector[:81].reshape(9, 9).astype(np.int64)
+    delta, epsilon, zeta = rel.vector[81:90], rel.vector[90:99], rel.vector[99]
     rng = random.Random(207)
     for _ in range(20):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
         y = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
-        acc = int(rel.zeta)
-        acc ^= int(x @ rel.gamma.astype(np.int64) @ y) & 1
-        acc ^= int(rel.delta @ x) & 1
-        acc ^= int(rel.epsilon @ y) & 1
+        acc = int(zeta)
+        acc ^= int(x @ gamma @ y) & 1
+        acc ^= int(delta @ x) & 1
+        acc ^= int(epsilon @ y) & 1
         assert rel.eval(base, x, y) == acc
 
 
 def test_attack_recovers_plaintexts(kp9, rels9):
+    pk, _ = kp9
     rng = random.Random(208)
     for _ in range(25):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
-        y = im_encrypt(kp9, x)
-        cands = patarin_attack(kp9.public, rels9, y)
+        y = _encrypt(pk, x)
+        cands = patarin_attack(pk, rels9, y)
         assert [list(map(int, c)) for c in cands] == [list(map(int, x))]
 
 
 def test_attack_candidates_reencrypt(kp9, rels9):
+    pk, _ = kp9
     rng = random.Random(209)
     for _ in range(10):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
-        y = im_encrypt(kp9, x)
-        for cand in patarin_attack(kp9.public, rels9, y):
-            assert np.array_equal(im_encrypt(kp9.public, cand), y)
+        y = _encrypt(pk, x)
+        for cand in patarin_attack(pk, rels9, y):
+            assert np.array_equal(_encrypt(pk, cand), y)
 
 
 def test_attack_guard_on_thin_relations(kp9):
-    y = im_encrypt(kp9, np.ones(9, dtype=np.uint8))
+    pk, _ = kp9
+    y = _encrypt(pk, np.ones(9, dtype=np.uint8))
     with pytest.raises(SolutionSpaceTooLarge):
-        patarin_attack(kp9.public, [], y, guard=16)
+        patarin_attack(pk, [], y, guard=16)
 
 
 def test_random_quadratics_have_no_relations():
@@ -208,7 +217,7 @@ def test_random_quadratic_control_at_odd_p():
         xt = np.append(x, 1).astype(np.int64)
         want = np.einsum("i,kij,j->k", xt, quad, xt) % q
         assert np.array_equal(sol.particular, want)
-        assert np.array_equal(im_encrypt(pub, x), want)
+        assert np.array_equal(_encrypt(pub, x), want)
     assert harvest_relations(pub, rng=random.Random(216)) == []
 
 
@@ -223,19 +232,20 @@ def test_im_keygen_deterministic():
     a = im_keygen(2, 9, 1, random.Random(5))
     b = im_keygen(2, 9, 1, random.Random(5))
     c = im_keygen(2, 9, 1, random.Random(6))
-    assert all(np.array_equal(getattr(a.public, k), getattr(b.public, k))
+    assert all(np.array_equal(getattr(a[0], k), getattr(b[0], k))
                for k in blocks)
-    assert not all(np.array_equal(getattr(a.public, k), getattr(c.public, k))
+    assert not all(np.array_equal(getattr(a[0], k), getattr(c[0], k))
                    for k in blocks)
 
 
 def test_im_composite_base_round_trip():
     # q = 4 exercises the table arithmetic path end to end.
-    kp = im_keygen(4, 3, None, random.Random(213))
-    assert kp.h == 4 ** kp.theta + 1
+    pk, sk = im_keygen(4, 3, None, random.Random(213))
+    assert sk.priv.deg_x(4) == 4 ** default_theta(4, 3) + 1
     rng = random.Random(214)
     for _ in range(40):
         x = np.array([rng.randrange(4) for _ in range(3)], dtype=np.uint8)
-        assert np.array_equal(im_decrypt(kp, im_encrypt(kp, x)), x)
+        back = decrypt_raw(sk, _encrypt(pk, x))
+        assert len(back) == 1 and np.array_equal(back[0], x)
     with pytest.raises(BadTheta):
         im_keygen(3, 4, 1, random.Random(1))
