@@ -7,21 +7,20 @@ cryptanalysis harness for the ancestral power-map scheme.
 """
 
 from . import errors
-from .core.alphabet import (Alphabet, base4, default_alphabet, hex16,
-                            make_alphabet, text64)
+from .core.alphabet import (Alphabet, base4, default_alphabet, make_alphabet,
+                            text64)
 from .core.keygen import expand_keypair, keygen, sample_private
 from .core.keys import (AffinePair, KeyGenParams, PrivateKey,
                         PrivatePolynomial, PublicKey)
 from .core.protocol import (batch_zero_mask, decrypt, decrypt_messages,
-                            decrypt_raw, encrypt, encrypt_raw,
-                            exhaustive_invert, private_relation_check)
+                            decrypt_raw, encrypt, encrypt_raw)
 from .core.serial import (dump_private, dump_public, dump_signature,
                           dump_vector, load_private, load_public,
                           parse_signature, parse_vector)
 from .fields import (BaseField, ExtensionField, base_field, build_extension,
                      parse_descriptor)
-from .imattack import (BilinearRelation, default_theta, harvest_relations,
-                       im_keygen, patarin_attack, random_quadratic_public)
+from .imattack import (default_theta, harvest_relations, im_keygen,
+                       patarin_attack)
 from .mvpoly.linalg import Solution, nullspace, solve
 from .sigs import (Signature, hash_to_y, sign, signcrypt, unsigncrypt,
                    verify)

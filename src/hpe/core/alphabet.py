@@ -197,11 +197,6 @@ def text64() -> Alphabet:
     return make_alphabet(2, 8, symbols, 2, seed=0x64A11)
 
 
-def hex16() -> Alphabet:
-    """16 hex symbols, 8-bit blocks, q=2; strong per-block filtering."""
-    return make_alphabet(2, 8, "0123456789abcdef", 2, seed=0x16A11)
-
-
 def base4() -> Alphabet:
     """4 symbols on 4-bit blocks, q=2; for degrees not divisible by 8."""
     return make_alphabet(2, 4, "ACGT", 2, seed=0x4A11)

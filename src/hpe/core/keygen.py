@@ -51,6 +51,7 @@ def sample_private(params: KeyGenParams, field, rng: random.Random) -> PrivatePo
     terms while the option pool allows it; sharing one would let some
     combination of the public equations shed its quadratic part.
     """
+    params.check()
     q, n = params.q, params.n
     mixed_weights = [
         w for w in range(2, params.t_max)
@@ -60,11 +61,6 @@ def sample_private(params: KeyGenParams, field, rng: random.Random) -> PrivatePo
         raise GenerationFailed(
             "no mixed monomial fits t_max=%d, degX_max=%d"
             % (params.t_max, params.degX_max)
-        )
-    if params.n_monomials > n:
-        raise GenerationFailed(
-            "cannot give %d mixed monomials distinct y levels with n=%d"
-            % (params.n_monomials, n)
         )
     y_levels = rng.sample(range(n), params.n_monomials)
     mixed, used_x = [], set()
@@ -131,7 +127,7 @@ def keygen(params: KeyGenParams, rng: random.Random | None = None,
     """
     params.check()
     if rng is None:
-        rng = random.Random(params.seed)
+        rng = random.Random()
     field = build_extension(params.q, params.n)
     if alphabet is None:
         alphabet = default_alphabet(params.q, params.n)

@@ -25,7 +25,7 @@ import numpy as np
 
 from ..errors import FormatError, VariableMismatch
 from ..fields import parse_decimal
-from ..mvpoly import gf2, linalg, upoly
+from ..mvpoly import gf2, linalg
 from ..mvpoly.linalg import inverse, matvec, random_invertible, random_scalars
 
 
@@ -84,7 +84,6 @@ class KeyGenParams:
     t_max: int = 3
     degX_max: int = 9
     n_monomials: int = 3
-    seed: int | None = None
 
     def check(self) -> None:
         if self.n < 2:
@@ -95,6 +94,11 @@ class KeyGenParams:
             raise VariableMismatch("degX_max must lie in [2, %d]" % MAX_DEGX)
         if self.n_monomials < 1:
             raise VariableMismatch("need at least one mixed monomial")
+        if self.n_monomials > self.n:
+            # each mixed monomial takes its own Frobenius level on Y
+            raise VariableMismatch(
+                "cannot give %d mixed monomials distinct y levels with n=%d"
+                % (self.n_monomials, self.n))
 
 
 @dataclass(frozen=True)
@@ -142,10 +146,6 @@ class PrivatePolynomial:
         while out and not out[-1]:
             out.pop()
         return out
-
-    def eval(self, field, u: int, v: int) -> int:
-        """f(u, v): the polynomial that decryption roots, evaluated at u."""
-        return upoly.eval_poly(field, self.univariate_in_x(field, v), u)
 
     def to_lines(self) -> list[str]:
         out = []
@@ -205,10 +205,6 @@ class AffinePair:
         d_vec = random_scalars(base.q, n, rng)
         return cls(base, a_mat, c_vec, b_mat, d_vec)
 
-    def map_x(self, x_vec: np.ndarray) -> np.ndarray:
-        u = matvec(self.base, self.a_mat, x_vec)
-        return self.base.add_table[u, self.c_vec]
-
     def unmap_u(self, u_vec: np.ndarray) -> np.ndarray:
         shifted = self.base.sub_table[np.asarray(u_vec, dtype=np.uint8), self.c_vec]
         return matvec(self.base, self.a_inv, shifted)
@@ -216,10 +212,6 @@ class AffinePair:
     def map_y(self, y_vec: np.ndarray) -> np.ndarray:
         v = matvec(self.base, self.b_mat, y_vec)
         return self.base.add_table[v, self.d_vec]
-
-    def unmap_v(self, v_vec: np.ndarray) -> np.ndarray:
-        shifted = self.base.sub_table[np.asarray(v_vec, dtype=np.uint8), self.d_vec]
-        return matvec(self.base, self.b_inv, shifted)
 
 
 class PublicKey:

@@ -1,4 +1,4 @@
-"""Probabilistic encryption, decryption, and exhaustive inversion."""
+"""Probabilistic encryption and trapdoor decryption."""
 
 import random
 
@@ -8,6 +8,7 @@ from ..errors import (AmbiguousDecryption, EncryptionFailed, NoValidCandidate,
                       TooLarge)
 from ..mvpoly import linalg
 from ..mvpoly.upoly import roots as upoly_roots
+from .keys import MAX_DEGX
 
 _DEFAULT_TRIALS = 10
 _BATCH_CELLS = 1 << 18  # rows x key monomials per batch_zero_mask chunk
@@ -97,7 +98,10 @@ def decrypt_raw(sk, y_vec: np.ndarray, rng: random.Random | None = None):
 
     Works through the trapdoor: maps y to the hidden v, collects the
     roots in X of the univariate f(X, v), and pulls each root back
-    through the x-side mask.  Sorted by the root's packed value.
+    through the x-side mask.  Sorted by the root's packed value.  Raises
+    TooLarge when f(X, v) has degree above MAX_DEGX, the cap that keygen
+    and load_private put on the relation, so every key inverts in bounded
+    time.
     """
     if rng is None:
         rng = random.Random(3517)
@@ -106,6 +110,9 @@ def decrypt_raw(sk, y_vec: np.ndarray, rng: random.Random | None = None):
     g = sk.priv.univariate_in_x(field, v)
     if not g:
         return []
+    if len(g) - 1 > MAX_DEGX:
+        raise TooLarge(
+            "f(X, v) has degree %d, above %d" % (len(g) - 1, MAX_DEGX))
     out = []
     for u in sorted(upoly_roots(field, g, rng)):
         coords = np.array(field.coords(u), dtype=np.uint8)
@@ -137,20 +144,6 @@ def decrypt(sk, y_vec: np.ndarray) -> list:
     return msgs
 
 
-def private_relation_check(sk, u: int, v: int):
-    """Evaluate both sides of the hidden relation at one point.
-
-    Takes the extension-field pair (u, v), pulls it back through the affine
-    maps to (x, y) and returns (hidden, public): the coordinates of f(u, v)
-    and the values of the published equations.  They must agree everywhere.
-    """
-    field = sk.field
-    x_vec = sk.affine.unmap_u(np.array(field.coords(u), dtype=np.uint8))
-    y_vec = sk.affine.unmap_v(np.array(field.coords(v), dtype=np.uint8))
-    hidden = np.array(field.coords(sk.priv.eval(field, u, v)), dtype=np.uint8)
-    return hidden, sk.public.eval_at(x_vec, y_vec)
-
-
 def batch_zero_mask(pk, digits: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
     """Which rows of a (m, n) digit matrix satisfy every public equation.
 
@@ -164,23 +157,3 @@ def batch_zero_mask(pk, digits: np.ndarray, y_vec: np.ndarray) -> np.ndarray:
         vals = pk.eval_at(digits[lo:lo + step], y_vec)
         ok[lo:lo + step] = ~vals.any(axis=1)
     return ok
-
-
-def exhaustive_invert(pk, y_vec: np.ndarray, limit: int = 1 << 24) -> list:
-    """Every x with all public equations vanishing at (x, y), by search.
-
-    Ground truth for the trapdoor path; refuses spaces above limit.
-    Results come back as digit vectors in ascending packed order.
-    """
-    total = pk.q**pk.n
-    if total > limit:
-        raise TooLarge("search space %d exceeds limit %d" % (total, limit))
-    out = []
-    chunk = 1 << 13
-    powers = pk.q ** np.arange(pk.n, dtype=np.int64)
-    for start in range(0, total, chunk):
-        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
-        digits = (idx[:, None] // powers[None, :] % pk.q).astype(np.uint8)
-        good = batch_zero_mask(pk, digits, y_vec)
-        out.extend(digits[good])
-    return out

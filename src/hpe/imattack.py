@@ -18,7 +18,6 @@ where no such relations survive.
 
 import math
 import random
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,7 +26,6 @@ from .core.keys import AffinePair, PrivateKey, PrivatePolynomial, PublicKey
 from .core.protocol import batch_zero_mask, encrypt_raw
 from .errors import BadTheta, SolutionSpaceTooLarge
 from .fields import build_extension
-from .core import linearize
 from .mvpoly import linalg
 
 
@@ -76,20 +74,6 @@ def im_keygen(q: int, n: int, theta: int | None = None,
 # relation learning
 
 
-@dataclass
-class BilinearRelation:
-    """A form sum g_ij x_i y_j + sum d_i x_i + sum e_j y_j + z that
-    vanishes on every honest (plaintext, ciphertext) pair; vector holds
-    its coefficients in the monomial order of _monomial_rows."""
-
-    vector: np.ndarray
-
-    def eval(self, base, x_vec, y_vec) -> int:
-        row = _monomial_rows(base, np.asarray(x_vec, dtype=np.uint8)[None, :],
-                             np.asarray(y_vec, dtype=np.uint8)[None, :])
-        return int(linalg.matvec(base, row, self.vector)[0])
-
-
 def _monomial_rows(base, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """One row per (x, y) pair: x_i y_j at i*n + j, then the n x_i, then
     the n y_j, then the constant 1."""
@@ -117,16 +101,18 @@ def _sample_pairs(pk, count: int, rng: random.Random):
 def harvest_relations(pk, rng: random.Random | None = None) -> list:
     """Learn every bilinear (x, y) relation a key's traffic satisfies.
 
-    Uses public encryptions only, twice as many pairs as there are
-    monomials, so that spurious relations do not survive; the returned
-    list is a basis of the relation space (empty when none exist).
+    A relation is a form sum g_ij x_i y_j + sum d_i x_i + sum e_j y_j + z
+    that vanishes on every honest (plaintext, ciphertext) pair, held as
+    its coefficient vector in the monomial order of _monomial_rows.  Uses
+    public encryptions only, twice as many pairs as there are monomials,
+    so that spurious relations do not survive; the returned list is a
+    basis of the relation space (empty when none exist).
     """
     if rng is None:
         rng = random.Random()
     n = pk.n
     xs, ys = _sample_pairs(pk, 2 * (n * n + 2 * n + 1), rng)
-    basis = linalg.nullspace(pk.base, _monomial_rows(pk.base, xs, ys))
-    return [BilinearRelation(vec) for vec in basis]
+    return linalg.nullspace(pk.base, _monomial_rows(pk.base, xs, ys))
 
 
 def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
@@ -146,7 +132,7 @@ def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
     # relations the system is empty and every x is a candidate.
     xs = np.concatenate([np.zeros((1, n), dtype=np.uint8), linalg.identity(n)])
     rows = _monomial_rows(base, xs, np.tile(y, (n + 1, 1)))
-    vecs = np.array([rel.vector for rel in relations], dtype=np.uint8)
+    vecs = np.array(relations, dtype=np.uint8)
     vals = linalg.matmul(base, vecs.reshape(-1, rows.shape[1]), rows.T)
     mat = base.sub_table[vals[:, 1:], vals[:, :1]]
     sol = linalg.solve(base, mat, base.neg_table[vals[:, 0]])
@@ -158,20 +144,3 @@ def patarin_attack(pk: PublicKey, relations: list, y_target: np.ndarray,
             % (sol.count(base), guard))
     cands = np.stack(list(sol.enumerate(base)))
     return list(cands[batch_zero_mask(pk, cands, y)])
-
-
-def random_quadratic_public(base, n: int, rng: random.Random) -> PublicKey:
-    """A structureless quadratic map y = Q(x), the control for relation
-    harvesting: Q is a random (n, n + 1, n + 1) tensor of forms over the
-    homogenized (x, 1), published as the equations Q(x) - y."""
-    quad = linalg.random_scalars(base.q, n * (n + 1) ** 2, rng).reshape(n, n + 1, n + 1)
-    field = build_extension(base.q, n)
-    # -y_k in equation k: no x factor, then the y slots and the constant
-    minus_y = np.zeros((n, n + 1), dtype=np.uint8)
-    minus_y[np.arange(n), np.arange(n)] = base.neg(1)
-    # each tensor as a one-factor product by 1: its columns as the elements
-    # that merge_general sums
-    parts = [linearize.records_general(
-                 field, linearize.expand_product(field, 1, [tensor]), n, has_y)
-             for tensor, has_y in ((quad.reshape(n, -1), False), (minus_y, True))]
-    return PublicKey(base, n, 2, *linearize.merge_general(field, parts, n), None)

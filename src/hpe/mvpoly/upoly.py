@@ -53,10 +53,6 @@ def degree(f: list) -> int:
     return len(f) - 1
 
 
-def is_zero(f: list) -> bool:
-    return len(f) == 0
-
-
 def add(F, f: list, g: list) -> list:
     if len(f) < len(g):
         f, g = g, f

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import settings
 
 from hpe import KeyGenParams, keygen
-from hpe.core.alphabet import hex16
 from hpe.core.keys import PublicKey
+
+from oracles import hex16
 
 # Property tests draw the same examples on every run and carry no per-example
 # deadline, so a slow or busy host cannot make them flake.
@@ -17,18 +18,18 @@ settings.load_profile("hpe")
 @pytest.fixture(scope="session")
 def pair16():
     """A (public, private) pair at q=2, n=16 with the text alphabet."""
-    return keygen(KeyGenParams(q=2, n=16, seed=101))
+    return keygen(KeyGenParams(q=2, n=16), random.Random(101))
 
 
 @pytest.fixture(scope="session")
 def pair16_hex():
-    return keygen(KeyGenParams(q=2, n=16, seed=102), alphabet=hex16())
+    return keygen(KeyGenParams(q=2, n=16), random.Random(102), alphabet=hex16())
 
 
 @pytest.fixture(scope="session")
 def pair12():
     """Small pair whose ciphertext space (2^12) can be searched outright."""
-    return keygen(KeyGenParams(q=2, n=12, seed=103))
+    return keygen(KeyGenParams(q=2, n=12), random.Random(103))
 
 
 def random_messages(alphabet, blocks, count, seed):

@@ -9,12 +9,27 @@ product that key expansion ran at every q before characteristic 2 moved to
 packed elements, rref_oracle the column loop that row reduction ran, and
 random_matrix_oracle the one randrange call per entry that random matrices
 were drawn with.
+
+The rest is what the tests need beside the library's own paths:
+exhaustive_invert, every preimage of a ciphertext by search, the ground
+truth for trapdoor decryption; the private side read the other way round,
+map_x and unmap_v for the masks, private_eval for f(u, v) and
+private_relation_check for both sides of the hidden relation at one point;
+relation_value, a harvested bilinear relation at one (x, y) pair;
+random_quadratic_public, the structureless control for relation harvesting;
+and hex16, a 16-letter alphabet with strong per-block filtering.
 """
 
 import numpy as np
 
-from hpe.errors import SingularMatrix, VariableMismatch
-from hpe.mvpoly import linalg
+from hpe.core import linearize
+from hpe.core.alphabet import make_alphabet
+from hpe.core.keys import PublicKey
+from hpe.core.protocol import batch_zero_mask
+from hpe.errors import SingularMatrix, TooLarge, VariableMismatch
+from hpe.fields import build_extension
+from hpe.imattack import _monomial_rows
+from hpe.mvpoly import linalg, upoly
 
 
 class MultiPoly:
@@ -364,3 +379,86 @@ def random_matrix_oracle(base, shape, rng):
         [[rng.randrange(base.q) for _ in range(shape[1])] for _ in range(shape[0])],
         dtype=np.uint8,
     )
+
+
+def hex16():
+    """16 hex symbols, 8-bit blocks, q=2; strong per-block filtering."""
+    return make_alphabet(2, 8, "0123456789abcdef", 2, seed=0x16A11)
+
+
+def map_x(affine, x_vec):
+    """u = A x + c, the x-side mask."""
+    u = linalg.matvec(affine.base, affine.a_mat, x_vec)
+    return affine.base.add_table[u, affine.c_vec]
+
+
+def unmap_v(affine, v_vec):
+    """y = B^-1 (v - d), the inverse of the y-side mask."""
+    base = affine.base
+    shifted = base.sub_table[np.asarray(v_vec, dtype=np.uint8), affine.d_vec]
+    return linalg.matvec(base, affine.b_inv, shifted)
+
+
+def private_eval(field, priv, u, v):
+    """f(u, v): the polynomial that decryption roots, evaluated at u."""
+    return upoly.eval_poly(field, priv.univariate_in_x(field, v), u)
+
+
+def private_relation_check(sk, u, v):
+    """Evaluate both sides of the hidden relation at one point.
+
+    Takes the extension-field pair (u, v), pulls it back through the affine
+    maps to (x, y) and returns (hidden, public): the coordinates of f(u, v)
+    and the values of the published equations.  They must agree everywhere.
+    """
+    field = sk.field
+    x_vec = sk.affine.unmap_u(np.array(field.coords(u), dtype=np.uint8))
+    y_vec = unmap_v(sk.affine, np.array(field.coords(v), dtype=np.uint8))
+    hidden = np.array(field.coords(private_eval(field, sk.priv, u, v)),
+                      dtype=np.uint8)
+    return hidden, sk.public.eval_at(x_vec, y_vec)
+
+
+def exhaustive_invert(pk, y_vec, limit=1 << 24):
+    """Every x with all public equations vanishing at (x, y), by search.
+
+    Ground truth for the trapdoor path; refuses spaces above limit.
+    Results come back as digit vectors in ascending packed order.
+    """
+    total = pk.q**pk.n
+    if total > limit:
+        raise TooLarge("search space %d exceeds limit %d" % (total, limit))
+    out = []
+    chunk = 1 << 13
+    powers = pk.q ** np.arange(pk.n, dtype=np.int64)
+    for start in range(0, total, chunk):
+        idx = np.arange(start, min(start + chunk, total), dtype=np.int64)
+        digits = (idx[:, None] // powers[None, :] % pk.q).astype(np.uint8)
+        good = batch_zero_mask(pk, digits, y_vec)
+        out.extend(digits[good])
+    return out
+
+
+def relation_value(base, vector, x_vec, y_vec):
+    """The bilinear relation with coefficient vector `vector`, as
+    harvest_relations returns it, evaluated at one (x, y) pair."""
+    row = _monomial_rows(base, np.asarray(x_vec, dtype=np.uint8)[None, :],
+                         np.asarray(y_vec, dtype=np.uint8)[None, :])
+    return int(linalg.matvec(base, row, vector)[0])
+
+
+def random_quadratic_public(base, n, rng):
+    """A structureless quadratic map y = Q(x), the control for relation
+    harvesting: Q is a random (n, n + 1, n + 1) tensor of forms over the
+    homogenized (x, 1), published as the equations Q(x) - y."""
+    quad = linalg.random_scalars(base.q, n * (n + 1) ** 2, rng).reshape(n, n + 1, n + 1)
+    field = build_extension(base.q, n)
+    # -y_k in equation k: no x factor, then the y slots and the constant
+    minus_y = np.zeros((n, n + 1), dtype=np.uint8)
+    minus_y[np.arange(n), np.arange(n)] = base.neg(1)
+    # each tensor as a one-factor product by 1: its columns as the elements
+    # that merge_general sums
+    parts = [linearize.records_general(
+                 field, linearize.expand_product(field, 1, [tensor]), n, has_y)
+             for tensor, has_y in ((quad.reshape(n, -1), False), (minus_y, True))]
+    return PublicKey(base, n, 2, *linearize.merge_general(field, parts, n), None)

@@ -14,14 +14,16 @@ import numpy as np
 import pytest
 
 from hpe import (KeyGenParams, Signature, batch_zero_mask, decrypt_messages,
-                 decrypt_raw, encrypt, encrypt_raw, exhaustive_invert,
-                 hash_to_y, hex16, keygen, private_relation_check, sign,
+                 decrypt_raw, encrypt, encrypt_raw, hash_to_y, keygen, sign,
                  signcrypt, unsigncrypt, verify)
 from hpe import imattack
 from hpe.errors import (EncryptionFailed, NoValidCandidate,
                         SigncryptionFailed)
 from hpe.fields import build_extension
 from hpe.mvpoly import upoly
+
+from oracles import (exhaustive_invert, hex16, map_x, private_relation_check,
+                     unmap_v)
 
 
 def _report(num, ok, detail):
@@ -41,7 +43,7 @@ def test_criterion_01_single_trial_success_rate():
     rng = random.Random(20260823)
     ok = tot = 0
     for ks in range(80):
-        pk, _ = keygen(KeyGenParams(q=2, n=16, seed=9000 + ks))
+        pk, _ = keygen(KeyGenParams(q=2, n=16), random.Random(9000 + ks))
         blocks = pk.alphabet.blocks_for(16)
         for _ in range(30):
             msg = _random_message(pk.alphabet, blocks, rng)
@@ -64,7 +66,8 @@ def test_criterion_02_retry_failure_rate():
     alpha = hex16()
     fails = tot = 0
     for ks in range(10):
-        pk, _ = keygen(KeyGenParams(q=2, n=32, seed=3200 + ks), alphabet=hex16())
+        pk, _ = keygen(KeyGenParams(q=2, n=32), random.Random(3200 + ks),
+                       alphabet=hex16())
         for _ in range(1000):
             msg = _random_message(alpha, 4, rng)
             tot += 1
@@ -84,7 +87,8 @@ def test_criterion_03_round_trip_correctness():
     alpha = hex16()
     recovered = unique = done = 0
     for ks in range(10):
-        pk, sk = keygen(KeyGenParams(q=2, n=16, seed=5000 + ks), alphabet=hex16())
+        pk, sk = keygen(KeyGenParams(q=2, n=16), random.Random(5000 + ks),
+                        alphabet=hex16())
         got = 0
         while got < 10:
             msg = _random_message(alpha, 2, rng)
@@ -110,9 +114,9 @@ def test_criterion_04_root_count_bound():
     cap = KeyGenParams().degX_max
     worst = 0
     samples = 0
-    for params in (KeyGenParams(q=2, n=16, seed=414),
-                   KeyGenParams(q=2, n=12, seed=424)):
-        pk, sk = keygen(params)
+    for params, seed in ((KeyGenParams(q=2, n=16), 414),
+                         (KeyGenParams(q=2, n=12), 424)):
+        pk, sk = keygen(params, random.Random(seed))
         blocks = pk.alphabet.blocks_for(params.n)
         done = 0
         while done < 40:
@@ -133,7 +137,7 @@ def test_criterion_05_exhaustive_oracle_equivalence():
     # Trapdoor decryption against full enumeration of the plaintext
     # space: raw preimages and decoded candidates must match exactly.
     rng = random.Random(505)
-    pk, sk = keygen(KeyGenParams(q=2, n=12, seed=515))
+    pk, sk = keygen(KeyGenParams(q=2, n=12), random.Random(515))
     alpha = pk.alphabet
     mismatches = 0
     checked = 0
@@ -168,19 +172,19 @@ def test_criterion_06_hidden_versus_public_vanishing_sets():
     mismatches = 0
     domains = 0
     for q, n, seed in ((2, 8, 68), (4, 4, 644), (3, 5, 635)):
-        pk, sk = keygen(KeyGenParams(q=q, n=n, seed=seed))
+        pk, sk = keygen(KeyGenParams(q=q, n=n), random.Random(seed))
         field = sk.field
         all_x = np.array(list(itertools.product(range(q), repeat=n)),
                          dtype=np.uint8)
         u_packed = np.array(
-            [field.from_coords(sk.affine.map_x(x)) for x in all_x],
+            [field.from_coords(map_x(sk.affine, x)) for x in all_x],
             dtype=np.uint64)
         for v in field.elements():
             g = sk.priv.univariate_in_x(field, v)
             expected = (set(field.elements()) if not g
                         else upoly.roots(field, g))
-            y_vec = sk.affine.unmap_v(
-                np.array(field.coords(v), dtype=np.uint8))
+            y_vec = unmap_v(sk.affine,
+                            np.array(field.coords(v), dtype=np.uint8))
             mask = batch_zero_mask(pk, all_x, y_vec)
             observed = {int(u) for u in u_packed[mask]}
             domains += 1
@@ -253,7 +257,7 @@ def test_criterion_08_signature_suite():
     accepted = tampered_rejected = cross_rejected = 0
     total = 100
     for ks in (801, 802):
-        pk, sk = keygen(KeyGenParams(q=2, n=16, seed=ks))
+        pk, sk = keygen(KeyGenParams(q=2, n=16), random.Random(ks))
         for i in range(total // 2):
             msg = "document %d from key %d" % (i, ks)
             s = sign(sk, msg, rng)
@@ -276,9 +280,9 @@ def test_criterion_09_signcryption_suite():
     alpha = hex16()
     pairs = []
     for ks in range(5):
-        a_pk, a_sk = keygen(KeyGenParams(q=2, n=24, seed=2400 + ks),
+        a_pk, a_sk = keygen(KeyGenParams(q=2, n=24), random.Random(2400 + ks),
                             alphabet=hex16())
-        b_pk, b_sk = keygen(KeyGenParams(q=2, n=24, seed=2450 + ks),
+        b_pk, b_sk = keygen(KeyGenParams(q=2, n=24), random.Random(2450 + ks),
                             alphabet=hex16())
         pairs.append((a_pk, a_sk, b_pk, b_sk))
     done = recovered = unique = attempts = 0
@@ -331,7 +335,7 @@ def test_criterion_11_harvest_finds_nothing_on_hidden_equations():
     zero_dim = 0
     keys = 50
     for ks in range(keys):
-        pk, _ = keygen(KeyGenParams(q=2, n=16, seed=7000 + ks))
+        pk, _ = keygen(KeyGenParams(q=2, n=16), random.Random(7000 + ks))
         if not imattack.harvest_relations(pk, rng=rng):
             zero_dim += 1
     good = zero_dim >= int(0.95 * keys)
@@ -345,7 +349,7 @@ def test_criterion_12_public_key_shape_audit():
     for q, n, base_seed, count in ((2, 12, 1200, 60), (3, 6, 360, 20),
                                    (4, 4, 440, 20)):
         for ks in range(count):
-            pk, _ = keygen(KeyGenParams(q=q, n=n, seed=base_seed + ks))
+            pk, _ = keygen(KeyGenParams(q=q, n=n), random.Random(base_seed + ks))
             bad += len(pk.shape_violations())
             keys += 1
     _report(12, bad == 0, "%d violations across %d keys" % (bad, keys))
@@ -358,7 +362,7 @@ def test_criterion_13_ambiguity_at_headline_size():
     rng = random.Random(1313)
     ambiguous = recovered = done = 0
     for ks in (1, 2, 3):
-        pk, sk = keygen(KeyGenParams(q=2, n=32, seed=ks))
+        pk, sk = keygen(KeyGenParams(q=2, n=32), random.Random(ks))
         got = 0
         while got < 100:
             msg = _random_message(pk.alphabet, 4, rng)

@@ -3,9 +3,11 @@ import random
 import numpy as np
 import pytest
 
-from hpe.core.alphabet import (Alphabet, base4, default_alphabet, hex16,
+from hpe.core.alphabet import (Alphabet, base4, default_alphabet,
                                make_alphabet, text64)
 from hpe.errors import LengthMismatch, SymbolOutOfAlphabet
+
+from oracles import hex16
 
 
 def test_builtin_tables_shape():

@@ -44,6 +44,10 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
                  "--priv", priv]) == 64
     assert main(["keygen", "--q", "2", "--n", "1", "--pub", pub,
                  "--priv", priv]) == 64
+    # n=2 cannot hold the default 3 mixed monomials' distinct y levels
+    for q in ("2", "3"):
+        assert main(["keygen", "--q", q, "--n", "2", "--pub", pub,
+                     "--priv", priv]) == 64
     # 2^61 - 1 is prime; it is refused before any trial division
     assert main(["keygen", "--q", "2305843009213693951", "--n", "4",
                  "--pub", pub, "--priv", priv]) == 64

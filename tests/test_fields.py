@@ -219,7 +219,7 @@ def _naive_irreducible(q, coeffs):
         for packed in range(q ** d):
             div = [(packed // q ** i) % q for i in range(d)] + [1]
             _, r = upoly.divmod_poly(f, list(coeffs), div)
-            if upoly.is_zero(r):
+            if not r:
                 return False
     return True
 

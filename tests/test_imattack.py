@@ -6,14 +6,15 @@ import random
 import numpy as np
 import pytest
 
-from hpe import KeyGenParams, decrypt_raw, encrypt_raw, keygen
-from hpe.errors import BadTheta, SolutionSpaceTooLarge
+from hpe import decrypt_raw, encrypt_raw, sign
+from hpe.errors import BadTheta, SolutionSpaceTooLarge, TooLarge
 from hpe.fields import base_field
 from hpe.imattack import (default_theta, harvest_relations, im_keygen,
-                          patarin_attack, random_quadratic_public)
+                          patarin_attack)
 from hpe.mvpoly import linalg
 
-from oracles import equations
+from oracles import (equations, map_x, random_quadratic_public,
+                     relation_value, unmap_v)
 
 
 @pytest.fixture(scope="module")
@@ -90,12 +91,29 @@ def test_im_encrypt_matches_private_chain(q, n, theta):
     xs += [np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
            for _ in range(50)]
     for x in xs:
-        u = field.from_coords(affine.map_x(x))
+        u = field.from_coords(map_x(affine, x))
         w = field.pow(u, q**theta + 1)
-        want = affine.unmap_v(np.array(field.coords(w), dtype=np.uint8))
+        want = unmap_v(affine, np.array(field.coords(w), dtype=np.uint8))
         assert np.array_equal(_encrypt(pk, x), want)
         back = decrypt_raw(sk, want)
         assert len(back) == 1 and np.array_equal(back[0], x)
+
+
+def test_im_decrypt_degree_is_capped():
+    # Decryption roots f(X, v) = X^(q^theta + 1) - v.  At q=2 n=9, theta=5
+    # gives degree 33, within MAX_DEGX = 64, and theta=6 gives 65, above
+    # it; both exponents are coprime to 2^9 - 1, so both keys are valid.
+    x = np.array([1, 0, 1, 1, 0, 0, 1, 0, 1], dtype=np.uint8)
+    pk, sk = im_keygen(2, 9, 5, random.Random(217))
+    assert sk.priv.deg_x(2) == 33
+    back = decrypt_raw(sk, _encrypt(pk, x))
+    assert len(back) == 1 and np.array_equal(back[0], x)
+    pk, sk = im_keygen(2, 9, 6, random.Random(217))
+    assert sk.priv.deg_x(2) == 65
+    with pytest.raises(TooLarge):
+        decrypt_raw(sk, _encrypt(pk, x))
+    with pytest.raises(TooLarge):
+        sign(sk, "m", random.Random(218))
 
 
 def test_im_map_is_not_affine(kp9):
@@ -136,13 +154,13 @@ def test_harvest_finds_full_relation_space(kp9, rels9):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
         y = _encrypt(pk, x)
         for rel in rels9:
-            assert rel.eval(base, x, y) == 0
+            assert relation_value(base, rel, x, y) == 0
 
 
 def test_kp9_relations_pinned(rels9):
     # The relation basis the harvest finds for key seed 201, recorded when
     # the power-map key had its own evaluator beside the public key's.
-    digest = hashlib.sha256(b"".join(rel.vector.tobytes() for rel in rels9))
+    digest = hashlib.sha256(b"".join(rel.tobytes() for rel in rels9))
     assert len(rels9) == 18
     assert digest.hexdigest() == (
         "e5aa76b44a7193d839c085ac8499c195c3006b186b3a7f0163ddc9cd3ca3d28b")
@@ -152,8 +170,8 @@ def test_relation_views_match_vector(rels9):
     rel = rels9[0]
     base = base_field(2)
     # the monomial layout [x_i y_j | x_i | y_j | 1], read in the test
-    gamma = rel.vector[:81].reshape(9, 9).astype(np.int64)
-    delta, epsilon, zeta = rel.vector[81:90], rel.vector[90:99], rel.vector[99]
+    gamma = rel[:81].reshape(9, 9).astype(np.int64)
+    delta, epsilon, zeta = rel[81:90], rel[90:99], rel[99]
     rng = random.Random(207)
     for _ in range(20):
         x = np.array([rng.randrange(2) for _ in range(9)], dtype=np.uint8)
@@ -162,7 +180,7 @@ def test_relation_views_match_vector(rels9):
         acc ^= int(x @ gamma @ y) & 1
         acc ^= int(delta @ x) & 1
         acc ^= int(epsilon @ y) & 1
-        assert rel.eval(base, x, y) == acc
+        assert relation_value(base, rel, x, y) == acc
 
 
 def test_attack_recovers_plaintexts(kp9, rels9):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core import linearize
-from hpe.core.alphabet import base4, default_alphabet, hex16
+from hpe.core.alphabet import base4, default_alphabet
 from hpe.core.keys import AffinePair, PrivatePolynomial, PublicKey, monomial_basis
 from hpe.errors import GenerationFailed, LengthMismatch, VariableMismatch
 from hpe.fields import base_field, build_extension
@@ -17,8 +17,8 @@ from hpe.mvpoly import linalg
 from hpe.mvpoly.linalg import identity
 
 from conftest import sub_key
-from oracles import (digit_product_oracle, equations, random_matrix_oracle,
-                     rref_oracle)
+from oracles import (digit_product_oracle, equations, hex16, map_x,
+                     private_eval, random_matrix_oracle, rref_oracle)
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 sample_private = keygen_mod.sample_private
@@ -50,6 +50,10 @@ def test_params_validation():
         KeyGenParams(q=2, n=8, degX_max=65).check()
     with pytest.raises(VariableMismatch):
         KeyGenParams(q=2, n=8, n_monomials=0).check()
+    # each mixed monomial needs its own y level, so n_monomials <= n
+    with pytest.raises(VariableMismatch):
+        KeyGenParams(q=2, n=8, n_monomials=9).check()
+    KeyGenParams(q=2, n=8, n_monomials=8).check()
     # q = 2 keys take any n; nothing packs the x exponents into 64 bits.
     KeyGenParams(q=2, n=49).check()
 
@@ -106,7 +110,7 @@ def test_sample_private_eval_matches_formula():
         for coeff, x_thetas in priv.pure:
             ex = sum(2 ** t for t in x_thetas)
             want = field.add(want, field.mul(coeff, field.pow(u, ex)))
-        assert priv.eval(field, u, v) == want
+        assert private_eval(field, priv, u, v) == want
 
 
 def test_generation_failure_modes():
@@ -114,8 +118,6 @@ def test_generation_failure_modes():
     rng = random.Random(41)
     with pytest.raises(GenerationFailed):
         sample_private(KeyGenParams(q=2, n=8, t_max=2), field, rng)
-    with pytest.raises(GenerationFailed):
-        sample_private(KeyGenParams(q=2, n=8, n_monomials=9), field, rng)
 
 
 def _walk_oracle(field, priv, v):
@@ -207,9 +209,10 @@ def test_expansion_matches_private_eval_random_key():
         for _ in range(40):
             x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
             y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
-            u = field.from_coords(affine.map_x(x))
+            u = field.from_coords(map_x(affine, x))
             v = field.from_coords(affine.map_y(y))
-            want = np.array(field.coords(priv.eval(field, u, v)), dtype=np.uint8)
+            want = np.array(field.coords(private_eval(field, priv, u, v)),
+                            dtype=np.uint8)
             assert np.array_equal(pk.eval_at(x, y), want)
 
 
@@ -243,9 +246,10 @@ def test_repeated_level_factor_collapses_to_linear():
     for _ in range(60):
         x = np.array([rng.randrange(2) for _ in range(4)], dtype=np.uint8)
         y = np.array([rng.randrange(2) for _ in range(4)], dtype=np.uint8)
-        u = field.from_coords(affine.map_x(x))
+        u = field.from_coords(map_x(affine, x))
         v = field.from_coords(affine.map_y(y))
-        want = np.array(field.coords(priv.eval(field, u, v)), dtype=np.uint8)
+        want = np.array(field.coords(private_eval(field, priv, u, v)),
+                        dtype=np.uint8)
         assert np.array_equal(pk.eval_at(x, y), want)
 
 
@@ -269,15 +273,17 @@ def test_repeated_and_wrapping_levels_carry(q, n, pure):
     for _ in range(60):
         x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
         y = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
-        u = field.from_coords(affine.map_x(x))
+        u = field.from_coords(map_x(affine, x))
         v = field.from_coords(affine.map_y(y))
-        want = np.array(field.coords(priv.eval(field, u, v)), dtype=np.uint8)
+        want = np.array(field.coords(private_eval(field, priv, u, v)),
+                        dtype=np.uint8)
         assert np.array_equal(pk.eval_at(x, y), want)
     # u = 0 exercises a full exponent u^(q^n - 1), which is not the constant 1
     x0 = affine.unmap_u(np.zeros(n, dtype=np.uint8))
     y0 = np.zeros(n, dtype=np.uint8)
-    want = np.array(field.coords(priv.eval(field, 0, field.from_coords(
-        affine.map_y(y0)))), dtype=np.uint8)
+    v0 = field.from_coords(affine.map_y(y0))
+    want = np.array(field.coords(private_eval(field, priv, 0, v0)),
+                    dtype=np.uint8)
     assert np.array_equal(pk.eval_at(x0, y0), want)
 
 
@@ -373,8 +379,8 @@ def test_monomial_basis_at_q2_orders_by_bitmask(n, count, seed):
 
 
 def test_keygen_shapes_at_small_size():
-    pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9, n_monomials=3,
-                                 seed=5))
+    pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9, n_monomials=3),
+                    random.Random(5))
     assert len(equations(pk)) == 8
     assert pk.t == 3 and sk.priv.t() == 3
     assert pk.shape_violations() == []
@@ -427,11 +433,11 @@ def test_shape_violations_match_per_equation_oracle(q, n):
 
 
 def test_keygen_deterministic_under_seed():
-    a = keygen(KeyGenParams(q=2, n=12, seed=6))
-    b = keygen(KeyGenParams(q=2, n=12, seed=6))
+    a = keygen(KeyGenParams(q=2, n=12), random.Random(6))
+    b = keygen(KeyGenParams(q=2, n=12), random.Random(6))
     assert dump_public(a[0]) == dump_public(b[0])
     assert dump_private(a[1]) == dump_private(b[1])
-    c = keygen(KeyGenParams(q=2, n=12, seed=7))
+    c = keygen(KeyGenParams(q=2, n=12), random.Random(7))
     assert dump_public(c[0]) != dump_public(a[0])
 
 
@@ -443,13 +449,13 @@ def test_keygen_with_explicit_alphabet(pair16_hex):
 
 def test_keygen_rejects_mismatched_alphabet():
     with pytest.raises(LengthMismatch):
-        keygen(KeyGenParams(q=2, n=12, seed=8), alphabet=hex16())
+        keygen(KeyGenParams(q=2, n=12), random.Random(8), alphabet=hex16())
 
 
 def test_term_count_grows_with_degree():
     counts = []
     for n in (8, 12, 16):
-        sizes = [keygen(KeyGenParams(q=2, n=n, seed=s))[0].term_count()
+        sizes = [keygen(KeyGenParams(q=2, n=n), random.Random(s))[0].term_count()
                  for s in (1, 2, 3)]
         counts.append(sum(sizes) / 3)
     assert counts[0] < counts[1] < counts[2]
@@ -461,8 +467,8 @@ def test_term_count_scaling_with_size():
     # Averaged over seeds; a loose factor-two bracket absorbs the rest.
     ratios = []
     for seed in (1, 2, 3, 4):
-        small = keygen(KeyGenParams(q=2, n=8, seed=seed))[0].term_count()
-        large = keygen(KeyGenParams(q=2, n=16, seed=seed))[0].term_count()
+        small = keygen(KeyGenParams(q=2, n=8), random.Random(seed))[0].term_count()
+        large = keygen(KeyGenParams(q=2, n=16), random.Random(seed))[0].term_count()
         ratios.append(large / small)
     mean = sum(ratios) / len(ratios)
     assert 8 <= mean <= 32

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import hpe
 from hpe import (KeyGenParams, batch_zero_mask, decrypt, decrypt_messages,
-                 decrypt_raw, encrypt, encrypt_raw, exhaustive_invert, keygen,
-                 private_relation_check)
+                 decrypt_raw, encrypt, encrypt_raw, keygen)
 from hpe.core.alphabet import default_alphabet
 from hpe.core.keys import AffinePair, PublicKey
 from hpe.errors import (AmbiguousDecryption, EncryptionFailed, HpeError,
@@ -23,7 +22,8 @@ from hpe.mvpoly.linalg import matvec
 from hpe.sigs import signcrypt
 
 from conftest import random_messages, sub_key
-from oracles import equations, kernel_rows_oracle
+from oracles import (equations, exhaustive_invert, kernel_rows_oracle, map_x,
+                     private_relation_check)
 
 keygen_mod = sys.modules["hpe.core.keygen"]
 
@@ -71,7 +71,7 @@ def test_encrypt_reports_failure_within_budget(pair12):
 def test_encrypt_trials_bounded_by_encoding_space():
     # A one-letter message admits only two encodings, so the retry loop
     # can never report more than two attempts.
-    pk, sk = keygen(KeyGenParams(q=2, n=4, seed=1))
+    pk, sk = keygen(KeyGenParams(q=2, n=4), random.Random(1))
     rng = random.Random(64)
     outcomes = set()
     for _ in range(40):
@@ -166,7 +166,7 @@ def test_decrypt_raw_returns_sorted_preimages(pair12):
         y, _ = encrypt(pk, msg, rng)
         pre = decrypt_raw(sk, y)
         # Ordered by the packed value of the hidden root u = A x + c.
-        keys = [sk.field.from_coords(sk.affine.map_x(x)) for x in pre]
+        keys = [sk.field.from_coords(map_x(sk.affine, x)) for x in pre]
         assert keys == sorted(keys)
         for x in pre:
             assert not pk.eval_at(x, y).any()
@@ -213,7 +213,7 @@ def test_exhaustive_invert_size_guard(pair16):
 def test_decrypt_no_valid_candidate(pair12):
     # A ciphertext from one key decrypted under another leaves nothing valid.
     pk_a, _ = pair12
-    _, sk_b = keygen(KeyGenParams(q=2, n=12, seed=104))
+    _, sk_b = keygen(KeyGenParams(q=2, n=12), random.Random(104))
     rng = random.Random(0)
     y, _ = encrypt(pk_a, "AAA", rng)
     with pytest.raises(NoValidCandidate):
@@ -300,7 +300,7 @@ def _oracle_keys(q):
     """A small key at q and the same key with equation 1 emptied, each with
     its equations as MultiPolys."""
     n = 4 if q == 2 else 3
-    pk, _ = keygen(KeyGenParams(q=q, n=n, seed=q, degX_max=max(9, q + 1)))
+    pk, _ = keygen(KeyGenParams(q=q, n=n, degX_max=max(9, q + 1)), random.Random(q))
     sub = sub_key(pk, [k for k in range(n) if k != 1])
     return [(key, equations(key)) for key in (pk, sub)]
 
@@ -400,7 +400,7 @@ def off_by_one(base, a, b):
     return sol
 
 linalg.solve = off_by_one
-pk, _ = keygen(KeyGenParams(q=%d, n=8, seed=1))
+pk, _ = keygen(KeyGenParams(q=%d, n=8), random.Random(1))
 rng = random.Random(0)
 for _ in range(100):
     x = np.array([rng.randrange(pk.q) for _ in range(pk.n)], dtype=np.uint8)

@@ -19,10 +19,10 @@ from hpe.fields import base_field
 
 from oracles import dump_hpe1
 
-# SHA-256 of the HPE1 text dump_hpe1(keygen(KeyGenParams(q, n, seed=s))[0]),
-# recorded while dump_public still wrote HPE1, before the public key moved
-# to one flat term table; any change in term order or formatting, or in the
-# key itself, shows here.  The q=2 n=32 keys, recorded before the
+# SHA-256 of the HPE1 text dump_hpe1(keygen(KeyGenParams(q, n),
+# random.Random(s))[0]), recorded while dump_public still wrote HPE1, before
+# the public key moved to one flat term table; any change in term order or
+# formatting, or in the key itself, shows here.  The q=2 n=32 keys, recorded before the
 # key expansion moved to block-local factors, carry repeated Frobenius
 # levels (seed 1 has the pure term u^(2+2+4) = u^8).  The q=8 and q=9 keys,
 # recorded while prime-power fields still expanded through a table-driven
@@ -236,8 +236,8 @@ def test_private_key_numbers_are_canonical_decimals(pair12, line, bad):
 
 @pytest.mark.parametrize("q,n,seed", sorted(PINNED_PUBLIC_DIGESTS))
 def test_public_key_format_pinned(q, n, seed):
-    params = KeyGenParams(q=q, n=n, seed=seed, degX_max=max(9, q + 1))
-    pk = keygen(params)[0]
+    params = KeyGenParams(q=q, n=n, degX_max=max(9, q + 1))
+    pk = keygen(params, random.Random(seed))[0]
     legacy, text = dump_hpe1(pk), dump_public(pk)
     for got, pinned in ((legacy, PINNED_PUBLIC_DIGESTS), (text, PINNED_HPE2_DIGESTS)):
         assert hashlib.sha256(got.encode("utf-8")).hexdigest() == pinned[(q, n, seed)]
@@ -464,8 +464,8 @@ def test_round_trip_survives_reload_cycle(pair16_hex):
 
 
 def test_different_seeds_serialize_differently():
-    a = keygen(KeyGenParams(q=2, n=12, seed=1))
-    b = keygen(KeyGenParams(q=2, n=12, seed=2))
+    a = keygen(KeyGenParams(q=2, n=12), random.Random(1))
+    b = keygen(KeyGenParams(q=2, n=12), random.Random(2))
     assert dump_public(a[0]) != dump_public(b[0])
     assert dump_private(a[1]) != dump_private(b[1])
 
@@ -474,7 +474,7 @@ def test_different_seeds_serialize_differently():
 def _small_key_texts(q):
     """(private text, public text) of a small key."""
     n = 4 if q == 2 else 3
-    pk, sk = keygen(KeyGenParams(q=q, n=n, seed=q, degX_max=max(9, q + 1)))
+    pk, sk = keygen(KeyGenParams(q=q, n=n, degX_max=max(9, q + 1)), random.Random(q))
     return dump_private(sk), dump_public(pk)
 
 

@@ -6,11 +6,11 @@ import pytest
 
 from hpe import (KeyGenParams, Signature, decrypt_raw, encrypt, hash_to_y,
                  keygen, sign, signcrypt, unsigncrypt, verify)
-from hpe.core.alphabet import hex16
 from hpe.errors import (NoValidCandidate, SigncryptionFailed,
                         VariableMismatch)
 
 from conftest import random_messages
+from oracles import hex16
 
 
 def _hash_oracle_pow2(message, salt, q, n):
@@ -145,7 +145,7 @@ PINNED_TRAFFIC_DIGEST = "6c03e0f2a6dc892e4eac72faa2bbe75da46370b1ce9557773e4eb95
 
 
 def test_decrypt_and_sign_pinned_at_q2_n32():
-    pk, sk = keygen(KeyGenParams(q=2, n=32, seed=1))
+    pk, sk = keygen(KeyGenParams(q=2, n=32), random.Random(1))
     assert sk.field.backend == "clmul"
     rng = random.Random(3232)
     msgs = random_messages(pk.alphabet, 4, 8, 3233)
@@ -166,7 +166,7 @@ PINNED_LOG_FIELD_DIGESTS = {
 
 @pytest.mark.parametrize("q,n", sorted(PINNED_LOG_FIELD_DIGESTS))
 def test_decrypt_and_sign_pinned_on_log_fields(q, n):
-    pk, sk = keygen(KeyGenParams(q=q, n=n, seed=1))
+    pk, sk = keygen(KeyGenParams(q=q, n=n), random.Random(1))
     assert sk.field.backend == "log"
     rng = random.Random(100 * q + n)
     targets = (np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8) for _ in range(12))
@@ -223,15 +223,15 @@ def test_verify_rejects_malformed_signatures(pair16):
 
 
 def test_wrong_key_does_not_verify(pair16):
-    pk_other, _ = keygen(KeyGenParams(q=2, n=16, seed=106))
+    pk_other, _ = keygen(KeyGenParams(q=2, n=16), random.Random(106))
     _, sk = pair16
     s = sign(sk, "hello", random.Random(87))
     assert not verify(pk_other, "hello", s)
 
 
 def test_signcrypt_round_trip():
-    pa, sa = keygen(KeyGenParams(q=2, n=16, seed=102), alphabet=hex16())
-    pb, sb = keygen(KeyGenParams(q=2, n=16, seed=105), alphabet=hex16())
+    pa, sa = keygen(KeyGenParams(q=2, n=16), random.Random(102), alphabet=hex16())
+    pb, sb = keygen(KeyGenParams(q=2, n=16), random.Random(105), alphabet=hex16())
     rng = random.Random(81)
     unique = total = 0
     for msg in random_messages(pa.alphabet, 2, 60, 88):
@@ -257,8 +257,8 @@ def test_signcrypt_requires_matching_parameters(pair16_hex, pair12):
 
 
 def test_unsigncrypt_rejects_random_vectors():
-    pa, sa = keygen(KeyGenParams(q=2, n=16, seed=102), alphabet=hex16())
-    pb, sb = keygen(KeyGenParams(q=2, n=16, seed=105), alphabet=hex16())
+    pa, sa = keygen(KeyGenParams(q=2, n=16), random.Random(102), alphabet=hex16())
+    pb, sb = keygen(KeyGenParams(q=2, n=16), random.Random(105), alphabet=hex16())
     rng = random.Random(90)
     rejected = 0
     for _ in range(30):
@@ -271,9 +271,9 @@ def test_unsigncrypt_rejects_random_vectors():
 
 
 def test_unsigncrypt_rejects_wrong_sender():
-    pa, sa = keygen(KeyGenParams(q=2, n=16, seed=102), alphabet=hex16())
-    pb, sb = keygen(KeyGenParams(q=2, n=16, seed=105), alphabet=hex16())
-    pc, _ = keygen(KeyGenParams(q=2, n=16, seed=107), alphabet=hex16())
+    pa, sa = keygen(KeyGenParams(q=2, n=16), random.Random(102), alphabet=hex16())
+    pb, sb = keygen(KeyGenParams(q=2, n=16), random.Random(105), alphabet=hex16())
+    pc, _ = keygen(KeyGenParams(q=2, n=16), random.Random(107), alphabet=hex16())
     rng = random.Random(91)
     wrong = 0
     for msg in random_messages(pa.alphabet, 2, 20, 92):
