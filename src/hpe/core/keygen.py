@@ -3,12 +3,14 @@
 import functools
 import random
 
+import numpy as np
+
 from ..errors import GenerationFailed
 from ..fields import build_extension
 from . import linearize
 from .alphabet import default_alphabet
-from .keys import (AffinePair, KeyGenParams, PrivateKey, PrivatePolynomial,
-                   PublicKey)
+from .keys import (N_MONOMIALS, AffinePair, KeyGenParams, PrivateKey,
+                   PrivatePolynomial, PublicKey)
 
 _REGEN_BUDGET = 40
 
@@ -53,16 +55,12 @@ def sample_private(params: KeyGenParams, field, rng: random.Random) -> PrivatePo
     """
     params.check()
     q, n = params.q, params.n
+    # check() has made X^(1+q) fit, so weight 2 is always here
     mixed_weights = [
         w for w in range(2, params.t_max)
         if theta_options(q, w, params.degX_max, n, distinct=True)
     ]
-    if not mixed_weights:
-        raise GenerationFailed(
-            "no mixed monomial fits t_max=%d, degX_max=%d"
-            % (params.t_max, params.degX_max)
-        )
-    y_levels = rng.sample(range(n), params.n_monomials)
+    y_levels = rng.sample(range(n), N_MONOMIALS)
     mixed, used_x = [], set()
     for yth in y_levels:
         w = rng.choice(mixed_weights)
@@ -102,8 +100,9 @@ def expand_keypair(field, priv: PrivatePolynomial, affine: AffinePair,
     """
     base = field.base
     n = field.n
-    x_factor = linearize.affine_block_matrix(field, affine.a_mat, affine.c_vec)
-    y_factor = linearize.affine_block_matrix(field, affine.b_mat, affine.d_vec)
+    # factor matrices of u and v: the block's n variables, then the constant
+    x_factor = np.column_stack([affine.a_mat, affine.c_vec])
+    y_factor = np.column_stack([affine.b_mat, affine.d_vec])
 
     parts = []
     for coeff, xth, yth in priv.terms():
@@ -138,6 +137,6 @@ def keygen(params: KeyGenParams, rng: random.Random | None = None,
         public = expand_keypair(field, priv, affine, alphabet)
         if public.shape_violations():
             continue
-        return public, PrivateKey(field, priv, affine, alphabet, public)
+        return public, PrivateKey(field, priv, affine, alphabet)
     raise GenerationFailed(
         "no well-shaped key after %d attempts" % _REGEN_BUDGET)

@@ -1,4 +1,4 @@
-"""Key material: private polynomial, affine masks, and the public key.
+"""Key material: a private key's four parts and the public key they expand to.
 
 The public key is n equations in (x, y), each linear in y, held as two
 coefficient blocks over F_q: C0 (n, M0) for the terms with no y, and
@@ -69,36 +69,40 @@ def monomial_basis(q: int, rows) -> tuple[np.ndarray, np.ndarray]:
 MAX_DEGX = 64
 
 
+# mixed X/Y monomials in a hidden relation, each on its own level of Y
+N_MONOMIALS = 3
+
+
 @dataclass(frozen=True)
 class KeyGenParams:
     """Knobs for key generation.
 
     q is the scalar field order, n the extension degree (and message
-    length in scalars), t_max the largest allowed monomial weight,
-    degX_max the largest allowed power of X inside the hidden equation,
-    and n_monomials the number of mixed X/Y monomials to sample.
+    length in scalars), t_max the largest allowed monomial weight and
+    degX_max the largest allowed power of X inside the hidden equation.
+    check() refuses every set from which no key can be drawn.
     """
 
     q: int = 2
     n: int = 16
     t_max: int = 3
     degX_max: int = 9
-    n_monomials: int = 3
 
     def check(self) -> None:
-        if self.n < 2:
-            raise VariableMismatch("extension degree must be at least 2")
-        if self.t_max < 2:
-            raise VariableMismatch("t_max must be at least 2")
-        if not 2 <= self.degX_max <= MAX_DEGX:
-            raise VariableMismatch("degX_max must lie in [2, %d]" % MAX_DEGX)
-        if self.n_monomials < 1:
-            raise VariableMismatch("need at least one mixed monomial")
-        if self.n_monomials > self.n:
+        if self.n < N_MONOMIALS:
             # each mixed monomial takes its own Frobenius level on Y
             raise VariableMismatch(
                 "cannot give %d mixed monomials distinct y levels with n=%d"
-                % (self.n_monomials, self.n))
+                % (N_MONOMIALS, self.n))
+        if not 2 <= self.degX_max <= MAX_DEGX:
+            raise VariableMismatch("degX_max must lie in [2, %d]" % MAX_DEGX)
+        # the least mixed monomial is X^(1+q) Y, of weight 3
+        if self.t_max < 3:
+            raise VariableMismatch("t_max must be at least 3")
+        if 1 + self.q > self.degX_max:
+            raise VariableMismatch(
+                "no mixed monomial fits degX_max=%d: the least X part, "
+                "X^(1+q), has degree %d" % (self.degX_max, 1 + self.q))
 
 
 @dataclass(frozen=True)
@@ -184,8 +188,8 @@ class PrivatePolynomial:
 class AffinePair:
     """The two invertible affine masks u = A x + c and v = B y + d.
 
-    Matrices and shifts live coordinatewise over the scalar field;
-    inverses are computed once up front so decryption stays cheap.
+    Matrices and shifts live coordinatewise over the scalar field; A's
+    inverse is computed once up front so decryption stays cheap.
     """
 
     def __init__(self, base, a_mat, c_vec, b_mat, d_vec):
@@ -195,7 +199,6 @@ class AffinePair:
         self.b_mat = np.ascontiguousarray(b_mat, dtype=np.uint8)
         self.d_vec = np.ascontiguousarray(d_vec, dtype=np.uint8)
         self.a_inv = inverse(base, self.a_mat)
-        self.b_inv = inverse(base, self.b_mat)
 
     @classmethod
     def sample(cls, base, n: int, rng) -> "AffinePair":
@@ -316,28 +319,16 @@ class PrivateKey:
     """Private key: the field tower, hidden relation, affine masks and the
     message alphabet.
 
-    Decryption and signing need only those.  The matching public key is
-    expanded from them on first use of public, unless the constructor was
-    given it (keygen has it at hand).
+    Decryption and signing need only those; the matching public key is
+    keygen.expand_keypair of the four.
     """
 
     def __init__(self, field, priv: PrivatePolynomial, affine: AffinePair,
-                 alphabet, public: PublicKey | None = None):
+                 alphabet):
         self.field = field
         self.priv = priv
         self.affine = affine
         self.alphabet = alphabet
-        self._public = public
-
-    @property
-    def public(self) -> PublicKey:
-        if self._public is None:
-            # serial imports this module; the expansion is looked up there
-            # by name so that a wrapper installed on serial sees the call
-            from . import serial
-            self._public = serial.expand_keypair(
-                self.field, self.priv, self.affine, self.alphabet)
-        return self._public
 
     @property
     def base(self):

@@ -5,6 +5,8 @@ q-powers.  With u = A x + c and v = B y + d, each q-power factor is an
 element of K whose coordinate vector is affine in one block of variables:
 its n x (n + 1) factor matrix holds, per coordinate, the coefficients over
 (x_1..x_n, 1) for a power of u, or over (y_1..y_n, 1) for the power of v.
+The factor matrices of u and v themselves are [A | c] and [B | d], built
+by keygen.expand_keypair; frobenius_factor gives those of their powers.
 The X factors are the base-q digits of e: levels are taken mod n, since
 u^(q^n) = u, and q equal levels carry into one factor a level higher, so
 u^(q^t)^q is one factor u^(q^(t+1)).  The y factor comes last.
@@ -43,16 +45,6 @@ from . import keys
 
 # ---------------------------------------------------------------------------
 # factor matrices
-
-
-def affine_block_matrix(field, mat, shift) -> np.ndarray:
-    """Factor matrix of mat @ block + shift over one variable block.
-
-    Columns 0..n-1 are the block's variables (x for u = A x + c, y for
-    v = B y + d) and column n is the constant.
-    """
-    return np.column_stack([np.asarray(mat, dtype=np.uint8),
-                            np.asarray(shift, dtype=np.uint8).reshape(-1)])
 
 
 def x_levels(q: int, n: int, thetas) -> list:

@@ -25,8 +25,8 @@ retired term-line format (HPE1) raises FormatError; private key files
 keep the HPE1 header.
 
 A private key file stores the field tower, the alphabet, the hidden
-relation and the masks, not the public equations: a loaded PrivateKey
-expands those only when its public attribute is first read.
+relation and the masks, not the public equations: decryption and signing
+need only those four parts.
 """
 
 import binascii
@@ -34,11 +34,11 @@ import itertools
 
 import numpy as np
 
-from ..errors import (FormatError, InvalidDegree, InvalidOrder, NotIrreducible,
-                      SingularMatrix)
+from ..errors import FormatError, InvalidDegree, InvalidOrder, NotIrreducible
 from ..fields import base_field, parse_decimal, parse_descriptor
+from ..mvpoly.linalg import rank
 from .alphabet import Alphabet, _digits_str, _parse_digits
-from .keygen import expand_keypair  # noqa: F401  (PrivateKey.public calls it here)
+from .keygen import expand_keypair  # noqa: F401  (perfbench/tracing.py wraps it here)
 from .keys import (MAX_DEGX, AffinePair, PrivateKey, PrivatePolynomial,
                    PublicKey, monomial_basis)
 
@@ -301,10 +301,9 @@ def load_private(text: str) -> PrivateKey:
         raise FormatError("bad affine mask block") from exc
     if priv.t() != t:
         raise FormatError("stated weight %d does not match terms" % t)
-    try:
-        affine = AffinePair(field.base, a_mat, c_vec, b_mat, d_vec)
-    except SingularMatrix as exc:
-        raise FormatError("affine mask is not invertible") from exc
+    if min(rank(field.base, a_mat), rank(field.base, b_mat)) < n:
+        raise FormatError("affine mask is not invertible")
+    affine = AffinePair(field.base, a_mat, c_vec, b_mat, d_vec)
     return PrivateKey(field, priv, affine, alphabet)
 
 

@@ -409,10 +409,7 @@ class ExtensionField:
         return self._digitwise(self.base.add_table, a, b)
 
     def neg(self, a: int) -> int:
-        if self.p == 2:
-            return a
-        nt = self.base.neg_table
-        return self.from_coords([int(nt[x]) for x in self.coords(a)])
+        return self.sub(0, a)
 
     def sub(self, a: int, b: int) -> int:
         if self.p == 2:

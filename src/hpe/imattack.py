@@ -67,7 +67,7 @@ def im_keygen(q: int, n: int, theta: int | None = None,
     relation = PrivatePolynomial(mixed=((field.neg(1), (), 0),),
                                  pure=((1, (0, theta)),))
     public = expand_keypair(field, relation, affine, None)
-    return public, PrivateKey(field, relation, affine, None, public)
+    return public, PrivateKey(field, relation, affine, None)
 
 
 # ---------------------------------------------------------------------------

@@ -62,12 +62,11 @@ def add(F, f: list, g: list) -> list:
     return trim(out)
 
 
-def neg(F, f: list) -> list:
-    return [F.neg(c) for c in f]
-
-
 def sub(F, f: list, g: list) -> list:
-    return add(F, f, neg(F, g))
+    out = f + [0] * (len(g) - len(f))
+    for i, c in enumerate(g):
+        out[i] = F.sub(out[i], c)
+    return trim(out)
 
 
 def scale(F, f: list, s) -> list:

@@ -396,7 +396,7 @@ def unmap_v(affine, v_vec):
     """y = B^-1 (v - d), the inverse of the y-side mask."""
     base = affine.base
     shifted = base.sub_table[np.asarray(v_vec, dtype=np.uint8), affine.d_vec]
-    return linalg.matvec(base, affine.b_inv, shifted)
+    return linalg.matvec(base, linalg.inverse(base, affine.b_mat), shifted)
 
 
 def private_eval(field, priv, u, v):
@@ -404,19 +404,20 @@ def private_eval(field, priv, u, v):
     return upoly.eval_poly(field, priv.univariate_in_x(field, v), u)
 
 
-def private_relation_check(sk, u, v):
+def private_relation_check(sk, pk, u, v):
     """Evaluate both sides of the hidden relation at one point.
 
     Takes the extension-field pair (u, v), pulls it back through the affine
     maps to (x, y) and returns (hidden, public): the coordinates of f(u, v)
-    and the values of the published equations.  They must agree everywhere.
+    and the values of pk's equations.  They must agree everywhere when pk
+    is sk's public key.
     """
     field = sk.field
     x_vec = sk.affine.unmap_u(np.array(field.coords(u), dtype=np.uint8))
     y_vec = unmap_v(sk.affine, np.array(field.coords(v), dtype=np.uint8))
     hidden = np.array(field.coords(private_eval(field, sk.priv, u, v)),
                       dtype=np.uint8)
-    return hidden, sk.public.eval_at(x_vec, y_vec)
+    return hidden, pk.eval_at(x_vec, y_vec)
 
 
 def exhaustive_invert(pk, y_vec, limit=1 << 24):

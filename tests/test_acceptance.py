@@ -193,7 +193,7 @@ def test_criterion_06_hidden_versus_public_vanishing_sets():
         rng = random.Random(seed)
         for _ in range(100):
             u, v = field.random(rng), field.random(rng)
-            hidden, public = private_relation_check(sk, u, v)
+            hidden, public = private_relation_check(sk, pk, u, v)
             if not np.array_equal(hidden, public):
                 mismatches += 1
     _report(6, mismatches == 0,

@@ -53,6 +53,13 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
                  "--pub", pub, "--priv", priv]) == 64
     err = capsys.readouterr().err
     assert "parameter error" in err
+    # no mixed monomial fits: weight 3 is the least, and at q=9 the least
+    # X part X^(1+q) is above the default --degx 9; refused before GF(9^6)
+    for flags in (["--t", "2"], ["--q", "9", "--n", "6"]):
+        assert main(["keygen", *flags, "--pub", pub, "--priv", priv]) == 64
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1
+        assert err.startswith("hpe: parameter error:")
 
 
 def test_keygen_writes_versioned_files(keydir, capsys):

@@ -48,12 +48,16 @@ def test_params_validation():
         KeyGenParams(q=2, n=8, degX_max=1).check()
     with pytest.raises(VariableMismatch):
         KeyGenParams(q=2, n=8, degX_max=65).check()
+    # each of the 3 mixed monomials needs its own y level, so n >= 3
     with pytest.raises(VariableMismatch):
-        KeyGenParams(q=2, n=8, n_monomials=0).check()
-    # each mixed monomial needs its own y level, so n_monomials <= n
+        KeyGenParams(q=2, n=2).check()
+    KeyGenParams(q=2, n=3).check()
+    # a mixed monomial has weight 3 at least, X^(1+q) Y
     with pytest.raises(VariableMismatch):
-        KeyGenParams(q=2, n=8, n_monomials=9).check()
-    KeyGenParams(q=2, n=8, n_monomials=8).check()
+        KeyGenParams(q=2, n=8, t_max=2).check()
+    with pytest.raises(VariableMismatch):
+        KeyGenParams(q=9, n=6, degX_max=9).check()
+    KeyGenParams(q=8, n=6, degX_max=9).check()
     # q = 2 keys take any n; nothing packs the x exponents into 64 bits.
     KeyGenParams(q=2, n=49).check()
 
@@ -69,7 +73,7 @@ def test_theta_options_against_brute_force(q, weight, cap, n):
 
 
 def test_sample_private_structure():
-    params = KeyGenParams(q=2, n=16, t_max=3, degX_max=9, n_monomials=3)
+    params = KeyGenParams(q=2, n=16, t_max=3, degX_max=9)
     field = build_extension(2, 16)
     rng = random.Random(31)
     for _ in range(50):
@@ -113,11 +117,21 @@ def test_sample_private_eval_matches_formula():
         assert private_eval(field, priv, u, v) == want
 
 
-def test_generation_failure_modes():
+def test_generation_failure_modes(monkeypatch):
+    # Parameters that admit no relation are refused before any draw; a
+    # key whose every draw is ill-shaped fails after the regeneration budget.
     field = build_extension(2, 8)
     rng = random.Random(41)
-    with pytest.raises(GenerationFailed):
+    state = rng.getstate()
+    with pytest.raises(VariableMismatch):
         sample_private(KeyGenParams(q=2, n=8, t_max=2), field, rng)
+    assert rng.getstate() == state
+    attempts = []
+    monkeypatch.setattr(PublicKey, "shape_violations",
+                        lambda pk: attempts.append(pk) or ["ill-shaped"])
+    with pytest.raises(GenerationFailed, match="no well-shaped key"):
+        keygen(KeyGenParams(q=2, n=8), rng)
+    assert len(attempts) == keygen_mod._REGEN_BUDGET
 
 
 def _walk_oracle(field, priv, v):
@@ -379,7 +393,7 @@ def test_monomial_basis_at_q2_orders_by_bitmask(n, count, seed):
 
 
 def test_keygen_shapes_at_small_size():
-    pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9, n_monomials=3),
+    pk, sk = keygen(KeyGenParams(q=2, n=8, t_max=3, degX_max=9),
                     random.Random(5))
     assert len(equations(pk)) == 8
     assert pk.t == 3 and sk.priv.t() == 3

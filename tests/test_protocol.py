@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 import hpe
 from hpe import (KeyGenParams, batch_zero_mask, decrypt, decrypt_messages,
-                 decrypt_raw, encrypt, encrypt_raw, keygen)
+                 decrypt_raw, dump_private, dump_public, encrypt, encrypt_raw,
+                 keygen, load_private, load_public)
 from hpe.core.alphabet import default_alphabet
 from hpe.core.keys import AffinePair, PublicKey
 from hpe.errors import (AmbiguousDecryption, EncryptionFailed, HpeError,
                         NoValidCandidate, TooLarge)
 from hpe.fields import base_field, build_extension
 from hpe.mvpoly.linalg import matvec
-from hpe.sigs import signcrypt
+from hpe.sigs import sign, signcrypt, verify
 
 from conftest import random_messages, sub_key
 from oracles import (equations, exhaustive_invert, kernel_rows_oracle, map_x,
@@ -159,6 +160,31 @@ def test_encrypt_raw_output_satisfies_equations(pair16):
     assert found > 10
 
 
+@pytest.mark.parametrize("q,n,seed", [(2, 16, 1), (4, 8, 4)])
+def test_degree_four_keys(q, n, seed):
+    # --t 4 keys; t_max=4 can also draw a relation of weight 3, so these
+    # seeds are ones that draw weight 4.
+    pk, sk = keygen(KeyGenParams(q=q, n=n, t_max=4), random.Random(seed))
+    assert pk.t == sk.priv.t() == 4
+    for dump, load, key in ((dump_public, load_public, pk),
+                            (dump_private, load_private, sk)):
+        text = dump(key)
+        assert text.splitlines()[0].endswith(" %d %d 4" % (q, n))
+        assert dump(load(text)) == text
+    rng = random.Random(seed + 100)
+    found = 0
+    for _ in range(20):
+        x = np.array([rng.randrange(q) for _ in range(n)], dtype=np.uint8)
+        y = encrypt_raw(pk, x, rng)
+        if y is None:
+            continue
+        found += 1
+        assert any(np.array_equal(x, c) for c in decrypt_raw(sk, y))
+    assert found >= 10
+    sig = sign(sk, "degree four", rng)
+    assert verify(pk, "degree four", sig)
+
+
 def test_decrypt_raw_returns_sorted_preimages(pair12):
     pk, sk = pair12
     rng = random.Random(66)
@@ -253,12 +279,12 @@ def test_tampered_ciphertext_never_silently_accepts(pair16_hex):
 
 
 def test_relation_check_random_points(pair16):
-    _, sk = pair16
+    pk, sk = pair16
     field = sk.field
     rng = random.Random(73)
     for _ in range(50):
         u, v = field.random(rng), field.random(rng)
-        hidden, public = private_relation_check(sk, u, v)
+        hidden, public = private_relation_check(sk, pk, u, v)
         assert np.array_equal(np.asarray(hidden), np.asarray(public))
 
 
@@ -269,10 +295,10 @@ def test_relation_check_exhaustive_small():
     affine = AffinePair.sample(field.base, 4, rng)
     pk = keygen_mod.expand_keypair(field, priv, affine, default_alphabet(2, 4))
     from hpe.core.keys import PrivateKey
-    sk = PrivateKey(field, priv, affine, pk.alphabet, pk)
+    sk = PrivateKey(field, priv, affine, pk.alphabet)
     for u in range(16):
         for v in range(16):
-            hidden, public = private_relation_check(sk, u, v)
+            hidden, public = private_relation_check(sk, pk, u, v)
             assert np.array_equal(np.asarray(hidden), np.asarray(public))
 
 

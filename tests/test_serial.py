@@ -2,6 +2,7 @@ import binascii
 import functools
 import hashlib
 import random
+import sys
 
 import numpy as np
 import pytest
@@ -9,8 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hpe import (KeyGenParams, dump_private, dump_public, dump_signature,
-                 dump_vector, keygen, load_private, load_public,
-                 parse_signature, parse_vector, sigs)
+                 dump_vector, expand_keypair, keygen, load_private,
+                 load_public, parse_signature, parse_vector, sigs)
 from hpe.core import protocol
 from hpe.core.alphabet import default_alphabet
 from hpe.core.keys import PrivateKey, PrivatePolynomial, PublicKey, monomial_basis
@@ -125,12 +126,20 @@ def test_private_key_round_trip(pair12):
     assert text.splitlines()[0] == "HPE1 2 12 3"
     again = load_private(text)
     assert dump_private(again) == text
-    # The public half is expanded on first use and must match exactly.
-    assert dump_public(again.public) == dump_public(pk)
+    # The public half expands from the loaded parts and must match exactly.
+    public = expand_keypair(again.field, again.priv, again.affine, again.alphabet)
+    assert dump_public(public) == dump_public(pk)
 
 
-def test_loaded_private_key_expands_public_only_on_use(pair12):
+def test_loaded_private_key_expands_public_only_on_use(pair12, monkeypatch):
+    # Loading, decrypting and signing never expand the public equations.
     pk, sk = pair12
+
+    def refuse(*args):
+        raise AssertionError("expand_keypair called")
+
+    for name in ("hpe.core.keygen", "hpe.core.serial"):
+        monkeypatch.setattr(sys.modules[name], "expand_keypair", refuse)
     again = load_private(dump_private(sk))
     assert again.alphabet.to_lines() == sk.alphabet.to_lines()
     msg = pk.alphabet.letters[: pk.alphabet.blocks_for(pk.n)]
@@ -138,10 +147,9 @@ def test_loaded_private_key_expands_public_only_on_use(pair12):
     y, _ = protocol.encrypt(pk, msg, rng)
     assert msg in protocol.decrypt(again, y)
     sig = sigs.sign(again, msg, rng)
-    assert again._public is None
     assert sigs.verify(pk, msg, sig)
-    assert dump_public(again.public) == dump_public(pk)
-    assert again._public is not None
+    public = expand_keypair(again.field, again.priv, again.affine, again.alphabet)
+    assert dump_public(public) == dump_public(pk)
 
 
 def test_key_kind_detection(pair12):
@@ -366,10 +374,12 @@ def test_private_key_strictness(pair12):
     for old, new in ((const, "CONST 4096"), (mix, mix.rsplit(":", 1)[0] + ": 12")):
         with pytest.raises(FormatError, match="out of range"):
             load_private(text.replace(old, new, 1))
-    # A singular mask is malformed input, not a linear algebra error.
-    bad = lines[:a_idx + 1] + [lines[a_idx + 1]] * 12 + lines[a_idx + 13:]
-    with pytest.raises(FormatError, match="not invertible"):
-        load_private("\n".join(bad) + "\n")
+    # A singular mask, A or B, is malformed input, not a linear algebra error.
+    for name in ("A", "B"):
+        at = lines.index(name)
+        bad = lines[:at + 1] + [lines[at + 1]] * 12 + lines[at + 13:]
+        with pytest.raises(FormatError, match="not invertible"):
+            load_private("\n".join(bad) + "\n")
 
 
 def test_private_relation_x_degree_is_bounded(pair12):
@@ -460,7 +470,8 @@ def test_round_trip_survives_reload_cycle(pair16_hex):
     sk2 = load_private(text)
     sk3 = load_private(dump_private(sk2))
     assert dump_private(sk3) == text
-    assert dump_public(sk3.public) == dump_public(sk.public)
+    assert (dump_public(expand_keypair(sk3.field, sk3.priv, sk3.affine, sk3.alphabet))
+            == dump_public(expand_keypair(sk.field, sk.priv, sk.affine, sk.alphabet)))
 
 
 def test_different_seeds_serialize_differently():
