@@ -7,57 +7,62 @@ synonym, which is what filters spurious polynomial roots.
 
 Stock alphabets draw their synonym strings from a fixed-seed shuffle of the
 block space so the valid set carries no accidental linear structure.
+default_alphabet builds each (q, n) once per process.
+
+An Alphabet is immutable: its synonym tables are read-only mappings, and its
+text (to_lines) is written once, on first use, and reused by every dump.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 import sys
+from types import MappingProxyType
 
 import numpy as np
 
 from ..errors import LengthMismatch, SymbolOutOfAlphabet
-from ..fields import parse_decimal
+from ..fields import parse_decimal, parse_decimals
 
 
 class Alphabet:
-    """An ordered letter set with per-letter synonym strings."""
+    """An ordered letter set with per-letter synonym strings.
 
-    def __init__(self, q: int, e: int, synonyms: dict[str, list[tuple]]):
+    Letter i owns counts[i] synonyms, the next rows of digits, an (N, e)
+    array of digits below q with N = sum(counts).
+    """
+
+    def __init__(self, q: int, e: int, letters: str, counts, digits):
         self.q = q
         self.e = e
-        self.letters = "".join(synonyms.keys())
-        if len(set(self.letters)) != len(self.letters):
+        self.letters = letters
+        counts = tuple(counts)
+        if len(set(letters)) != len(letters):
             raise ValueError("duplicate letters in alphabet")
-        for ch, strings in synonyms.items():
-            if len(ch) != 1:
-                raise ValueError("letters must be single symbols")
-            if len(strings) < 2:
-                raise ValueError("each letter needs at least 2 synonyms")
-        flat = [s for strings in synonyms.values() for s in strings]
-        bad = ValueError("synonym strings must be %d digits below %d" % (e, q))
-        if any(len(s) != e for s in flat):
-            raise bad
-        try:
-            digits = np.array(flat, dtype=np.int64 if q <= 1 << 63 else object)
-        except OverflowError:
-            raise bad from None
-        digits = digits.reshape(len(flat), e)
-        if not ((digits >= 0) & (digits < q)).all():
-            raise bad
+        if len(counts) != len(letters) or min(counts, default=2) < 2:
+            raise ValueError("each letter needs at least 2 synonyms")
+        digits = np.array(digits)  # a copy, frozen below
+        if digits.shape != (sum(counts), e) or not ((digits >= 0) & (digits < q)).all():
+            raise ValueError("synonym strings must be %d digits below %d" % (e, q))
         strings = list(map(tuple, digits.tolist()))
-        counts = [len(v) for v in synonyms.values()]
-        owners = [ch for ch, count in zip(self.letters, counts) for _ in range(count)]
-        self.reverse: dict[tuple, str] = dict(zip(strings, owners))
+        owners = "".join(map(str.__mul__, letters, counts))
+        self.reverse: MappingProxyType[tuple, str] = MappingProxyType(
+            dict(zip(strings, owners)))
         if len(self.reverse) < len(strings):
             seen: set[tuple] = set()
             twice = next(s for s in strings if s in seen or seen.add(s))
             raise ValueError("synonym %r assigned twice" % (twice,))
-        self.synonyms: dict[str, tuple[tuple, ...]] = {}
-        start = 0
-        for ch, count in zip(self.letters, counts):
-            self.synonyms[ch] = tuple(strings[start:start + count])
-            start += count
+        self._bounds = list(itertools.accumulate(counts, initial=0))
+        self.synonyms: MappingProxyType[str, tuple[tuple, ...]] = MappingProxyType(
+            {ch: tuple(strings[a:b]) for ch, a, b in self._spans()})
+        digits.flags.writeable = False
+        self._digits = digits
+
+    def _spans(self):
+        """(letter, first row, end row) of each letter's synonyms."""
+        return zip(self.letters, self._bounds, self._bounds[1:])
 
     def synonym_count(self, ch: str) -> int:
         if ch not in self.synonyms:
@@ -118,11 +123,16 @@ class Alphabet:
     # -- serialization -----------------------------------------------------
 
     def to_lines(self) -> list[str]:
-        lines = ["ALPHABET %d %d %d" % (self.q, self.e, len(self.letters))]
-        for ch in self.letters:
-            strs = [_digits_str(s, self.q) for s in self.synonyms[ch]]
-            lines.append("L %d %s" % (ord(ch), " ".join(strs)))
-        return lines
+        """The alphabet block: 'ALPHABET q e count', then 'L code synonyms..'
+        per letter."""
+        return list(self._lines)
+
+    @functools.cached_property
+    def _lines(self) -> tuple[str, ...]:
+        strings = _digits_str(self._digits, self.q)
+        return ("ALPHABET %d %d %d" % (self.q, self.e, len(self.letters)),
+                *("L %d %s" % (ord(ch), " ".join(strings[a:b]))
+                  for ch, a, b in self._spans()))
 
     @classmethod
     def from_lines(cls, lines: list[str]) -> "Alphabet":
@@ -130,37 +140,51 @@ class Alphabet:
         if len(head) != 4 or head[0] != "ALPHABET":
             raise ValueError("expected 'ALPHABET q e count', got %r" % lines[0])
         q, e, count = (parse_decimal(tok) for tok in head[1:])
-        synonyms: dict[str, list[tuple]] = {}
-        for line in lines[1 : 1 + count]:
-            parts = line.split()
-            if parts[0] != "L":
-                raise ValueError("expected a letter line 'L ...', got %r" % line)
-            code = parse_decimal(parts[1])
-            if not 0 <= code <= sys.maxunicode:
-                raise ValueError("letter code %d is not a character" % code)
-            ch = chr(code)
-            synonyms[ch] = [_parse_digits(s, q, e) for s in parts[2:]]
-        return cls(q, e, synonyms)
+        rows = [line.split() for line in lines[1:1 + count]]
+        if len(rows) != count:
+            raise ValueError("%d letter lines, not %d" % (len(rows), count))
+        if {row[0] for row in rows} - {"L"}:
+            raise ValueError("expected letter lines 'L code synonyms..'")
+        codes = parse_decimals([row[1] for row in rows])
+        if max(codes, default=0) > sys.maxunicode:
+            raise ValueError("letter code %d is not a character" % max(codes))
+        synonyms = list(itertools.chain.from_iterable(row[2:] for row in rows))
+        return cls(q, e, "".join(map(chr, codes)), [len(row) - 2 for row in rows],
+                   _parse_digits(synonyms, q, e))
 
 
-def _digits_str(vec, q: int) -> str:
+def _digits_str(rows, q: int) -> list[str]:
+    """Each row of an array of digits below q as one string, all in one
+    pass: its ASCII digits for q <= 10, its decimals joined by commas above."""
+    rows = np.asarray(rows)
+    count, width = rows.shape
     if q <= 10:
-        return "".join(str(int(d)) for d in vec)
-    return ",".join(str(int(d)) for d in vec)
+        cells = np.full((count, width + 1), ord(" "), dtype=np.uint8)
+        cells[:, :width] = rows + ord("0")
+        return cells.tobytes().decode("ascii").split()
+    row = ",".join(["%d"] * width)
+    return (" ".join([row] * count) % tuple(rows.ravel().tolist())).split()
 
 
-def _parse_digits(text: str, q: int, n: int) -> tuple:
-    """The n digits of a digit string, as _digits_str writes them: ASCII
-    digits for q <= 10, comma-separated canonical decimals above."""
+def _parse_digits(tokens: list[str], q: int, n: int) -> np.ndarray:
+    """The (len(tokens), n) digits of digit strings as _digits_str writes
+    them: n ASCII digits for q <= 10, n comma-separated canonical decimals
+    above.  Anything else, or a digit not below q, raises ValueError."""
     if q <= 10:
-        if not (text.isascii() and text.isdigit()):
-            raise ValueError("not a string of ASCII digits: %r" % text)
-        vec = tuple(map(int, text))
+        text = "".join(tokens)
+        if set(map(len, tokens)) - {n} or not text.isascii():
+            raise ValueError("digit strings must be %d ASCII digits" % n)
+        # a byte below '0' wraps to 208 and up, so the range check below is
+        # also the check for ASCII digits
+        digits = np.frombuffer(text.encode("ascii"), dtype=np.uint8) - ord("0")
     else:
-        vec = tuple(parse_decimal(tok) for tok in text.split(","))
-    if len(vec) != n or any(not 0 <= d < q for d in vec):
-        raise ValueError("bad digit string %r for q=%d, n=%d" % (text, q, n))
-    return vec
+        if set(map(str.count, tokens, itertools.repeat(","))) - {n - 1}:
+            raise ValueError("digit strings must be %d decimals" % n)
+        values = parse_decimals(",".join(tokens).split(",") if tokens else [])
+        digits = np.array(values, dtype=np.min_scalar_type(max(values, default=0)))
+    if not (digits < q).all():
+        raise ValueError("digit strings must have digits below %d" % q)
+    return digits.reshape(len(tokens), n)
 
 
 def make_alphabet(q: int, e: int, symbols: str, s: int, seed: int) -> Alphabet:
@@ -183,10 +207,8 @@ def make_alphabet(q: int, e: int, symbols: str, s: int, seed: int) -> Alphabet:
                 picks.append(v)
     # every pick is below space, so uint64 holds it when space <= 2^64
     place = q ** np.arange(e, dtype=np.uint64 if space <= 1 << 64 else object)
-    digits = (np.array(picks, dtype=place.dtype)[:, None] // place % q).tolist()
-    strings = list(map(tuple, digits))
-    synonyms = {ch: strings[i * s:(i + 1) * s] for i, ch in enumerate(symbols)}
-    return Alphabet(q, e, synonyms)
+    digits = np.array(picks, dtype=place.dtype)[:, None] // place % q
+    return Alphabet(q, e, symbols, [s] * len(symbols), digits)
 
 
 def text64() -> Alphabet:
@@ -202,8 +224,9 @@ def base4() -> Alphabet:
     return make_alphabet(2, 4, "ACGT", 2, seed=0x4A11)
 
 
+@functools.lru_cache(maxsize=64)
 def default_alphabet(q: int, n: int) -> Alphabet:
-    """A stock alphabet whose block length divides n."""
+    """A stock alphabet whose block length divides n, built once per (q, n)."""
     if q == 2:
         if n % 8 == 0:
             return text64()

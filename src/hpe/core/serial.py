@@ -47,12 +47,12 @@ PUBLIC_MAGIC = "HPE2"
 
 
 def dump_vector(vec, q: int) -> str:
-    return _digits_str([int(d) for d in vec], q)
+    return _digits_str([vec], q)[0]
 
 
 def parse_vector(text: str, q: int, n: int) -> np.ndarray:
     try:
-        return np.array(_parse_digits(text.strip(), q, n), dtype=np.uint8)
+        return _parse_digits([text.strip()], q, n)[0].astype(np.uint8)
     except (ValueError, IndexError) as exc:
         raise FormatError("bad digit vector: %r" % text.strip()) from exc
 
@@ -225,23 +225,23 @@ def load_public(text: str) -> PublicKey:
 
 
 def _matrix_lines(name: str, mat: np.ndarray, q: int) -> list:
-    return [name, *(dump_vector(row, q) for row in mat)]
+    return [name, *_digits_str(mat, q)]
 
 
 def _parse_matrix(lines: list, pos: int, name: str, q: int, n: int):
     if pos >= len(lines) or lines[pos].split() != [name]:
         raise FormatError("expected matrix %r" % name)
-    rows = []
-    for i in range(n):
-        rows.append(_parse_digits(lines[pos + 1 + i], q, n))
-    return np.array(rows, dtype=np.uint8), pos + 1 + n
+    rows = lines[pos + 1:pos + 1 + n]
+    if len(rows) != n:
+        raise FormatError("matrix %r has %d rows, not %d" % (name, len(rows), n))
+    return _parse_digits(rows, q, n).astype(np.uint8), pos + 1 + n
 
 
 def _parse_shift(lines: list, pos: int, name: str, q: int, n: int):
     parts = lines[pos].split()
     if len(parts) != 2 or parts[0] != name:
         raise FormatError("expected shift %r" % name)
-    return np.array(_parse_digits(parts[1], q, n), dtype=np.uint8), pos + 1
+    return _parse_digits([parts[1]], q, n)[0].astype(np.uint8), pos + 1
 
 
 def dump_private(sk: PrivateKey) -> str:

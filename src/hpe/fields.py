@@ -39,12 +39,16 @@ from P(1) and T, applied to coordinate rows.
 Moduli default to the lexicographically least monic irreducible of the right
 degree, least meaning smallest integer encoding sum(c_i * q^i) + q^deg; the
 scan uses the definitive distinct-degree test, not a probabilistic one.
+A supplied modulus (a private key's field line) gets the same test once per
+process: the check runs inside the cached builder, so a second key over the
+same field skips it, and a reducible modulus, never cached, raises each time.
 """
 
 from __future__ import annotations
 
 import functools
 import random
+import re
 from array import array
 
 import numpy as np
@@ -54,6 +58,10 @@ from .mvpoly import gf2, linalg, upoly
 
 MAX_Q = 256
 TABLE_MAX_ORDER = 1 << 20  # largest K served by log/antilog tables
+_DECIMAL = "0|[1-9][0-9]*"
+# tokens joined by commas, each followed by one; a token that holds a comma
+# passes here, but int() refuses it
+_DECIMALS = re.compile("(?:(?:%s),)*" % _DECIMAL)
 
 
 def parse_decimal(tok: str) -> int:
@@ -61,9 +69,16 @@ def parse_decimal(tok: str) -> int:
     zero but in '0'.  Anything else raises ValueError; int() would also
     read a sign, '_', non-ASCII digits and zero padding, none of which
     writes back as the token that was read."""
-    if not (tok.isascii() and tok.isdigit()) or (tok[0] == "0" and tok != "0"):
-        raise ValueError("not a canonical decimal: %r" % tok)
-    return int(tok)
+    return parse_decimals([tok])[0]
+
+
+def parse_decimals(toks: list[str]) -> list[int]:
+    """The values of canonical decimal tokens, as parse_decimal reads each,
+    checked by one match over all of them."""
+    if not _DECIMALS.fullmatch(",".join([*toks, ""])):
+        bad = next(tok for tok in toks if not re.fullmatch(_DECIMAL, tok))
+        raise ValueError("not a canonical decimal: %r" % bad)
+    return list(map(int, toks))
 
 
 def prime_power_split(q: int) -> tuple[int, int]:
@@ -529,9 +544,17 @@ class ExtensionField:
 
 @functools.lru_cache(maxsize=64)
 def _cached_extension(q: int, n: int, modulus: tuple | None) -> ExtensionField:
+    """The tower over modulus, or over the least irreducible if it is None.
+    A supplied modulus is tested for irreducibility here, so each one is
+    tested once per process; lru_cache keeps no exception, so a reducible
+    one raises on every call."""
     base = base_field(q)
     if modulus is None:
         modulus = _least_irreducible(base, n)
+    elif any(upoly.eval_poly(base, list(modulus), a) == 0 for a in range(q)) or (
+        not _is_irreducible(base, list(modulus))
+    ):
+        raise NotIrreducible("supplied modulus is reducible over F_%d" % q)
     return ExtensionField(base, n, modulus)
 
 
@@ -539,8 +562,9 @@ def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
     """Construct (and cache) the tower F_q <= K with K of degree n.
 
     The modulus, when supplied, is a low-to-high coefficient sequence of a
-    monic degree-n polynomial over F_q; it is checked for irreducibility.
-    Without one, the lexicographically least monic irreducible is used.
+    monic degree-n polynomial over F_q; it is checked for irreducibility
+    on its first use in the process.  Without one, the lexicographically
+    least monic irreducible is used.
     """
     base = base_field(q)  # raises InvalidOrder for unsupported orders
     if n < 2:
@@ -551,10 +575,6 @@ def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
             raise NotIrreducible("modulus must be monic of degree %d" % n)
         if any(not 0 <= c < q for c in modulus):
             raise NotIrreducible("modulus coefficients must lie in 0..%d" % (q - 1))
-        if any(upoly.eval_poly(base, list(modulus), a) == 0 for a in range(q)) or (
-            not _is_irreducible(base, list(modulus))
-        ):
-            raise NotIrreducible("supplied modulus is reducible over F_%d" % q)
     return _cached_extension(q, n, modulus)
 
 
@@ -570,7 +590,7 @@ def parse_descriptor(line: str) -> ExtensionField:
                            "supported p <= %d, 1 <= r <= 8" % (p, r, MAX_Q))
     if prime_power_split(p) != (p, 1):
         raise InvalidOrder("field descriptor p=%d is not a prime" % p)
-    coeffs = tuple(parse_decimal(c) for c in parts[4:])
+    coeffs = tuple(parse_decimals(parts[4:]))
     if len(coeffs) != n + 1:
         raise ValueError("field descriptor modulus has wrong length")
     return build_extension(p**r, n, coeffs)

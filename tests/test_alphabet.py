@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core.alphabet import (Alphabet, base4, default_alphabet,
                                make_alphabet, text64)
 from hpe.errors import LengthMismatch, SymbolOutOfAlphabet
@@ -125,10 +126,12 @@ def test_serialized_tables_round_trip():
 def test_serialized_tables_check_their_tags():
     lines = base4().to_lines()
     head = lines[0]
+    # the last: the second letter under the first one's code
     for bad in ([head + " junk", *lines[1:]],
                 [head.replace("ALPHABET", "ALPHABETxyz"), *lines[1:]],
                 [head, "EQ" + lines[1][1:], *lines[2:]],
-                [head, *lines[1:-1], "X" + lines[-1][1:]]):
+                [head, *lines[1:-1], "X" + lines[-1][1:]],
+                [head, lines[1], lines[1][:4] + lines[2][4:], *lines[3:]]):
         with pytest.raises(ValueError):
             Alphabet.from_lines(bad)
 
@@ -160,3 +163,18 @@ def test_distinct_encodings_cover_space():
         vec, _ = a.encode(msg, rng)
         seen.add(tuple(int(d) for d in vec))
     assert len(seen) == a.encoding_space(msg) == 4
+
+
+def test_stock_alphabets_and_their_text_are_built_once():
+    a = default_alphabet(4, 8)
+    assert default_alphabet(4, 8) is a
+    lines = a.to_lines()
+    pk, sk = keygen(KeyGenParams(q=4, n=8), random.Random(1))
+    assert pk.alphabet is a and sk.alphabet is a
+    dump_public(pk)
+    dump_private(sk)
+    # each call hands out its own list, and the tables are read-only
+    a.to_lines().append("junk")
+    assert a.to_lines() == lines
+    with pytest.raises(TypeError):
+        a.synonyms["A"] = ((0,) * 8, (1,) * 8)

@@ -221,19 +221,23 @@ def test_retired_hpe1_public_file_is_data_error(keydir, tmp_path, capsys):
 
 
 def test_letter_code_beyond_unicode_is_data_error(keydir, tmp_path, capsys):
-    # chr() cannot take the code of this letter line; both key kinds read
-    # the alphabet block the same way.
+    # chr() cannot take the code of the first letter line; both key kinds
+    # read the alphabet block the same way.  The second letter line under
+    # the first one's code once replaced that letter, and the key loaded
+    # with one letter fewer than its header counts.
     msg = _write(tmp_path / "m.txt", "Go\n")
     for kind, command in (("pub", "encrypt"), ("key", "sign")):
         text = (keydir / ("a." + kind)).read_text()
-        letter = next(ln for ln in text.splitlines() if ln.startswith("L "))
+        letter, second = [ln for ln in text.splitlines() if ln.startswith("L ")][:2]
         huge = " ".join(["L", str(10 ** 30), *letter.split()[2:]])
-        key = _write(tmp_path / ("bad." + kind), text.replace(letter, huge, 1))
-        flag = "--pub" if kind == "pub" else "--priv"
-        assert main([command, flag, key, "--in", msg,
-                     "--out", str(tmp_path / "out.txt")]) == 65
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("hpe: ")
+        again = " ".join(["L", letter.split()[1], *second.split()[2:]])
+        for old, new in ((letter, huge), (second, again)):
+            key = _write(tmp_path / ("bad." + kind), text.replace(old, new, 1))
+            flag = "--pub" if kind == "pub" else "--priv"
+            assert main([command, flag, key, "--in", msg,
+                         "--out", str(tmp_path / "out.txt")]) == 65
+            err = capsys.readouterr().err.splitlines()
+            assert len(err) == 1 and err[0].startswith("hpe: ")
 
 
 @pytest.mark.parametrize("command,kind", [("encrypt", "pub"), ("signcrypt", "key")])

@@ -4,7 +4,8 @@ import random
 import numpy as np
 import pytest
 
-from hpe.errors import InvalidDegree, InvalidOrder
+from hpe import fields
+from hpe.errors import InvalidDegree, InvalidOrder, NotIrreducible
 from hpe.fields import (MAX_Q, BaseField, base_field, build_extension,
                         parse_descriptor, prime_power_split)
 from hpe.mvpoly import upoly
@@ -404,6 +405,22 @@ def test_descriptor_round_trip():
         parse_descriptor("G 2 1 4 1 1 0 0 1")
     with pytest.raises(ValueError):
         parse_descriptor("F 2 1 4 1 1 0 1")
+
+
+def test_each_modulus_is_checked_once_per_process(monkeypatch):
+    line = build_extension(2, 16).descriptor()
+    field = parse_descriptor(line)
+    calls = []
+    monkeypatch.setattr(fields, "_is_irreducible",
+                        lambda *args: calls.append(args) or True)
+    assert parse_descriptor(line) is field
+    assert calls == []
+    monkeypatch.undo()
+    # x^4 + x^2 + 1 = (x^2 + x + 1)^2 has no root in F_2, so only the
+    # distinct-degree test finds it reducible; nothing caches the failure
+    for _ in range(2):
+        with pytest.raises(NotIrreducible):
+            build_extension(2, 4, (1, 0, 1, 0, 1))
 
 
 def test_random_sampling():

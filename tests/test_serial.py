@@ -57,6 +57,20 @@ PINNED_HPE2_DIGESTS = {
     (16, 3, 1616): "e04eaa58305f15c2396d1838f700167574ac4dc4cebdef1828e30e8b6e86567a",
 }
 
+# SHA-256 of the text dump_private writes for the same keys, recorded before
+# the alphabet block and the digit rows were written as one array each.
+PINNED_PRIVATE_DIGESTS = {
+    (2, 12, 103): "0121d606fa875df63ff00c2a45ce91be033ef49f87bc8a88fbb876e7bb8914b8",
+    (2, 32, 1): "b79cd8c5c5e08c6ac249f53ee84b06c3c66e3b17dd308f4c8a34a61813dda764",
+    (2, 32, 3): "4e9fd379a07f3a97744a2bc8ea60c467ad3b55180808a9d2ba30ebf8fb265c85",
+    (3, 5, 635): "d839b3f2e2f627b1c75a420656aa6272cc95262e2d646b2373a91b1905d77dd8",
+    (4, 4, 644): "3ba0e07746dfaa6257b838da3da336f110ba09e5f2e6d4dd2173ba21779228e3",
+    (8, 4, 808): "caba84c82aae0f3c60800fa6f8de1d0210372b735c5593c1fce2fe2d8e711e3d",
+    (9, 4, 909): "2f455b96dcdf4bbbc1921d32eec9ec9f8b094118e485c289b44b189a25d9dcd6",
+    (11, 3, 1111): "01fe2c4cdc5cda5524449b3b500dfae377d33a82625c8ba512d36b3e1ebdbdee",
+    (16, 3, 1616): "e1b05f66d392b219d90e9929ef8f48780bc3365c6cf627d819a88875a7c0f212",
+}
+
 
 def _same_blocks(a, b):
     return all(np.array_equal(getattr(a, name), getattr(b, name))
@@ -253,6 +267,15 @@ def test_public_key_format_pinned(q, n, seed):
     assert dump_public(load_public(text)) == text
 
 
+@pytest.mark.parametrize("q,n,seed", sorted(PINNED_PRIVATE_DIGESTS))
+def test_private_key_format_pinned(q, n, seed):
+    params = KeyGenParams(q=q, n=n, degX_max=max(9, q + 1))
+    text = dump_private(keygen(params, random.Random(seed))[1])
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == \
+        PINNED_PRIVATE_DIGESTS[(q, n, seed)]
+    assert dump_private(load_private(text)) == text
+
+
 def test_hpe1_public_file_is_retired(pair12):
     # The term-line public format is read no more; private keys keep HPE1.
     with pytest.raises(FormatError, match="HPE1 public key format is retired"):
@@ -307,14 +330,17 @@ def test_public_key_q2_above_48_variables_round_trips():
 def test_alphabet_tags_are_checked(pair12):
     pk, sk = pair12
     public_text, private_text = dump_public(pk), dump_private(sk)
-    letter = next(ln for ln in public_text.splitlines() if ln.startswith("L "))
+    letter, second = [ln for ln in public_text.splitlines() if ln.startswith("L ")][:2]
     head = next(ln for ln in public_text.splitlines() if ln.startswith("ALPHABET"))
-    # the last: a letter code beyond any character, which chr() cannot take
+    # a letter code beyond any character, which chr() cannot take, and the
+    # first letter's code given again, which once replaced that letter and
+    # left one letter fewer than the header counts
     huge = " ".join(["L", str(10 ** 30), *letter.split()[2:]])
+    again = " ".join(["L", letter.split()[1], *second.split()[2:]])
     for old, new in ((letter, "EQ" + letter[1:]), (head, head + " junk"),
                      (head, head.replace("ALPHABET", "ALPHABETxyz") + " junk"),
                      (head, head.replace("ALPHABET", "ALPHABETxyz")),
-                     (letter, huge)):
+                     (letter, huge), (second, again)):
         with pytest.raises(FormatError, match="alphabet"):
             load_public(public_text.replace(old, new, 1))
         with pytest.raises(FormatError, match="alphabet"):
@@ -524,6 +550,39 @@ def test_mutated_key_files_load_or_raise_format_error(q, edits):
         load_private(_mutate(_small_key_texts(q)[0], edits))
     except FormatError:
         pass
+
+
+def _alphabet_block(lines, first):
+    """The alphabet lines a loader reads from lines: the head at first and
+    the letter count it states, each with its whitespace collapsed."""
+    block = [" ".join(ln.split()) for ln in lines[first:]]
+    return block[:1 + int(block[0].split()[3])]
+
+
+@settings(max_examples=400)
+@given(q=st.sampled_from([2, 4, 11]), private=st.booleans(),
+       edits=st.lists(st.tuples(st.sampled_from(["set", "insert", "delete"]),
+                                st.integers(0, 1 << 20),
+                                st.one_of(st.sampled_from(b"0123456789 ,L\n"),
+                                          st.integers(0, 127))),
+                      min_size=1, max_size=3))
+def test_mutated_alphabet_blocks_raise_or_read_back(q, private, edits):
+    # Edits only inside the alphabet lines: each mutant is refused, or its
+    # alphabet writes back exactly the lines it was read from.
+    load, text = ((load_private, _small_key_texts(q)[0]) if private
+                  else (load_public, _small_key_texts(q)[1]))
+    first = 2 if private else 1
+    lines = text.split("\n")
+    block = _alphabet_block(lines, first)
+    start = len("\n".join(lines[:first])) + 1
+    end = start + len("\n".join(lines[first:first + len(block)]))
+    mutant = text[:start] + _mutate(text[start:end], edits) + text[end:]
+    try:
+        key = load(mutant)
+    except FormatError:
+        return
+    lines = [ln for ln in mutant.splitlines() if ln.strip()]
+    assert key.alphabet.to_lines() == _alphabet_block(lines, first)
 
 
 @pytest.mark.parametrize("q", [2, 11])
