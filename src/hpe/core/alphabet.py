@@ -23,7 +23,7 @@ from types import MappingProxyType
 
 import numpy as np
 
-from ..errors import LengthMismatch, SymbolOutOfAlphabet
+from ..errors import LengthMismatch, SymbolOutOfAlphabet, VariableMismatch
 from ..fields import parse_decimal, parse_decimals
 
 
@@ -226,7 +226,8 @@ def base4() -> Alphabet:
 
 @functools.lru_cache(maxsize=64)
 def default_alphabet(q: int, n: int) -> Alphabet:
-    """A stock alphabet whose block length divides n, built once per (q, n)."""
+    """A stock alphabet whose block length divides n, built once per (q, n).
+    Raises VariableMismatch, a parameter error, when none divides n."""
     if q == 2:
         if n % 8 == 0:
             return text64()
@@ -239,4 +240,4 @@ def default_alphabet(q: int, n: int) -> Alphabet:
         count = min(64, q**e // 4)
         symbols = "".join(chr(ord("A") + i) if i < 26 else chr(ord("a") + i - 26) for i in range(count))
         return make_alphabet(q, e, symbols, 2, seed=0xDEFA)
-    raise LengthMismatch("no alphabet block length divides n=%d" % n)
+    raise VariableMismatch("no stock alphabet block length divides n=%d" % n)

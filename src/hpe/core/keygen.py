@@ -127,10 +127,10 @@ def keygen(params: KeyGenParams, rng: random.Random | None = None,
     params.check()
     if rng is None:
         rng = random.Random()
-    field = build_extension(params.q, params.n)
     if alphabet is None:
         alphabet = default_alphabet(params.q, params.n)
     alphabet.blocks_for(params.n)
+    field = build_extension(params.q, params.n)
     for _ in range(_REGEN_BUDGET):
         affine = AffinePair.sample(field.base, params.n, rng)
         priv = sample_private(params, field, rng)

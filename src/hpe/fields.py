@@ -40,8 +40,10 @@ Moduli default to the lexicographically least monic irreducible of the right
 degree, least meaning smallest integer encoding sum(c_i * q^i) + q^deg; the
 scan uses the definitive distinct-degree test, not a probabilistic one.
 A supplied modulus (a private key's field line) gets the same test once per
-process: the check runs inside the cached builder, so a second key over the
+process: the check runs inside a cached builder, so a second key over the
 same field skips it, and a reducible modulus, never cached, raises each time.
+A process holds one field per modulus: the default modulus and the same one
+spelled out give the same ExtensionField.
 """
 
 from __future__ import annotations
@@ -197,8 +199,10 @@ def _is_irreducible(base: BaseField, m: list) -> bool:
     return True
 
 
+@functools.lru_cache(maxsize=64)
 def _least_irreducible(base: BaseField, n: int) -> tuple:
-    """Least monic irreducible of degree n over F_q, ascending integer scan."""
+    """Least monic irreducible of degree n over F_q, ascending integer scan,
+    run once per process."""
     q = base.q
     for enc in range(q**n):
         cand = [(enc // q**i) % q for i in range(n)] + [1]
@@ -543,19 +547,23 @@ class ExtensionField:
 
 
 @functools.lru_cache(maxsize=64)
-def _cached_extension(q: int, n: int, modulus: tuple | None) -> ExtensionField:
-    """The tower over modulus, or over the least irreducible if it is None.
-    A supplied modulus is tested for irreducibility here, so each one is
-    tested once per process; lru_cache keeps no exception, so a reducible
-    one raises on every call."""
+def _extension(q: int, n: int, modulus: tuple) -> ExtensionField:
+    """The one tower over modulus in the process, whether the modulus was
+    the default or spelled out."""
+    return ExtensionField(base_field(q), n, modulus)
+
+
+@functools.lru_cache(maxsize=64)
+def _checked_extension(q: int, n: int, modulus: tuple) -> ExtensionField:
+    """The tower over a supplied modulus, tested for irreducibility here, so
+    each one is tested once per process; lru_cache keeps no exception, so a
+    reducible one raises on every call."""
     base = base_field(q)
-    if modulus is None:
-        modulus = _least_irreducible(base, n)
-    elif any(upoly.eval_poly(base, list(modulus), a) == 0 for a in range(q)) or (
+    if any(upoly.eval_poly(base, list(modulus), a) == 0 for a in range(q)) or (
         not _is_irreducible(base, list(modulus))
     ):
         raise NotIrreducible("supplied modulus is reducible over F_%d" % q)
-    return ExtensionField(base, n, modulus)
+    return _extension(q, n, modulus)
 
 
 def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
@@ -564,18 +572,20 @@ def build_extension(q: int, n: int, modulus=None) -> ExtensionField:
     The modulus, when supplied, is a low-to-high coefficient sequence of a
     monic degree-n polynomial over F_q; it is checked for irreducibility
     on its first use in the process.  Without one, the lexicographically
-    least monic irreducible is used.
+    least monic irreducible is used, and the field is the one that the
+    same modulus spelled out gives.
     """
     base = base_field(q)  # raises InvalidOrder for unsupported orders
     if n < 2:
         raise InvalidDegree("extension degree must be >= 2, got %d" % n)
-    if modulus is not None:
-        modulus = tuple(int(c) for c in modulus)
-        if len(modulus) != n + 1 or modulus[-1] != 1:
-            raise NotIrreducible("modulus must be monic of degree %d" % n)
-        if any(not 0 <= c < q for c in modulus):
-            raise NotIrreducible("modulus coefficients must lie in 0..%d" % (q - 1))
-    return _cached_extension(q, n, modulus)
+    if modulus is None:
+        return _extension(q, n, _least_irreducible(base, n))
+    modulus = tuple(int(c) for c in modulus)
+    if len(modulus) != n + 1 or modulus[-1] != 1:
+        raise NotIrreducible("modulus must be monic of degree %d" % n)
+    if any(not 0 <= c < q for c in modulus):
+        raise NotIrreducible("modulus coefficients must lie in 0..%d" % (q - 1))
+    return _checked_extension(q, n, modulus)
 
 
 def parse_descriptor(line: str) -> ExtensionField:

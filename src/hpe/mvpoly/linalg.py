@@ -6,17 +6,19 @@ characteristic 2 makes addition the XOR of the indices: there matvec is one
 table gather and one XOR reduction, and a right factor kept as packed F_2
 rows multiplies by XORing the rows that the left factor's bits select (see
 packed_operand).  Row reduction expands an F_q matrix to its F_p matrix on
-base-p digits and runs one Gauss-Jordan over F_p on rows packed into Python
-integers by gf2.ints: one bit per entry at p = 2, where a row update is one
-XOR, and an 8..64-bit slot per entry at odd p, reduced mod p once per pivot
-row and where it is read (see rref).  That elimination is the one reader
-of its packed rows: it hands back the reduced F_p matrix, and inverse,
-solve and nullspace read rref's F_q matrix.  rank at odd p counts rref's
-pivots; at p = 2 it only adds the packed rows to a gf2.Basis.  Pivoting
-is deterministic: columns in order, first nonzero row, free variables set
-to zero in particular solutions.  Random scalars are read from the rng in
-bulk, draw for draw what per-entry randrange calls would give (see
-random_scalars).
+base-p digits and runs one Gauss-Jordan over F_p on Python integers (see
+rref).  At p = 2 that is gf2.rref: up to gf2.WHOLE_MATRIX_COLS columns the
+whole F_2 matrix is one integer, so a pivot costs a few big-integer
+operations however many rows there are; past that width its multiply,
+which grows with the square of the width, costs more than a Python step
+per row, and each row is one integer.  At odd p each row is one integer of
+8..64-bit slots, reduced mod p once per pivot row and where it is read.
+That elimination is the one reader of its packed rows: it hands back the
+reduced F_p matrix, and rank, inverse, solve and nullspace read rref's F_q
+matrix and pivots at every p.  Pivoting is deterministic: columns in
+order, first nonzero row, free variables set to zero in particular
+solutions.  Random scalars are read from the rng in bulk, draw for draw
+what per-entry randrange calls would give (see random_scalars).
 """
 
 from __future__ import annotations
@@ -142,32 +144,29 @@ def _fp_matrix(base, m: np.ndarray) -> np.ndarray:
 
 
 def _slot_bits(p: int, cols: int) -> int:
-    """Bits per entry of a packed F_p row of cols entries.
-
-    One at p = 2.  Otherwise the narrowest of 8..64 that holds p + cols*p^2:
-    an entry starts below p and each of at most cols updates adds below p^2.
-    """
-    if p == 2:
-        return 1
+    """Bits per entry of a packed F_p row of cols entries, at odd p: the
+    narrowest of 8..64 that holds p + cols*p^2, since an entry starts below
+    p and each of at most cols updates adds below p^2."""
     return next(w for w in (8, 16, 32, 64) if p + cols * p * p < 1 << w)
 
 
 def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Gauss-Jordan over F_p with each row packed into one Python integer,
-    entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots at odd p), and
-    the one reader of those rows: the reduced uint8 F_p matrix and the pivots.
+    """Gauss-Jordan over F_p: the reduced uint8 F_p matrix and the pivots.
 
-    At p = 2 a row update is one XOR.  At odd p it is R += (p - f) * P, with
-    the pivot row P reduced and scaled to a leading 1 as it is chosen; a
-    slot is reduced mod p only where it is read.  Columns are taken in order.
+    At p = 2 it is gf2.rref.  At odd p each row is packed into one Python
+    integer, entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots), and a
+    row update is R += (p - f) * P, with the pivot row P reduced and scaled
+    to a leading 1 as it is chosen; a slot is reduced mod p only where it
+    is read.  Columns are taken in order.
     """
+    if p == 2:
+        return gf2.rref(digits)
     n_rows, cols = digits.shape
     w = _slot_bits(p, cols)
-    dtype = np.dtype("<u%d" % ((w + 7) // 8))
-    width = (cols * w + 7) // 8  # bytes per row
+    dtype = np.dtype("<u%d" % (w // 8))
+    width = cols * w // 8  # bytes per row
 
-    data = np.packbits(digits, axis=1, bitorder="little") if w == 1 else digits.astype(dtype)
-    packed = gf2.ints(data)
+    packed = gf2.ints(digits.astype(dtype))
     mask = (1 << w) - 1
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
@@ -180,36 +179,20 @@ def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, in
             continue
         pivot = packed[i]
         packed[i] = packed[top]
-        if p == 2:
-            bit = 1 << c
-            packed = [row ^ pivot if row & bit else row for row in packed]
-        else:
-            scaled = np.frombuffer(pivot.to_bytes(width, "little"), dtype) % p
-            scaled = scaled * pow(pivot >> shift & mask, -1, p) % p
-            pivot = int.from_bytes(scaled.astype(dtype, copy=False).tobytes(), "little")
-            packed = [row + (p - f) * pivot if (f := (row >> shift & mask) % p) else row
-                      for row in packed]
+        scaled = np.frombuffer(pivot.to_bytes(width, "little"), dtype) % p
+        scaled = scaled * pow(pivot >> shift & mask, -1, p) % p
+        pivot = int.from_bytes(scaled.astype(dtype, copy=False).tobytes(), "little")
+        packed = [row + (p - f) * pivot if (f := (row >> shift & mask) % p) else row
+                  for row in packed]
         packed[top] = pivot
         pivots.append((top, c))
     buf = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in packed]), dtype)
-    if w == 1:
-        out = np.unpackbits(buf.reshape(n_rows, width), axis=1, count=cols,
-                            bitorder="little")
-    else:
-        out = buf.reshape(n_rows, cols) % p
-    return out.astype(np.uint8), pivots
+    return (buf.reshape(n_rows, cols) % p).astype(np.uint8), pivots
 
 
 def rank(base, m: np.ndarray) -> int:
-    """Rank over F_q.  At p = 2 no reduced form is built: the packed rows of
-    the F_2 matrix go into a gf2.Basis, whose size, the F_2 rank, is r times
-    the F_q rank."""
-    if base.p != 2:
-        return len(rref(base, m)[1])
-    basis = gf2.Basis()
-    for row in gf2.ints(gf2.words(_fp_matrix(base, as_matrix(m)))):
-        basis.add(row)
-    return len(basis) // base.r
+    """Rank over F_q: the number of rref's pivots."""
+    return len(rref(base, m)[1])
 
 
 def inverse(base, m: np.ndarray) -> np.ndarray:

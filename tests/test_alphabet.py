@@ -6,7 +6,7 @@ import pytest
 from hpe import KeyGenParams, dump_private, dump_public, keygen
 from hpe.core.alphabet import (Alphabet, base4, default_alphabet,
                                make_alphabet, text64)
-from hpe.errors import LengthMismatch, SymbolOutOfAlphabet
+from hpe.errors import LengthMismatch, SymbolOutOfAlphabet, VariableMismatch
 
 from oracles import hex16
 
@@ -150,7 +150,7 @@ def test_default_alphabet_selection():
     odd = default_alphabet(2, 7)
     assert odd.e == 7
     assert sum(len(odd.synonyms[ch]) for ch in odd.letters) * 2 <= 2 ** 7
-    with pytest.raises(LengthMismatch):
+    with pytest.raises(VariableMismatch):
         default_alphabet(2, 2)
 
 

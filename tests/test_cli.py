@@ -62,6 +62,23 @@ def test_bad_parameters_are_usage_errors(capsys, tmp_path):
         assert err.startswith("hpe: parameter error:")
 
 
+@pytest.mark.parametrize("q", [2, 3, 4])
+@pytest.mark.parametrize("n", [11, 13])
+def test_n_without_a_stock_block_length_is_a_parameter_error(q, n, monkeypatch, capsys,
+                                                             tmp_path):
+    # no stock block length of at most 8 with q^e >= 8 divides a prime n
+    # above 8 at q < 8: refused before the field GF(q^n) is built
+    built = []
+    monkeypatch.setattr(sys.modules["hpe.core.keygen"], "build_extension",
+                        lambda *args: built.append(args))
+    assert main(["keygen", "--q", str(q), "--n", str(n), "--pub", str(tmp_path / "k.pub"),
+                 "--priv", str(tmp_path / "k.key")]) == 64
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1
+    assert err.startswith("hpe: parameter error:")
+    assert built == []
+
+
 def test_keygen_writes_versioned_files(keydir, capsys):
     pub = (keydir / "a.pub").read_text()
     priv = (keydir / "a.key").read_text()

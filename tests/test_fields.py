@@ -423,6 +423,21 @@ def test_each_modulus_is_checked_once_per_process(monkeypatch):
             build_extension(2, 4, (1, 0, 1, 0, 1))
 
 
+def test_default_and_spelled_out_modulus_give_one_field():
+    # keygen builds the field from (q, n), load_private from the key's field
+    # line: one process must hold one field for both, whichever comes first
+    line = build_extension(4, 8).descriptor()
+    for first in ("default", "spelled out"):
+        fields._extension.cache_clear()
+        fields._checked_extension.cache_clear()
+        if first == "default":
+            field = build_extension(4, 8)
+            assert parse_descriptor(line) is field
+        else:
+            field = parse_descriptor(line)
+            assert build_extension(4, 8) is field
+
+
 def test_random_sampling():
     field = build_extension(2, 8)
     rng = random.Random(29)

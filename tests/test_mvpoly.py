@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from hpe.errors import (HpeError, InvalidOrder, RootFindingFailed,
                         SingularMatrix, VariableMismatch, ZeroPolynomial)
 from hpe.fields import base_field, build_extension, prime_power_split
-from hpe.mvpoly import upoly
+from hpe.mvpoly import gf2, upoly
 from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
                                rank, random_invertible, random_matrix,
                                random_scalars, rref, solve)
@@ -598,6 +598,11 @@ def _assert_solve_matches_oracle(base, m, red, pivots):
     assert rng.getstate() == oracle_rng.getstate()
 
 
+# empty F_2 matrices: the whole-matrix integer of gf2.rref has no rows or
+# no columns
+@example(case=(2, np.zeros((0, 0), dtype=np.uint8)))
+@example(case=(2, np.zeros((3, 0), dtype=np.uint8)))
+@example(case=(2, np.zeros((0, 4), dtype=np.uint8)))
 @example(case=(7, np.zeros((0, 5), dtype=np.uint8)))
 @example(case=(9, np.zeros((4, 0), dtype=np.uint8)))
 @example(case=(256, np.zeros((3, 4), dtype=np.uint8)))
@@ -617,11 +622,16 @@ def test_rref_matches_oracle(case):
     _assert_rref_matches_oracle(*case)
 
 
-@pytest.mark.parametrize("q,shape", [(2, (200, 100)), (3, (120, 60))])
+@pytest.mark.parametrize("q,shape", [
+    (2, (200, 100)), (3, (120, 60)), (4, (80, 40)),
+    (2, (200, gf2.WHOLE_MATRIX_COLS)), (2, (200, gf2.WHOLE_MATRIX_COLS + 1))])
 def test_rref_matches_oracle_on_larger_matrices(q, shape):
-    # p = 2 updates rows by XOR, odd p by slot arithmetic: one case each at
-    # a size where rows take many updates between reductions.  The product
-    # has rank 3/4 of its columns, so the RREF has free columns to get wrong.
+    # p = 2 reduces the whole F_2 matrix as one integer up to
+    # gf2.WHOLE_MATRIX_COLS columns (q=2 at 100 and at the cut-over, q=4 at
+    # 80 F_2 columns) and one integer per row past it; odd p updates rows by
+    # slot arithmetic, at a size where rows take many updates between
+    # reductions.  The product has rank 3/4 of its columns, so the RREF has
+    # free columns to get wrong.
     rows, cols = shape
     rng = np.random.default_rng(20)
     left = rng.integers(0, q, size=(rows, cols * 3 // 4), dtype=np.uint8)
