@@ -7,16 +7,24 @@ monomial table (mono0, monoy): the x monomials that occur in it, as rows of
 n exponents reduced by x^q = x, in monomial_basis order.  The nonzero
 entries of C0[k] and then Cy[k] are equation k's terms.
 
-One kernel evaluates the key.  At each x of a batch it computes the value
-of every monomial of both blocks, one flat mul_table take per factor over
-the homogenized (x, 1), and multiplies the values by C0 and Cy, giving each
-equation as a row over (1, y_0..y_{n-1}).  At p = 2, for every q = 2^r,
-each block is held as packed F_2 rows, the r bit-planes w^s C of every
-monomial, and its product XORs the rows that the values' bits select; at
-odd p it is one float64 product (linalg.packed_operand, linalg.operand).
-Either is built on first use, not by keygen or load_public.  The linear
-system for encryption, the values at (x, y) and the batch zero test of
-exhaustive search are all those rows times (1, y).
+One kernel evaluates the key, built on its first use, not by keygen or
+load_public.  It computes the value of every monomial of both blocks at
+a batch of x, and the blocks' coefficients take it from there.  At
+p = 2, for every q = 2^r, each block is a table of packed F_2 columns, one
+for each monomial and bit-plane s: w^s times the monomial's [Cy_u | 0] in
+the linalg.PackedSystem layout of the augmented system [Cy(x) | C0(x)]
+(gf2.pack, entry (k, j) of its F_2 matrix at bit k*(n + 1)*r + j), and w^s
+times C0_u as the F_2 block of the last r columns.  The system at x is the
+XOR of the columns that the bits of the monomial values select, so it
+comes out as the one integer that encryption reduces and reads y from,
+and an equation's value at (x, y) is the parity of its rows against
+(y, 1).  At q = 2 a monomial is 1 exactly when its variables lie inside
+x's set bits, one numpy AND over their bitmasks; at r > 1 the values are
+mul_table takes over the homogenized (x, 1).  At odd p each block is a
+float64 linalg operand that the values multiply.  PublicKey.system is the
+system at x that encryption solves, eval_at the values at (x, y) that
+verify and exhaustive search test, and linear_system the system as F_q
+(matrix, rhs).
 """
 
 from dataclasses import dataclass
@@ -240,45 +248,27 @@ class PublicKey:
     def term_count(self) -> int:
         return int(np.count_nonzero(self.C0) + np.count_nonzero(self.Cy))
 
-    def _blocks(self) -> tuple:
-        """The monomials of both blocks, mono0's then monoy's, as (degree,
-        M0 + My) indices into the homogenized (x, 1), index n standing for
-        the 1; then the product with the coefficients of each block and its
-        right operand: packed F_2 rows at p = 2, float64 at odd p.  Built
-        on first use."""
+    def _blocks(self):
+        """The kernel, built on first use: a function giving the values of
+        the monomials of both blocks, mono0's then monoy's, at a batch of x,
+        and the blocks' coefficients, packed at p = 2, float64 at odd p."""
         if self._kernel is None:
-            n = self.n
-            # factor j of a monomial is the first variable whose running
-            # exponent sum passes j, or n once they all stop
-            ends = np.cumsum(np.concatenate([self.mono0, self.monoy]), axis=1)
-            degree = max(1, int(ends[:, -1].max(initial=0)))
-            factors = np.array([(ends <= j).sum(axis=1) for j in range(degree)])
-            if self.base.p == 2:
-                build, times = linalg.packed_operand, linalg.packed_times
-            else:
-                build, times = linalg.operand, linalg.times
-            rights = [build(self.base, self.C0.T),
-                      build(self.base, self.Cy.reshape(n * n, -1).T)]
-            self._kernel = factors, times, rights
+            monos = np.concatenate([self.mono0, self.monoy])
+            monomials = _mask_values(monos) if self.q == 2 else _product_values(self.base, monos)
+            kind = _PackedKernel if self.base.p == 2 else _FloatKernel
+            self._kernel = kind(self, monomials)
         return self._kernel
 
     def _rows(self, xs: np.ndarray) -> np.ndarray:
-        """The kernel: every equation collapsed at each x of an (m, n)
-        batch, as (m, n, n + 1) rows over (1, y_0..y_{n-1})."""
-        m, n = xs.shape
-        factors, times, (right0, righty) = self._blocks()
-        mul = self.base.mul_table.ravel()
-        xh = np.concatenate([xs, np.ones((m, 1), dtype=np.uint8)], axis=1)
-        # a product a*b of scalars is entry q*b + a of the flat table
-        xq = xh * np.intp(self.q)
-        vals = xh.take(factors[0], axis=1)
-        for idx in factors[1:]:
-            vals = mul.take(xq.take(idx, axis=1) + vals)
-        split = len(self.mono0)
-        out = np.empty((m, n, n + 1), dtype=np.uint8)
-        out[:, :, 0] = times(self.base, vals[:, :split], right0)
-        out[:, :, 1:] = times(self.base, vals[:, split:], righty).reshape(m, n, n)
-        return out
+        """Every equation collapsed at each x of an (m, n) batch, as
+        (m, n, n + 1) rows over (1, y_0..y_{n-1})."""
+        aug = self._blocks().augmented(xs)
+        return np.concatenate([aug[:, :, self.n:], aug[:, :, :self.n]], axis=2)
+
+    def system(self, x_vec: np.ndarray):
+        """The system the ciphertext x imposes on y: a linalg.PackedSystem
+        at p = 2, a linalg.System at odd p."""
+        return self._blocks().system(self, np.asarray(x_vec, dtype=np.uint8))
 
     def linear_system(self, x_vec: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """(matrix, rhs) of the system the ciphertext x imposes on y."""
@@ -289,9 +279,8 @@ class PublicKey:
         """The n equation values at (x, y), rows . (1, y); an (m, n) batch
         of x gives (m, n) values."""
         x = np.asarray(x_vec, dtype=np.uint8)
-        rows = self._rows(x.reshape(-1, self.n)).reshape(-1, self.n + 1)
-        one_y = np.insert(np.asarray(y_vec, dtype=np.uint8), 0, 1)
-        vals = matvec(self.base, rows, one_y)
+        y_one = np.append(np.asarray(y_vec, dtype=np.uint8), np.uint8(1))
+        vals = self._blocks().values(x.reshape(-1, self.n), y_one)
         return vals.reshape(x.shape[:-1] + (self.n,))
 
     def shape_violations(self) -> list:
@@ -313,6 +302,158 @@ class PublicKey:
             if deg[k] > self.t:
                 out.append("equation %d exceeds x-degree %d" % (k, self.t))
         return out
+
+
+def _mask_values(monos: np.ndarray):
+    """At q = 2: a monomial is 1 at x exactly when its variables, as a
+    bitmask, lie inside the set bits of x."""
+    masks = gf2.words(monos)
+    return lambda xs: ~(masks & ~gf2.words(xs)[:, None]).any(axis=2)
+
+
+def _product_values(base, monos: np.ndarray):
+    """The value of each monomial at each x of a batch, one flat mul_table
+    take per factor over the homogenized (x, 1)."""
+    # factor j of a monomial is the first variable whose running exponent
+    # sum passes j, or n once they all stop
+    ends = np.cumsum(monos, axis=1)
+    degree = max(1, int(ends[:, -1].max(initial=0)))
+    factors = np.array([(ends <= j).sum(axis=1) for j in range(degree)])
+    mul = base.mul_table.ravel()
+
+    def values(xs):
+        xh = np.concatenate([xs, np.ones((len(xs), 1), dtype=np.uint8)], axis=1)
+        # a product a*b of scalars is entry q*b + a of the flat table
+        xq = xh * np.intp(base.q)
+        vals = xh.take(factors[0], axis=1)
+        for idx in factors[1:]:
+            vals = mul.take(xq.take(idx, axis=1) + vals)
+        return vals
+
+    return values
+
+
+class _FloatKernel:
+    """Odd p: each block's coefficients as a float64 linalg operand, which
+    the values of its monomials at x multiply."""
+
+    def __init__(self, pk, monomials):
+        self.base, self.n, self.monomials = pk.base, pk.n, monomials
+        self.split = len(pk.mono0)
+        self.right0 = linalg.operand(pk.base, pk.C0.T)
+        self.righty = linalg.operand(pk.base, pk.Cy.reshape(pk.n * pk.n, -1).T)
+
+    def augmented(self, xs: np.ndarray) -> np.ndarray:
+        """[Cy(x) | C0(x)] at each x of an (m, n) batch, (m, n, n + 1)."""
+        m, n = len(xs), self.n
+        vals = self.monomials(xs)
+        out = np.empty((m, n, n + 1), dtype=np.uint8)
+        out[:, :, :n] = linalg.times(self.base, vals[:, self.split:], self.righty).reshape(m, n, n)
+        out[:, :, n] = linalg.times(self.base, vals[:, :self.split], self.right0)
+        return out
+
+    def values(self, xs: np.ndarray, y_one: np.ndarray) -> np.ndarray:
+        """The (m, n) equation values at each x of a batch and (y, 1)."""
+        rows = self.augmented(xs).reshape(-1, self.n + 1)
+        return matvec(self.base, rows, y_one).reshape(len(xs), self.n)
+
+    def system(self, pk, x: np.ndarray):
+        matrix, rhs = pk.linear_system(x)
+        return linalg.System(self.base, np.concatenate([matrix, rhs[:, None]], axis=1))
+
+
+# Bytes of F_2 matrices a packed kernel expands at a time: the expansion
+# takes three arrays of this size, so a small one keeps the build's peak
+# memory near the tables it leaves (at q=2 n=32, 0.1 MB).
+_BUILD_BYTES = 1 << 16
+
+
+def _packed_columns(base, blocks, size: int, rows: int, cols: int) -> np.ndarray:
+    """(words, size*r) uint64: column u*r + s holds the gf2.pack of the F_2
+    matrix (rref's expansion) of w^s times block u, rows x cols over F_q,
+    blocks(lo, hi) giving blocks lo..hi-1 as an array."""
+    r = base.r
+    shifts = np.arange(r, dtype=np.uint8)
+    sb = np.add.outer(shifts, shifts)
+    step = max(1, _BUILD_BYTES // (r ** 3 * rows * cols))
+    out = np.empty(((rows * cols * r * r + 63) // 64, size * r), dtype=np.uint64)
+    for lo in range(0, size, step):
+        # planes[e] is w^e times the blocks, so bit a of planes[s + b] is
+        # entry (a, b) of the F_2 block of w^s times an entry
+        planes = [blocks(lo, min(size, lo + step))]
+        for _ in range(2 * r - 2):
+            planes.append(base.mul_table[2].take(planes[-1]))
+        bits = np.stack(planes)[sb][..., None] >> shifts & 1  # (s, b, h, k, j, a)
+        # to column h*r + s, entry (k*r + a, j*r + b)
+        bits = bits.transpose(2, 0, 3, 5, 4, 1).reshape(len(planes[0]) * r, -1)
+        out[:, lo * r:lo * r + len(bits)] = gf2.words(bits).T
+    return out
+
+
+class _PackedKernel:
+    """p = 2: the F_2 matrix of the system at x is the XOR of the packed
+    columns that the bits of the monomial values select, one table a block.
+    Column u*r + s of the y table is w^s times [Cy_u | 0], monomial u's y
+    block with a zero right-hand side, in the linalg.PackedSystem layout of
+    the whole system; column u*r + s of the other is w^s times C0_u, the
+    n*r x r F_2 block that the system's last r columns get."""
+
+    def __init__(self, pk, monomials):
+        n, split = pk.n, len(pk.mono0)
+        self.base, self.n, self.split, self.monomials = pk.base, n, split, monomials
+        self.shifts = np.arange(pk.base.r, dtype=np.uint8)
+
+        def blocks_y(lo, hi):
+            out = np.zeros((hi - lo, n, n + 1), dtype=np.uint8)
+            out[:, :, :n] = pk.Cy[:, :, lo:hi].transpose(2, 0, 1)
+            return out
+
+        self.table_y = _packed_columns(pk.base, blocks_y, len(pk.monoy), n, n + 1)
+        self.table_0 = _packed_columns(pk.base, lambda lo, hi: pk.C0[:, lo:hi].T[:, :, None],
+                                       split, n, 1)
+
+    def words(self, xs: np.ndarray) -> np.ndarray:
+        """The systems at each x of an (m, n) batch as (m, words) rows."""
+        m, n, r = len(xs), self.n, self.base.r
+        vals = self.monomials(xs).astype(np.uint8, copy=False)
+        select = (vals[:, :, None] >> self.shifts & 1).reshape(m, vals.shape[1] * r).view(bool)
+        cut = self.split * r
+        out = np.empty((m, len(self.table_y)), dtype=np.uint64)
+        rhs = np.empty((m, len(self.table_0)), dtype=np.uint64)
+        for i, sel in enumerate(select):
+            np.bitwise_xor.reduce(self.table_y.compress(sel[cut:], axis=1), axis=1, out=out[i])
+            np.bitwise_xor.reduce(self.table_0.compress(sel[:cut], axis=1), axis=1, out=rhs[i])
+        # the C0 blocks go to the last r columns of every F_2 row
+        bits = np.zeros((m, n * r, (n + 1) * r), dtype=np.uint8)
+        bits[:, :, n * r:] = np.unpackbits(rhs.view(np.uint8), axis=1, count=n * r * r,
+                                           bitorder="little").reshape(m, n * r, r)
+        return out ^ gf2.words(bits.reshape(m, n * (n + 1) * r * r))
+
+    def _bits(self, xs: np.ndarray) -> np.ndarray:
+        """The systems at each x of an (m, n) batch as (m, n*r, (n+1)*r) bits."""
+        n, r = self.n, self.base.r
+        bits = np.unpackbits(self.words(xs).view(np.uint8), axis=1,
+                             count=n * (n + 1) * r * r, bitorder="little")
+        return bits.reshape(len(xs), n * r, (n + 1) * r)
+
+    def augmented(self, xs: np.ndarray) -> np.ndarray:
+        """[Cy(x) | C0(x)] at each x of an (m, n) batch, (m, n, n + 1):
+        entry (k, j) is the column of digits at F_2 rows k*r.., column j*r."""
+        n, r = self.n, self.base.r
+        digits = self._bits(xs).reshape(len(xs), n, r, n + 1, r)[..., 0].transpose(0, 1, 3, 2)
+        return np.packbits(digits, axis=3, bitorder="little")[..., 0]
+
+    def values(self, xs: np.ndarray, y_one: np.ndarray) -> np.ndarray:
+        """The (m, n) equation values at each x of a batch and (y, 1): bit
+        a of value k is the parity of F_2 row k*r + a against (y, 1)."""
+        r = self.base.r
+        y_bits = np.unpackbits(y_one[:, None], axis=1, count=r, bitorder="little").ravel()
+        digits = np.bitwise_xor.reduce(self._bits(xs) & y_bits, axis=2)
+        return np.packbits(digits.reshape(len(xs), self.n, r), axis=2, bitorder="little")[..., 0]
+
+    def system(self, pk, x: np.ndarray):
+        bits = int.from_bytes(self.words(x[None]).tobytes(), "little")
+        return linalg.PackedSystem(self.base, bits, self.n, self.n + 1)
 
 
 class PrivateKey:

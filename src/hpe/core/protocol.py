@@ -6,7 +6,6 @@ import numpy as np
 
 from ..errors import (AmbiguousDecryption, EncryptionFailed, NoValidCandidate,
                       TooLarge)
-from ..mvpoly import linalg
 from ..mvpoly.upoly import roots as upoly_roots
 from .keys import MAX_DEGX
 
@@ -21,15 +20,14 @@ def encrypt_raw(pk, x_vec: np.ndarray, rng: random.Random):
     randomness y and samples a uniform solution; None when the system
     is inconsistent, which is the expected failure mode.
     """
-    x_vec = np.asarray(x_vec, dtype=np.uint8)
-    matrix, rhs = pk.linear_system(x_vec)
-    sol = linalg.solve(pk.base, matrix, rhs)
+    system = pk.system(x_vec)
+    sol = system.solve()
     if sol is None:
         return None
     y = sol.sample(pk.base, rng)
     # a solver bug, not a protocol failure: an AssertionError, which no
     # caller counts as an HpeError, and no assert, which python -O strips
-    if not np.array_equal(linalg.matvec(pk.base, matrix, y), rhs):
+    if not system.solves(y):
         raise AssertionError("solver returned a non-solution")
     return y
 

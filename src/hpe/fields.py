@@ -371,11 +371,12 @@ class ExtensionField:
 
     @functools.cached_property
     def _colmasks(self) -> tuple:
-        """GF(2^n) Frobenius columns: bit i of _colmasks[k][j] is P(k)[i, j]."""
-        return tuple(
-            tuple(int(sum(1 << i for i in range(self.n) if mat[i, j])) for j in range(self.n))
-            for mat in self.frobenius_matrices
-        )
+        """GF(2^n) Frobenius columns: bit i of _colmasks[k][j] is P(k)[i, j],
+        all packed by one gf2.words over the stacked, transposed P(k)."""
+        n = self.n
+        cols = gf2.words(np.stack(self.frobenius_matrices).transpose(0, 2, 1))
+        masks = gf2.ints(cols.reshape(-1, cols.shape[-1]))
+        return tuple(tuple(masks[k:k + n]) for k in range(0, len(masks), n))
 
     @functools.cached_property
     def _tensor_operand(self) -> np.ndarray:

@@ -2,21 +2,26 @@
 
 A row of F_2 entries is packed little-endian, entry j at bit j, as M4RI
 does: in uint64 words along the last axis of a numpy array (words), or in
-one Python integer (ints).  sums XORs the rows that each row of a bit
-matrix selects.  An F_2-linear map is given by its rows, the
-images of the unit vectors.  Four Russians tables hold the XOR of every
-subset of k consecutive rows, built by doubling, so an image is one lookup
-per k input bits, XORed: in numpy over bytes (tables, step), or on Python
-integers (int_tables).  rref row-reduces a bit matrix held as one integer
-up to WHOLE_MATRIX_COLS columns, and as one integer per row past that
-width.  Basis keeps integer rows by leading bit, each with an XOR tag of
-the rows it was built from: its size is the rank, and the tag of a
-reduced row solves a map given by (image, preimage) pairs.
+one Python integer (ints).  A whole matrix is one integer too (pack and
+unpack), entry (k, j) at bit k*cols + j, and reduce runs Gauss-Jordan on
+that integer: up to WHOLE_MATRIX_COLS columns in place, where a pivot is a
+few big-integer operations whatever the row count, and as one integer
+per row past that width.  Every characteristic-2 row reduction runs on
+it (linalg.PackedSystem), and encryption builds its system as such an
+integer straight from the public key.  An F_2-linear map is given by its
+rows, the images of the unit vectors.  Four Russians tables hold the XOR
+of every subset of k consecutive rows, built by doubling, so an image is
+one lookup per k input bits, XORed: in numpy over bytes (tables, step), or
+on Python integers (int_tables).  Basis keeps integer rows by leading bit,
+each with an XOR tag of the rows it was built from: its size is the rank,
+and the tag of a reduced row solves a map given by (image, preimage) pairs.
 """
+
+import math
 
 import numpy as np
 
-# The widest row that rref reduces as one integer with the whole matrix.
+# The widest row that reduce reduces in the whole-matrix integer.
 # On random k x (k + 1) matrices (x86-64, CPython 3.11) the whole matrix
 # took 0.35x the time of one integer per row at 33 columns, 0.6x at 129,
 # 0.7x at 161 and 0.9x at 209; at 256 and 290 it took 1.2-1.6x, since its
@@ -37,22 +42,6 @@ def ints(rows: np.ndarray) -> list[int]:
     width = rows.shape[1] * rows.itemsize
     buf = rows.tobytes()
     return [int.from_bytes(buf[i * width:(i + 1) * width], "little") for i in range(len(rows))]
-
-
-def sums(rows: np.ndarray, bits: np.ndarray) -> np.ndarray:
-    """Row i of the (m, words) result is the XOR of rows[j + 1] over the set
-    bits j of row i of the (m, k) array bits.  rows[0] must be zero: every
-    sum also takes it, so none is empty.  One flat pass finds the set bits
-    of bits padded to a power-of-two width, where a bit's column is a mask
-    of its index; the selected rows are gathered and XOR-reduced in one run
-    per row of bits, which starts at the zero row."""
-    m, k = bits.shape
-    width = 1 << k.bit_length()
-    sel = np.zeros((m, width), dtype=bool)
-    sel[:, 0] = True
-    sel[:, 1:k + 1] = bits
-    cols = np.flatnonzero(sel) & (width - 1)
-    return np.bitwise_xor.reduceat(rows.take(cols, axis=0), np.flatnonzero(cols == 0))
 
 
 def tables(rows: np.ndarray) -> np.ndarray:
@@ -89,26 +78,38 @@ def int_tables(rows: list[int], k: int) -> list[list[int]]:
     return out
 
 
-def rref(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Gauss-Jordan over F_2 of a 0/1 uint8 matrix: the reduced matrix and
-    the (row, column) pivots, columns taken in order, the first row below
-    the last pivot with a 1 as the next one.
+def pack(bits: np.ndarray) -> int:
+    """A 0/1 array as one integer, entries in row-major order from bit 0:
+    entry (k, j) of a (rows, cols) matrix at bit k*cols + j."""
+    return int.from_bytes(np.packbits(bits, axis=None, bitorder="little").tobytes(), "little")
 
-    Rows of at most WHOLE_MATRIX_COLS bits are reduced as one integer,
-    entry (k, j) at bit k*cols + j, where a pivot costs a fixed number of
-    big-integer operations whatever the row count.  ones has bit 0 of each
-    row set, so (m >> c) & ones marks the rows with a 1 in column c, and
-    that mask times the pivot row is one copy of it per marked row, with no
-    carries: one XOR clears the column.  The product grows with cols^2, so
-    wider rows are each one integer, and a pivot XORs itself into every
-    row with a 1 in its column, one Python step per row.
+
+def unpack(m: int, shape: tuple) -> np.ndarray:
+    """The 0/1 uint8 array of the given shape that pack makes m from."""
+    count = math.prod(shape)
+    buf = np.frombuffer(m.to_bytes((count + 7) // 8, "little"), np.uint8)
+    return np.unpackbits(buf, count=count, bitorder="little").reshape(shape)
+
+
+def reduce(m: int, rows: int, cols: int) -> tuple[int, list[tuple[int, int]]]:
+    """Gauss-Jordan over F_2 of the rows x cols matrix whose pack is m: the
+    reduced matrix's pack and the (row, column) pivots, columns taken in
+    order, the first row below the last pivot with a 1 as the next one.
+
+    Rows of at most WHOLE_MATRIX_COLS bits are reduced in m itself, where a
+    pivot costs a fixed number of big-integer operations whatever the row
+    count.  ones has bit 0 of each row set, so (m >> c) & ones marks the
+    rows with a 1 in column c, and that mask times the pivot row is one copy
+    of it per marked row, with no carries: one XOR clears the column.  The
+    product grows with cols^2, so wider rows are each one integer, and a
+    pivot XORs itself into every row with a 1 in its column, one Python step
+    per row.
     """
-    rows, cols = bits.shape
-    if cols > WHOLE_MATRIX_COLS:
-        return _rref_rows(bits)
-    m = int.from_bytes(np.packbits(bits, bitorder="little").tobytes(), "little")
-    ones = ((1 << rows * cols) - 1) // ((1 << cols) - 1) if cols else 0
     full = (1 << cols) - 1
+    if cols > WHOLE_MATRIX_COLS:
+        packed, pivots = _reduce_rows([m >> k * cols & full for k in range(rows)], cols)
+        return sum(row << k * cols for k, row in enumerate(packed)), pivots
+    ones = ((1 << rows * cols) - 1) // full if cols else 0
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
         top = len(pivots)
@@ -123,20 +124,16 @@ def rref(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
             m ^= swap << at | swap << (at + skip)
         m ^= (m >> c & ones ^ 1 << at) * pivot
         pivots.append((top, c))
-    out = np.unpackbits(np.frombuffer(m.to_bytes((rows * cols + 7) // 8, "little"), np.uint8),
-                        count=rows * cols, bitorder="little")
-    return out.reshape(rows, cols), pivots
+    return m, pivots
 
 
-def _rref_rows(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """rref with each row one Python integer, entry j at bit j."""
-    rows, cols = bits.shape
-    packed = ints(words(bits))
+def _reduce_rows(packed: list[int], cols: int) -> tuple[list[int], list[tuple[int, int]]]:
+    """reduce with each row one Python integer, entry j at bit j."""
     pivots: list[tuple[int, int]] = []
     for c in range(cols):
         top = len(pivots)
         bit = 1 << c
-        for i in range(top, rows):
+        for i in range(top, len(packed)):
             if packed[i] & bit:
                 break
         else:
@@ -146,10 +143,7 @@ def _rref_rows(bits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
         packed = [row ^ pivot if row & bit else row for row in packed]
         packed[top] = pivot
         pivots.append((top, c))
-    width = (cols + 7) // 8
-    buf = np.frombuffer(b"".join([row.to_bytes(width, "little") for row in packed]), np.uint8)
-    out = np.unpackbits(buf.reshape(rows, width), axis=1, count=cols, bitorder="little")
-    return out, pivots
+    return packed, pivots
 
 
 class Basis:

@@ -1,30 +1,35 @@
 """Exact linear algebra over F_q.
 
 Matrices and vectors are numpy uint8 arrays of scalar indices 0..q-1.  A
-product is one float64 product over F_p (see matmul), except where
-characteristic 2 makes addition the XOR of the indices: there matvec is one
-table gather and one XOR reduction, and a right factor kept as packed F_2
-rows multiplies by XORing the rows that the left factor's bits select (see
-packed_operand).  Row reduction expands an F_q matrix to its F_p matrix on
-base-p digits and runs one Gauss-Jordan over F_p on Python integers (see
-rref).  At p = 2 that is gf2.rref: up to gf2.WHOLE_MATRIX_COLS columns the
-whole F_2 matrix is one integer, so a pivot costs a few big-integer
-operations however many rows there are; past that width its multiply,
-which grows with the square of the width, costs more than a Python step
-per row, and each row is one integer.  At odd p each row is one integer of
-8..64-bit slots, reduced mod p once per pivot row and where it is read.
-That elimination is the one reader of its packed rows: it hands back the
-reduced F_p matrix, and rank, inverse, solve and nullspace read rref's F_q
-matrix and pivots at every p.  Pivoting is deterministic: columns in
-order, first nonzero row, free variables set to zero in particular
-solutions.  Random scalars are read from the rng in bulk, draw for draw
-what per-entry randrange calls would give (see random_scalars).
+product is one float64 product over F_p (see matmul), except that in
+characteristic 2, where addition is the XOR of the indices, matvec is one
+table gather and one XOR reduction.  Row reduction expands an F_q matrix
+to its F_p matrix on base-p digits and runs one Gauss-Jordan over F_p on
+Python integers (see rref); _system is the one place where it tests the
+characteristic.  At p = 2 the matrix is a PackedSystem: the whole F_2
+matrix is one integer, entry (k, j) at bit k*cols + j, reduced by
+gf2.reduce.  At odd p it is a System, whose rows are each one integer of
+8..64-bit slots, reduced mod p once per pivot row and where it is read
+(_rref_slots).  rank and inverse read rref's F_q matrix and pivots.
+
+solve and nullspace take the last column as the right-hand side.  A
+System reads the particular solution and the kernel from its F_q RREF; a
+PackedSystem reads them from its reduced integer (PackedSolution), each
+unknown at a pivot the parity of its row against the free unknowns and
+the constant.  Characteristic-2 encryption builds that integer straight
+from the public key, so it reaches the same reader with no F_q matrix in
+between.  Pivoting is deterministic: columns in order, first nonzero row,
+free variables set to zero in particular solutions, and a sample draws one
+randrange(q) per free column in ascending order.  Random scalars are read
+from the rng in bulk, draw for draw what per-entry randrange calls would
+give (see random_scalars).
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -72,32 +77,6 @@ def times(base, a: np.ndarray, right: np.ndarray) -> np.ndarray:
     return pack_digits(base, out.reshape(m, r, right.shape[1] // r))
 
 
-def packed_operand(base, b: np.ndarray) -> tuple:
-    """At p = 2, the right factor b (k, cols) as gf2.sums rows, with its
-    column count and the (q, r) table of scalar bits: row 1 + j*r + s holds
-    the digits of w^s b[j], digit d of column c at bit d*cols + c, the F_2
-    matrix that operand holds in float64; row 0 is the zero row that
-    gf2.sums asks for."""
-    r = base.r
-    k, cols = b.shape
-    digits = base.mul_matrices.astype(np.uint8)
-    rows = np.zeros((1 + k * r, r * cols), dtype=np.uint8)
-    rows[1:] = digits.take(b, axis=0).transpose(0, 2, 3, 1).reshape(k * r, r * cols)
-    return gf2.words(rows), cols, digits[:, 0]
-
-
-def packed_times(base, a: np.ndarray, right: tuple) -> np.ndarray:
-    """a times the matrix whose packed_operand(base, b) is right, at p = 2:
-    bit s of a[i, j] selects row 1 + j*r + s, and row i of the product is
-    the XOR of what row i selects, its digits then packed into scalars."""
-    r = base.r
-    rows, cols, bits = right
-    m, k = a.shape
-    out = gf2.sums(rows, bits.take(a, axis=0).reshape(m, k * r))
-    out = np.unpackbits(out.view(np.uint8), axis=-1, count=r * cols, bitorder="little")
-    return np.packbits(out.reshape(m, r, cols), axis=1, bitorder="little")[:, 0]
-
-
 def pack_digits(base, digits: np.ndarray) -> np.ndarray:
     """Scalars from their base-p digits (each below p) along the
     second-to-last axis; the values fit in uint8, so uint8 arithmetic is exact."""
@@ -125,10 +104,23 @@ def rref(base, m: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
     the expansion of the F_q one: F_q entry (i, j) is the column of digits
     at F_p rows i*r.., column j*r, and F_p pivot (i*r, j*r) is F_q pivot (i, j).
     """
-    m = np.asarray(m, dtype=np.uint8)
-    reduced, pivots = _rref_fp(base.p, _fp_matrix(base, m))
+    return _system(base, np.asarray(m, dtype=np.uint8)).rref()
+
+
+def _system(base, m: np.ndarray):
+    """m as a system over F_q whose last column is the right-hand side: a
+    PackedSystem at p = 2, a System at odd p.  Elimination tests the
+    characteristic here and nowhere else."""
+    if base.p == 2:
+        return PackedSystem(base, gf2.pack(_fp_matrix(base, m)), *m.shape)
+    return System(base, m)
+
+
+def _fq_rref(base, reduced: np.ndarray, pivots: list, shape: tuple) -> tuple:
+    """rref's F_q matrix of the given shape and its pivots, from the
+    reduced F_p matrix and pivots of its expansion."""
     r = base.r
-    rows, cols = m.shape
+    rows, cols = shape
     return (pack_digits(base, reduced[:, ::r].reshape(rows, r, cols)),
             [(i // r, c // r) for i, c in pivots[::r]])
 
@@ -150,17 +142,14 @@ def _slot_bits(p: int, cols: int) -> int:
     return next(w for w in (8, 16, 32, 64) if p + cols * p * p < 1 << w)
 
 
-def _rref_fp(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
-    """Gauss-Jordan over F_p: the reduced uint8 F_p matrix and the pivots.
-
-    At p = 2 it is gf2.rref.  At odd p each row is packed into one Python
-    integer, entry c in bits c*w..c*w+w-1 (M4RI's packing, in slots), and a
-    row update is R += (p - f) * P, with the pivot row P reduced and scaled
-    to a leading 1 as it is chosen; a slot is reduced mod p only where it
-    is read.  Columns are taken in order.
+def _rref_slots(p: int, digits: np.ndarray) -> tuple[np.ndarray, list[tuple[int, int]]]:
+    """Gauss-Jordan over F_p at odd p: the reduced uint8 F_p matrix and the
+    pivots.  Each row is packed into one Python integer, entry c in bits
+    c*w..c*w+w-1 (M4RI's packing, in slots), and a row update is
+    R += (p - f) * P, with the pivot row P reduced and scaled to a leading
+    1 as it is chosen; a slot is reduced mod p only where it is read.
+    Columns are taken in order.
     """
-    if p == 2:
-        return gf2.rref(digits)
     n_rows, cols = digits.shape
     w = _slot_bits(p, cols)
     dtype = np.dtype("<u%d" % (w // 8))
@@ -244,8 +233,7 @@ def scatter_sums(base, index, values: np.ndarray, size: int, n: int) -> np.ndarr
 def nullspace(base, m: np.ndarray) -> list[np.ndarray]:
     """Basis of the right kernel of m, one vector per free column."""
     m = as_matrix(m)
-    zero = np.zeros((m.shape[0], 1), dtype=np.uint8)
-    return _solution(base, np.concatenate([m, zero], axis=1), m.shape[1]).nullspace
+    return solve(base, m, np.zeros(m.shape[0], dtype=np.uint8)).nullspace
 
 
 @dataclass
@@ -276,34 +264,136 @@ class Solution:
         yield from stack
 
 
+class System:
+    """The system a y = b over F_q, at odd p, as its F_q matrix m = [a | b],
+    reduced on the F_p matrix of m that rref describes."""
+
+    def __init__(self, base, m: np.ndarray):
+        self.base, self.m = base, m
+
+    def rref(self) -> tuple:
+        reduced, pivots = _rref_slots(self.base.p, _fp_matrix(self.base, self.m))
+        return _fq_rref(self.base, reduced, pivots, self.m.shape)
+
+    def solve(self) -> Solution | None:
+        """The solutions, or None: the particular solution (free variables
+        zero) and one kernel vector per free column are read from the pivot
+        rows of the RREF, at its last column and at the free columns."""
+        cols = self.m.shape[1] - 1
+        red, pivots = self.rref()
+        if any(c == cols for _, c in pivots):
+            return None
+        pivot_cols = [c for _, c in pivots]
+        red = red[:len(pivots)]
+        particular = np.zeros(cols, dtype=np.uint8)
+        particular[pivot_cols] = red[:, cols]
+        basis = []
+        for fc in sorted(set(range(cols)).difference(pivot_cols)):
+            vec = np.zeros(cols, dtype=np.uint8)
+            vec[fc] = 1
+            vec[pivot_cols] = self.base.neg_table[red[:, fc]]
+            basis.append(vec)
+        return Solution(particular, basis)
+
+    def solves(self, y: np.ndarray) -> bool:
+        return np.array_equal(matvec(self.base, self.m[:, :-1], y), self.m[:, -1])
+
+
+class PackedSystem:
+    """The system a y = b over F_q, q = 2^r, as one integer: the gf2.pack
+    of the F_2 matrix of [a | b] that rref describes, rows*r rows of cols*r
+    bits, cols counting b.  Unknown j*r + s is bit s of y_j, and column
+    (cols - 1)*r is the constant 1 that b multiplies."""
+
+    def __init__(self, base, bits: int, rows: int, cols: int):
+        self.base, self.bits, self.rows, self.cols = base, bits, rows, cols
+
+    def _reduce(self) -> tuple[int, list]:
+        r = self.base.r
+        return gf2.reduce(self.bits, self.rows * r, self.cols * r)
+
+    def rref(self) -> tuple:
+        reduced, pivots = self._reduce()
+        r = self.base.r
+        bits = gf2.unpack(reduced, (self.rows * r, self.cols * r))
+        return _fq_rref(self.base, bits, pivots, (self.rows, self.cols))
+
+    def solve(self) -> PackedSolution | None:
+        """The solutions, or None when a pivot falls in b's columns."""
+        reduced, pivots = self._reduce()
+        if pivots and pivots[-1][1] >= (self.cols - 1) * self.base.r:
+            return None
+        return PackedSolution(reduced, pivots, self.cols - 1, self.base.r)
+
+    def solves(self, y: np.ndarray) -> bool:
+        """Whether a y = b: one AND and a parity per row against (y, 1)."""
+        r = self.base.r
+        rowbits = self.cols * r
+        v = _scalar_bits(y, r) | 1 << (self.cols - 1) * r
+        return not any((self.bits >> k * rowbits & v).bit_count() & 1
+                       for k in range(self.rows * r))
+
+
+class PackedSolution(Solution):
+    """The solutions of a PackedSystem, read from its reduced pack.
+
+    A point takes its free unknowns from a given integer and sets each
+    pivot unknown to the parity of its reduced row against them, plus the
+    constant when the integer has its bit: one AND per pivot row.  The
+    F_q columns with no pivot are free, as in Solution; the particular
+    solution and the kernel vectors are points, read when first asked for.
+    """
+
+    def __init__(self, reduced: int, pivots: list, cols: int, r: int):
+        self.reduced, self.pivots, self.cols, self.r = reduced, pivots, cols, r
+        pivot_cols = {c for _, c in pivots}
+        self.free = [j for j in range(cols) if j * r not in pivot_cols]
+
+    def point(self, free: int) -> int:
+        """The solution bits whose free unknowns are those of free: of the
+        system when free has the constant's bit, else of a y = 0."""
+        width = self.cols * self.r
+        rowbits = width + self.r
+        out = free & ((1 << width) - 1)
+        for i, c in self.pivots:
+            out |= ((self.reduced >> i * rowbits & free).bit_count() & 1) << c
+        return out
+
+    def sample(self, base, rng: random.Random) -> np.ndarray:
+        """Solution.sample's draw, one randrange(q) per free column in
+        ascending order, as the free unknowns of one point."""
+        free = 1 << self.cols * self.r
+        for j in self.free:
+            free |= rng.randrange(base.q) << j * self.r
+        return _bit_scalars(self.point(free), self.cols, self.r)
+
+    @cached_property
+    def particular(self) -> np.ndarray:
+        return _bit_scalars(self.point(1 << self.cols * self.r), self.cols, self.r)
+
+    @cached_property
+    def nullspace(self) -> list[np.ndarray]:
+        return [_bit_scalars(self.point(1 << j * self.r), self.cols, self.r) for j in self.free]
+
+
+def _scalar_bits(v: np.ndarray, r: int) -> int:
+    """Scalars of F_q, q = 2^r, as one integer: bit s of v[j] at j*r + s."""
+    v = np.asarray(v, dtype=np.uint8)
+    return gf2.pack(np.unpackbits(v[:, None], axis=1, count=r, bitorder="little"))
+
+
+def _bit_scalars(m: int, count: int, r: int) -> np.ndarray:
+    """The count scalars whose _scalar_bits is m."""
+    return np.packbits(gf2.unpack(m, (count, r)), axis=1, bitorder="little")[:, 0]
+
+
 def solve(base, a: np.ndarray, b: np.ndarray) -> Solution | None:
     """Solve a x = b; None when inconsistent (a value, not an error)."""
     a = as_matrix(a)
     b = np.asarray(b, dtype=np.uint8).reshape(-1, 1)
     if a.shape[0] != b.shape[0]:
         raise ValueError("matrix and right-hand side disagree on row count")
-    return _solution(base, np.concatenate([a, b], axis=1), a.shape[1])
-
-
-def _solution(base, aug: np.ndarray, cols: int) -> Solution | None:
-    """The solutions of the system whose augmented matrix is aug, cols
-    unknowns, or None.  The particular solution (free variables zero) and
-    one kernel vector per free column are read from the pivot rows of the
-    RREF, at its last column and at the free columns."""
-    red, pivots = rref(base, aug)
-    if any(c == cols for _, c in pivots):
-        return None
-    pivot_cols = [c for _, c in pivots]
-    red = red[:len(pivots)]
-    particular = np.zeros(cols, dtype=np.uint8)
-    particular[pivot_cols] = red[:, cols]
-    basis = []
-    for fc in sorted(set(range(cols)).difference(pivot_cols)):
-        vec = np.zeros(cols, dtype=np.uint8)
-        vec[fc] = 1
-        vec[pivot_cols] = base.neg_table[red[:, fc]]
-        basis.append(vec)
-    return Solution(particular, basis)
+    return _system(base, np.concatenate([a, b], axis=1)).solve()
 
 
 def random_scalars(q: int, count: int, rng: random.Random) -> np.ndarray:

@@ -217,6 +217,15 @@ class _QPowerMap:
             row = linalg.times(self.field.base, row, self.operand)
         return row
 
+    def split(self, s: list, rng: random.Random) -> list | None:
+        """Two factors of s, a product of distinct linear factors, from one
+        draw a, or None: the gcd with (X + a)^((order - 1)/2) - 1 and its
+        cofactor."""
+        field = self.field
+        a = rng.randrange(field.order)
+        h = powmod(field, add(field, X, [a]), (field.order - 1) // 2, s)
+        return _cofactors(field, s, gcd(field, sub(field, h, [1]), s))
+
 
 class _SquareMap:
     """h -> h^2 on K[X]/(g) on packed integers, for K = GF(2^m), g monic.
@@ -232,6 +241,7 @@ class _SquareMap:
 
     def __init__(self, field, g: list):
         n, r, d = field.n, field.r, degree(g)
+        self.field = field
         self.m = self.order_steps = m = n * r
         self.d, width = d, d * m
         # a in F_q times every r-bit digit (digits has bit 0 of each set): bit t
@@ -321,6 +331,23 @@ class _SquareMap:
             acc ^= row
         return acc
 
+    def split(self, s: list, rng: random.Random) -> list | None:
+        """Two factors of s, a product of distinct linear factors that
+        divides g, from one draw c, or None: the gcd with the trace of cX
+        and its cofactor.  A quadratic X^2 + bX + e splits into X + bZ and
+        X + bZ + b, Z^2 + Z = e/b^2, on the draws where Tr(cb) = 1, those
+        on which the trace split succeeds."""
+        field = self.field
+        c = rng.randrange(1, field.order)
+        if degree(s) != 2:
+            return _cofactors(field, s, gcd(field, self.poly(self.trace(self.row([0, c]))), s))
+        basis, b = _artin_schreier(field), s[1]
+        # Tr(cb) = 1 exactly when cb is left over; Z is the tag of e/b^2
+        if not basis.reduce(field.mul(c, b))[0]:
+            return None
+        z = field.mul(b, basis.reduce(field.mul(s[0], field.inv(field.mul(b, b))))[1])
+        return [[z, 1], [z ^ b, 1]]
+
 
 @functools.lru_cache(maxsize=8)
 def _frobenius_tensor(field) -> np.ndarray:
@@ -350,42 +377,24 @@ def _artin_schreier(field) -> gf2.Basis:
     return basis
 
 
+def _cofactors(field, s: list, d: list) -> list | None:
+    """[d, s / d] when d is a proper factor of s, else None."""
+    if 0 < degree(d) < degree(s):
+        return [d, divmod_poly(field, s, d)[0]]
+    return None
+
+
 def _split_linear(field, s: list, rng: random.Random, out: set,
                   qpower: _QPowerMap | _SquareMap) -> None:
-    """Recursively split a monic product of distinct linear factors.
-
-    qpower is the Frobenius map modulo a multiple of s.  In characteristic 2
-    it gives the trace of cX over F_2, which the gcd reduces mod s.
-
-    A quadratic s = X^2 + bX + e in characteristic 2 has b != 0, s being
-    squarefree, and roots bZ and bZ + b with Z^2 + Z = e/b^2.  The trace
-    split of s by a draw c separates the roots r1 and r2 exactly when
-    Tr(c r1) != Tr(c r2), that is when Tr(cb) = 1, as r1 + r2 = b.  So c is
-    drawn until Tr(cb) = 1, as often as the trace split would draw it, and
-    the roots come from Z.
-    """
+    """Recursively split a monic product of distinct linear factors by the
+    draws of qpower.split, the Frobenius map modulo a multiple of s."""
     if degree(s) == 1:
         out.add(field.neg(s[0]))
         return
-    order = field.order
     for _ in range(200):
-        if field.p == 2:
-            c = rng.randrange(1, order)
-            if degree(s) == 2:
-                basis, b = _artin_schreier(field), s[1]
-                # Tr(cb) = 1 exactly when cb is left over; Z is the tag of e/b^2
-                if basis.reduce(field.mul(c, b))[0]:
-                    z = field.mul(b, basis.reduce(field.mul(s[0], field.inv(field.mul(b, b))))[1])
-                    out.update((z, z ^ b))
-                    return
-                continue
-            d = gcd(field, qpower.poly(qpower.trace(qpower.row([0, c]))), s)
-        else:
-            a = rng.randrange(order)
-            h = powmod(field, add(field, X, [a]), (order - 1) // 2, s)
-            d = gcd(field, sub(field, h, [1]), s)
-        if 0 < degree(d) < degree(s):
-            _split_linear(field, d, rng, out, qpower)
-            _split_linear(field, divmod_poly(field, s, d)[0], rng, out, qpower)
+        parts = qpower.split(s, rng)
+        if parts:
+            for part in parts:
+                _split_linear(field, part, rng, out, qpower)
             return
     raise RootFindingFailed("equal-degree splitting failed to make progress")

@@ -16,7 +16,6 @@ import numpy as np
 from .core.protocol import _DEFAULT_TRIALS, _over_encodings, decrypt_raw, encrypt_raw
 from .errors import (NoValidCandidate, SigncryptionFailed, SigningFailed,
                      VariableMismatch)
-from .mvpoly import linalg
 from .mvpoly.upoly import roots as upoly_roots  # noqa: F401  (see _invert_target)
 
 _SALT_BUDGET = 64
@@ -139,8 +138,7 @@ def unsigncrypt(sk_receiver, pk_sender, y_vec: np.ndarray) -> list:
     alphabet = sk_receiver.alphabet
     msgs = set()
     for x_b in decrypt_raw(sk_receiver, y_vec):
-        matrix, rhs = pk_sender.linear_system(x_b)
-        sol = linalg.solve(base, matrix, rhs)
+        sol = pk_sender.system(x_b).solve()
         if sol is None or sol.count(base) > _ENUM_CAP:
             continue
         for candidate in sol.enumerate(base):

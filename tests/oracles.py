@@ -6,9 +6,12 @@ evaluate its equations at x term by term (kernel_rows_oracle), and write the
 term-line text of the retired HPE1 public format, whose digests pin the keys
 keygen produces.  digit_product_oracle is the float64
 product that key expansion ran at every q before characteristic 2 moved to
-packed elements, rref_oracle the column loop that row reduction ran, and
-random_matrix_oracle the one randrange call per entry that random matrices
-were drawn with.
+packed elements, rref_oracle the column loop that row reduction ran,
+solve_oracle and encrypt_oracle the F_q route that encryption took before
+characteristic 2 read y from one packed integer (with f2_expansion_oracle
+and bits_oracle for that integer, entry by entry), colmasks_oracle the bit
+loop that built the GF(2^n) Frobenius masks, and random_matrix_oracle the
+one randrange call per entry that random matrices were drawn with.
 
 The rest is what the tests need beside the library's own paths:
 exhaustive_invert, every preimage of a ciphertext by search, the ground
@@ -352,6 +355,70 @@ def rref_oracle(base, m):
         pivots.append((r, c))
         r += 1
     return m, pivots
+
+
+def solve_oracle(base, a, b):
+    """linalg.Solution of a y = b read from rref_oracle, or None: the
+    particular solution has its free unknowns zero, and each free column
+    gives the kernel vector with a 1 there."""
+    cols = a.shape[1]
+    red, pivots = rref_oracle(base, np.concatenate([a, np.reshape(b, (-1, 1))], axis=1))
+    if any(c == cols for _, c in pivots):
+        return None
+    rows, pivot_cols = [i for i, _ in pivots], [c for _, c in pivots]
+    particular = np.zeros(cols, dtype=np.uint8)
+    particular[pivot_cols] = red[rows, cols]
+    kernel = []
+    for fc in range(cols):
+        if fc not in pivot_cols:
+            vec = np.zeros(cols, dtype=np.uint8)
+            vec[fc] = 1
+            vec[pivot_cols] = base.neg_table[red[rows, fc]]
+            kernel.append(vec)
+    return linalg.Solution(particular, kernel)
+
+
+def encrypt_oracle(pk, x_vec, rng):
+    """What protocol.encrypt_raw returns, by the F_q route: the system from
+    kernel_rows_oracle, solve_oracle, Solution.sample and a matvec check."""
+    rows = kernel_rows_oracle(pk, np.asarray(x_vec)[None])[0]
+    matrix, rhs = rows[:, 1:], pk.base.neg_table[rows[:, 0]]
+    sol = solve_oracle(pk.base, matrix, rhs)
+    if sol is None:
+        return None
+    y = sol.sample(pk.base, rng)
+    assert np.array_equal(linalg.matvec(pk.base, matrix, y), rhs)
+    return y
+
+
+def f2_expansion_oracle(base, m):
+    """The F_2 matrix of an F_q matrix, q = 2^r, one entry at a time: entry
+    (i*r + a, j*r + b) is bit a of w^b m[i, j]."""
+    r = base.r
+    rows, cols = m.shape
+    out = np.zeros((rows * r, cols * r), dtype=np.uint8)
+    for i in range(rows):
+        for j in range(cols):
+            for b in range(r):
+                v = int(base.mul_table[1 << b, m[i, j]])
+                for a in range(r):
+                    out[i * r + a, j * r + b] = v >> a & 1
+    return out
+
+
+def bits_oracle(bits):
+    """A 0/1 matrix as one integer, entry (k, j) at bit k*cols + j."""
+    cols = bits.shape[1]
+    return sum(int(v) << (k * cols + j) for (k, j), v in np.ndenumerate(bits))
+
+
+def colmasks_oracle(field):
+    """GF(2^n) Frobenius column masks bit by bit: bit i of entry [k][j] is
+    P(k)[i, j]."""
+    return tuple(
+        tuple(int(sum(1 << i for i in range(field.n) if mat[i, j])) for j in range(field.n))
+        for mat in field.frobenius_matrices
+    )
 
 
 def digit_product_oracle(field, coeff, factors):

@@ -10,6 +10,7 @@ from hpe.fields import (MAX_Q, BaseField, base_field, build_extension,
                         parse_descriptor, prime_power_split)
 from hpe.mvpoly import upoly
 
+from oracles import colmasks_oracle
 from test_field_backends import oracle_mul
 
 
@@ -458,3 +459,12 @@ def test_elements_iterator_small():
 def test_build_extension_rejects_bad_degree():
     with pytest.raises(InvalidDegree):
         build_extension(2, 0)
+
+
+@pytest.mark.parametrize("n", [32, 64])
+def test_colmasks_match_the_bit_loop(n):
+    # The clmul backend's Frobenius column masks, packed by one gf2.words
+    # over every P(k), are the masks the per-bit loop builds.
+    field = build_extension(2, n)
+    assert field.backend == "clmul"
+    assert field._colmasks == colmasks_oracle(field)

@@ -95,24 +95,3 @@ def test_int_tables_match_a_naive_xor(m, k, seed):
     for j in np.flatnonzero(v):
         want ^= rows[j]
     assert got == want
-
-
-# Selections with no bit set, single rows of bits, and up to 70 columns, so
-# that the power-of-two width sums pads the bits to runs from 2 to 128; rows
-# of up to 130 bits take three words.
-@settings(max_examples=80, deadline=None)
-@given(m=_bit_matrices(max_rows=70, max_cols=130),
-       sel=_bit_matrices(max_rows=12, max_cols=70), empty=st.booleans())
-def test_sums_xor_the_selected_rows(m, sel, empty):
-    rows = gf2.words(np.concatenate([np.zeros((1, m.shape[1]), dtype=np.uint8), m]))
-    bits = sel[:, :len(m)]
-    bits = np.pad(bits, ((0, 0), (0, len(m) - bits.shape[1])))
-    if empty:
-        bits[::2] = 0
-    want = [0] * len(bits)
-    for i, row in enumerate(bits):
-        for j in np.flatnonzero(row):
-            want[i] ^= _as_int(m[j])
-    got = gf2.sums(rows, bits)
-    assert got.shape == (len(bits), rows.shape[1])
-    assert gf2.ints(got) == want

@@ -13,7 +13,10 @@ from hpe.mvpoly.linalg import (identity, inverse, matmul, matvec, nullspace,
                                rank, random_invertible, random_matrix,
                                random_scalars, rref, solve)
 
-from oracles import MultiPoly, random_matrix_oracle, rref_oracle
+from hpe.mvpoly import linalg
+
+from oracles import (MultiPoly, bits_oracle, f2_expansion_oracle,
+                     random_matrix_oracle, rref_oracle, solve_oracle)
 
 
 def _random_poly(field, rng, deg):
@@ -598,7 +601,7 @@ def _assert_solve_matches_oracle(base, m, red, pivots):
     assert rng.getstate() == oracle_rng.getstate()
 
 
-# empty F_2 matrices: the whole-matrix integer of gf2.rref has no rows or
+# empty F_2 matrices: the whole-matrix integer of gf2.reduce has no rows or
 # no columns
 @example(case=(2, np.zeros((0, 0), dtype=np.uint8)))
 @example(case=(2, np.zeros((3, 0), dtype=np.uint8)))
@@ -637,6 +640,61 @@ def test_rref_matches_oracle_on_larger_matrices(q, shape):
     left = rng.integers(0, q, size=(rows, cols * 3 // 4), dtype=np.uint8)
     right = rng.integers(0, q, size=(cols * 3 // 4, cols), dtype=np.uint8)
     _assert_rref_matches_oracle(q, matmul(base_field(q), left, right))
+
+
+# Widths whose F_2 matrix [a | b] has (cols + 1)*r columns on either side of
+# gf2.WHOLE_MATRIX_COLS: q=2 at 30 and 170 unknowns, q=4 at 15 and 80 (162
+# F_2 columns), q=8 at 10 and 53 (162).
+_PACKED_COLS = {2: (30, 170), 4: (15, 80), 8: (10, 53)}
+
+
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from(sorted(_PACKED_COLS)), wide=st.booleans(),
+       rows=st.integers(1, 12), rank_cut=st.integers(0, 3), consistent=st.booleans(),
+       seed=st.integers(0, 2**32 - 1))
+def test_packed_solution_matches_the_f_q_reader(q, wide, rows, rank_cut, consistent, seed):
+    # At p = 2 solve reads its solutions from the reduced integer of the F_2
+    # matrix of [a | b].  That integer, its reduction, the particular
+    # solution, the kernel and the draws of sample must all be those of the
+    # F_q route, on narrow systems and on systems past the width reduced as
+    # one integer, which fall back to one integer per row.
+    base = base_field(q)
+    r = base.r
+    cols = _PACKED_COLS[q][wide]
+    rng = np.random.default_rng(seed)
+    # a product through max(1, rows - rank_cut) columns: rows may repeat
+    inner = max(1, rows - rank_cut)
+    a = matmul(base, rng.integers(0, q, (rows, inner), dtype=np.uint8),
+               rng.integers(0, q, (inner, cols), dtype=np.uint8))
+    b = (matmul(base, a, rng.integers(0, q, (cols, 1), dtype=np.uint8))[:, 0] if consistent
+         else rng.integers(0, q, rows, dtype=np.uint8))
+    aug = np.concatenate([a, b[:, None]], axis=1)
+    system = linalg.PackedSystem(base, gf2.pack(f2_expansion_oracle(base, aug)), rows, cols + 1)
+    assert system.bits == bits_oracle(f2_expansion_oracle(base, aug))
+    reduced, pivots = gf2.reduce(system.bits, rows * r, (cols + 1) * r)
+    red, want_pivots = rref(base, aug)
+    assert reduced == bits_oracle(f2_expansion_oracle(base, red))
+    assert [(i // r, c // r) for i, c in pivots[::r]] == want_pivots
+    got, want = solve(base, a, b), solve_oracle(base, a, b)
+    assert (got is None) == (want is None)
+    assert not consistent or got is not None
+    if want is None:
+        return
+    assert np.array_equal(got.particular, want.particular)
+    assert len(got.nullspace) == len(want.nullspace)
+    for u, v in zip(got.nullspace, want.nullspace):
+        assert np.array_equal(u, v)
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    for _ in range(3):
+        y = system.solve().sample(base, got_rng)
+        assert np.array_equal(y, want.sample(base, want_rng))
+        assert system.solves(y)
+    assert got_rng.getstate() == want_rng.getstate()
+    # a pivot column of a is nonzero, so moving y along it leaves the solutions
+    if want_pivots:
+        c = want_pivots[0][1]
+        y[c] = base.add_table[y[c], 1]
+        assert not system.solves(y)
 
 
 def _naive_matmul(base, a, b):

@@ -19,11 +19,13 @@ from hpe.core.keys import AffinePair, PublicKey
 from hpe.errors import (AmbiguousDecryption, EncryptionFailed, HpeError,
                         NoValidCandidate, TooLarge)
 from hpe.fields import base_field, build_extension
+from hpe.mvpoly import gf2, linalg
 from hpe.mvpoly.linalg import matvec
 from hpe.sigs import sign, signcrypt, verify
 
 from conftest import random_messages, sub_key
-from oracles import (equations, exhaustive_invert, kernel_rows_oracle, map_x,
+from oracles import (bits_oracle, encrypt_oracle, equations, exhaustive_invert,
+                     f2_expansion_oracle, kernel_rows_oracle, map_x,
                      private_relation_check)
 
 keygen_mod = sys.modules["hpe.core.keygen"]
@@ -354,6 +356,36 @@ def test_kernel_matches_multipoly_oracle(q, empty, data):
         assert np.array_equal(pk.base.sub_table[matvec(pk.base, matrix, y), rhs], vals)
 
 
+@settings(max_examples=60, deadline=None)
+@given(q=st.sampled_from([2, 4, 8]), empty=st.booleans(), data=st.data())
+def test_packed_system_matches_the_f_q_route(q, empty, data):
+    # At p = 2 encryption reads y from one packed integer.  That integer is
+    # the F_2 matrix of [matrix | rhs] of the system that evaluating the key
+    # term by term gives, bit for bit; its reduction is linalg.rref's; and
+    # encrypt_raw returns the y, or None, of the F_q route (solve_oracle,
+    # Solution.sample, a matvec check), leaving the rng in the same state.
+    # With equation 1 emptied the system has a zero row, so a kernel to draw.
+    pk, _ = _oracle_keys(q)[empty]
+    base, n, r = pk.base, pk.n, pk.base.r
+    x = np.array(data.draw(st.lists(st.integers(0, q - 1), min_size=n, max_size=n)),
+                 dtype=np.uint8)
+    rows = kernel_rows_oracle(pk, x[None])[0]
+    aug = np.concatenate([rows[:, 1:], base.neg_table[rows[:, :1]]], axis=1)
+    system = pk.system(x)
+    assert isinstance(system, linalg.PackedSystem)
+    assert system.bits == bits_oracle(f2_expansion_oracle(base, aug))
+    reduced, pivots = gf2.reduce(system.bits, n * r, (n + 1) * r)
+    red, want_pivots = linalg.rref(base, aug)
+    assert reduced == bits_oracle(f2_expansion_oracle(base, red))
+    assert [(i // r, c // r) for i, c in pivots[::r]] == want_pivots
+    seed = data.draw(st.integers(0, 2**32 - 1))
+    got_rng, want_rng = random.Random(seed), random.Random(seed)
+    got, want = encrypt_raw(pk, x, got_rng), encrypt_oracle(pk, x, want_rng)
+    assert (got is None) == (want is None)
+    assert got is None or np.array_equal(got, want)
+    assert got_rng.getstate() == want_rng.getstate()
+
+
 # Each q with values of n whose packed row widths, n*r bits for the block
 # without y and n*n*r for the y block, end just short of a 64-bit word, at
 # one, or just past one: 63, 64 and 65 bits at q=2, n*n = 64 and 961 = 15
@@ -404,8 +436,11 @@ def test_rows_match_term_by_term_evaluation(case):
     assert np.array_equal(pk.eval_at(xs[0], y), vals[0])
 
 
-# Run under python -O with linalg.solve returning the solution with one
-# coordinate moved along a nonzero column of the system, so not a solution.
+# Run under python -O with the solution reader that encryption runs giving
+# a y with one coordinate moved along a nonzero column of the system, so not
+# a solution: at p = 2 linalg.PackedSolution.point, which reads y from the
+# reduced integer, with its first pivot unknown flipped; at odd p the
+# particular solution of linalg.System.solve.
 _NON_SOLUTION = """
 import random, sys
 import numpy as np
@@ -414,18 +449,7 @@ from hpe.mvpoly import linalg
 
 if not sys.flags.optimize:
     sys.exit("not running under python -O")
-solve = linalg.solve
-
-def off_by_one(base, a, b):
-    sol = solve(base, a, b)
-    moved = np.flatnonzero(a.any(axis=0))
-    if sol is not None and moved.size:
-        j = moved[0]
-        sol.particular[j] = base.add_table[sol.particular[j], 1]
-        sol.nullspace = []
-    return sol
-
-linalg.solve = off_by_one
+%s
 pk, _ = keygen(KeyGenParams(q=%d, n=8), random.Random(1))
 rng = random.Random(0)
 for _ in range(100):
@@ -439,15 +463,40 @@ else:
     sys.exit("the self-check never fired")
 """
 
+_OFF_BY_ONE_POINT = """
+point = linalg.PackedSolution.point
 
-@pytest.mark.parametrize("q", [2, 3])
+def off_by_one(self, free):
+    return point(self, free) ^ 1 << self.pivots[0][1]
+
+linalg.PackedSolution.point = off_by_one
+"""
+
+_OFF_BY_ONE_SOLVE = """
+solve = linalg.System.solve
+
+def off_by_one(self):
+    sol = solve(self)
+    moved = np.flatnonzero(self.m[:, :-1].any(axis=0))
+    if sol is not None and moved.size:
+        j = moved[0]
+        sol.particular[j] = self.base.add_table[sol.particular[j], 1]
+        sol.nullspace = []
+    return sol
+
+linalg.System.solve = off_by_one
+"""
+
+
+@pytest.mark.parametrize("q", [2, 3, 4])
 def test_self_check_survives_python_O(q):
     # The check that the sampled y solves the system is no assert statement,
     # so python -O keeps it, and a non-solution raises AssertionError, not an
     # HpeError that callers count as a documented failure.
     src = os.path.dirname(os.path.dirname(hpe.__file__))
     env = dict(os.environ, PYTHONPATH=src)
-    proc = subprocess.run([sys.executable, "-O", "-c", _NON_SOLUTION % q],
+    fault = _OFF_BY_ONE_SOLVE if q % 2 else _OFF_BY_ONE_POINT
+    proc = subprocess.run([sys.executable, "-O", "-c", _NON_SOLUTION % (fault, q)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "AssertionError: solver returned a non-solution"
