@@ -13,18 +13,25 @@ coordinates of z^i * z^j, so coordinate-level expansion of products and
 q-power maps reduces to contractions against these tables.
 
 Multiplication, inversion, powers and Frobenius in K run on one of three
-backends, chosen at construction from the field size:
+backends, chosen at construction from the field size.  So does scale(a, bs),
+a times every element of a list, which polynomial arithmetic (upoly) calls
+once per polynomial product so that what a product needs of a is made once:
 
 - "log", when q^n <= TABLE_MAX_ORDER (2^20), for every q: exp/log tables
   over a primitive element, so mul, inv, pow (negative exponents too) and
-  frob are one or two lookups.  The tables are array('I'), 12 bytes per
-  element, built on the first multiply; fields that are only used for
-  public-key work (keygen, encrypt, verify) never build them.
+  frob are one or two lookups, and scale looks up log a once.  The tables
+  are array('I'), 12 bytes per element, built on the first multiply; fields
+  that are only used for public-key work (keygen, encrypt, verify) never
+  build them.
 - "clmul", GF(2^n) above the threshold: carry-less multiply over a 4-bit
-  window with byte tables (gf2.int_tables) that reduce the overflow, binary
-  extended Euclid for inv, and per-k column masks for frob.
-- "coords", q > 2 above the threshold: mul_many of one pair, inv as
-  a^(q^n - 2), and frob through P(k).
+  window of a, built once per scale, with byte tables (gf2.int_tables) that
+  reduce the overflow, binary extended Euclid for inv, and per-k column
+  masks for frob.
+- "coords", q > 2 above the threshold: scale is one mul_many of the whole
+  list and mul a scale of one, inv is a^(q^n - 2), and frob goes through P(k).
+
+Addition and subtraction are chosen once too: XOR at p = 2, digitwise
+through the base tables at odd p.
 
 mul_many, the one coordinate multiply, takes the F_q products of two
 elements' coordinates times T.  coords_array and pack_array convert between
@@ -49,6 +56,7 @@ spelled out give the same ExtensionField.
 from __future__ import annotations
 
 import functools
+import operator
 import random
 import re
 from array import array
@@ -156,6 +164,11 @@ class BaseField:
 
     def mul(self, a: int, b: int) -> int:
         return int(self.mul_table[a, b])
+
+    def scale(self, a: int, coeffs) -> list:
+        """[a * b for b in coeffs]."""
+        row = self.mul_table[a].tolist()
+        return [row[b] for b in coeffs]
 
     def neg(self, a: int) -> int:
         return int(self.neg_table[a])
@@ -272,18 +285,23 @@ class ExtensionField:
         self._build_tables()
         if self.order <= TABLE_MAX_ORDER:
             self.backend = "log"
-            self._mul, self._inv, self._frob = self._mul_log, self._inv_log, self._frob_log
+            self._mul, self._scale = self._mul_log, self._scale_log
+            self._inv, self._frob = self._inv_log, self._frob_log
         elif self.q == 2:
             self.backend = "clmul"
             self._mod_int = sum(c << i for i, c in enumerate(self.modulus))
-            self._mul, self._inv, self._frob = self._mul_clmul, self._inv_euclid, self._frob_masks
+            self._mul, self._scale = self._mul_clmul, self._scale_clmul
+            self._inv, self._frob = self._inv_euclid, self._frob_masks
         else:
             self.backend = "coords"
-            self._mul, self._inv, self._frob = (
-                self._mul_coords,
-                self._inv_fermat,
-                self._frob_matrix,
-            )
+            self._mul, self._scale = self._mul_coords, self._scale_coords
+            self._inv, self._frob = self._inv_fermat, self._frob_matrix
+        # packed addition is XOR in characteristic 2, digitwise at odd p
+        if self.p == 2:
+            self.add = self.sub = operator.xor
+        else:
+            self.add = functools.partial(self._digitwise, base.add_table)
+            self.sub = functools.partial(self._digitwise, base.sub_table)
 
     # -- construction ------------------------------------------------------
 
@@ -423,18 +441,10 @@ class ExtensionField:
 
     # -- element arithmetic ------------------------------------------------
 
-    def add(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self._digitwise(self.base.add_table, a, b)
+    # add(a, b) and sub(a, b) are set in __init__: XOR at p = 2, else _digitwise
 
     def neg(self, a: int) -> int:
         return self.sub(0, a)
-
-    def sub(self, a: int, b: int) -> int:
-        if self.p == 2:
-            return a ^ b
-        return self._digitwise(self.base.sub_table, a, b)
 
     def _digitwise(self, table, a: int, b: int) -> int:
         """The element whose digit i is table[a_i, b_i]: add or sub at odd p."""
@@ -444,6 +454,10 @@ class ExtensionField:
 
     def mul(self, a: int, b: int) -> int:
         return self._mul(a, b)
+
+    def scale(self, a: int, coeffs) -> list:
+        """[a * b for b in coeffs], one call for a whole coefficient list."""
+        return self._scale(a, coeffs)
 
     # square and multiply through self.mul and self.inv, on every backend
     pow = BaseField.pow
@@ -465,6 +479,13 @@ class ExtensionField:
             return exp[log[a] + log[b]]
         return 0
 
+    def _scale_log(self, a: int, coeffs) -> list:
+        if not a:
+            return [0] * len(coeffs)
+        exp, log = self._log_tables
+        la = log[a]
+        return [exp[la + log[b]] if b else 0 for b in coeffs]
+
     def _inv_log(self, a: int) -> int:
         exp, log = self._log_tables
         return exp[self.order - 1 - log[a]]
@@ -478,23 +499,31 @@ class ExtensionField:
     # GF(2^n) backend above the table threshold
 
     def _mul_clmul(self, a: int, b: int) -> int:
-        """Carry-less product over a 4-bit window of b, then byte-table reduction."""
+        return self._scale_clmul(a, (b,))[0]
+
+    def _scale_clmul(self, a: int, coeffs) -> list:
+        """Carry-less products over one 4-bit window of a, each reduced
+        through the byte tables."""
         a2, a4, a8 = a << 1, a << 2, a << 3
         a3, a12 = a2 ^ a, a8 ^ a4
         window = (0, a, a2, a3, a4, a4 ^ a, a4 ^ a2, a4 ^ a3,
                   a8, a8 ^ a, a8 ^ a2, a8 ^ a3, a12, a12 ^ a, a12 ^ a2, a12 ^ a3)
-        res, shift = 0, 0
-        while b:
-            res ^= window[b & 15] << shift
-            b >>= 4
-            shift += 4
-        high = res >> self.n
-        if high:
-            res &= self._qpows[self.n] - 1
-            for table in self._reduce_tables:
-                res ^= table[high & 255]
-                high >>= 8
-        return res
+        n, low, tables = self.n, self._qpows[self.n] - 1, self._reduce_tables
+        out = []
+        for b in coeffs:
+            res, shift = 0, 0
+            while b:
+                res ^= window[b & 15] << shift
+                b >>= 4
+                shift += 4
+            high = res >> n
+            if high:
+                res &= low
+                for table in tables:
+                    res ^= table[high & 255]
+                    high >>= 8
+            out.append(res)
+        return out
 
     def _inv_euclid(self, a: int) -> int:
         """Binary extended Euclid in F_2[z]: g1*a = u and g2*a = v mod the modulus."""
@@ -514,7 +543,10 @@ class ExtensionField:
     # coordinate backend, q > 2 above the table threshold
 
     def _mul_coords(self, a: int, b: int) -> int:
-        return int(self.mul_many([a], [b])[0])
+        return self._scale_coords(a, [b])[0]
+
+    def _scale_coords(self, a: int, coeffs) -> list:
+        return self.mul_many([a] * len(coeffs), coeffs).tolist()
 
     def _inv_fermat(self, a: int) -> int:
         return self.pow(a, self.order - 2)
@@ -531,7 +563,8 @@ class ExtensionField:
         """Pairwise products of two packed-element arrays: the F_q products
         a_i b_j of their coordinates times the multiplication tensor."""
         ca, cb = self.coords_array(a_arr), self.coords_array(b_arr)
-        pairs = self.base.mul_table[ca[:, :, None], cb[:, None, :]].reshape(len(ca), -1)
+        pairs = self.base.mul_table[ca[:, :, None], cb[:, None, :]]
+        pairs = pairs.reshape(len(ca), self.n * self.n)
         return self.pack_array(linalg.times(self.base, pairs, self._tensor_operand))
 
     def random(self, rng: random.Random) -> int:

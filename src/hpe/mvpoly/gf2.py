@@ -12,7 +12,7 @@ integer straight from the public key.  An F_2-linear map is given by its
 rows, the images of the unit vectors.  Four Russians tables hold the XOR
 of every subset of k consecutive rows, built by doubling, so an image is
 one lookup per k input bits, XORed: in numpy over bytes (tables, step), or
-on Python integers (int_tables).  Basis keeps integer rows by leading bit,
+on Python integers (int_tables, and nibble_tables at k = 4).  Basis keeps integer rows by leading bit,
 each with an XOR tag of the rows it was built from: its size is the rank,
 and the tag of a reduced row solves a map given by (image, preimage) pairs.
 """
@@ -75,6 +75,19 @@ def int_tables(rows: list[int], k: int) -> list[list[int]]:
         for row in rows[c:c + k]:
             table += [x ^ row for x in table]
         out.append(table)
+    return out
+
+
+def nibble_tables(rows: list[int]) -> list[tuple[int, ...]]:
+    """int_tables(rows, 4), each table one 16-tuple built by a fixed
+    schedule of 11 XORs.  A last group of fewer than 4 rows is padded with
+    zero rows, so entry v of its table is int_tables' entry v mod its size."""
+    rows = rows + [0] * (-len(rows) % 4)
+    out = []
+    for r0, r1, r2, r3 in zip(*[iter(rows)] * 4):
+        r01, r23 = r0 ^ r1, r2 ^ r3
+        out.append((0, r0, r1, r01, r2, r2 ^ r0, r2 ^ r1, r2 ^ r01,
+                    r3, r3 ^ r0, r3 ^ r1, r3 ^ r01, r23, r23 ^ r0, r23 ^ r1, r23 ^ r01))
     return out
 
 

@@ -3,20 +3,25 @@
 A polynomial is a plain list of scalars, coefficient of X^i at index i, with
 no trailing zeros; the zero polynomial is the empty list.  The field argument
 is any object exposing add/sub/mul/neg/inv on scalars with 0 and 1 as the
-additive and multiplicative identities, so the same routines serve F_q
-coefficients during tower construction and K coefficients during decryption.
-A field whose .p is 2 gets squares by the Frobenius shortcut.
+additive and multiplicative identities, and scale(a, coeffs), a times each
+coefficient in one call, so the same routines serve F_q coefficients during
+tower construction and K coefficients during decryption.  scale is how a
+polynomial meets a scalar: scale and monic take one call, a product one
+per coefficient of its first factor, and a division one per quotient
+coefficient.  A field whose .p is 2 gets squares by the Frobenius shortcut.
 
 Root finding takes an ExtensionField K = GF(q^n) and follows the classic
 pattern: strip the squarefree product of linear factors with
 gcd(g, X^order - X), g = f made monic, then split it recursively, using
 the trace map in characteristic 2 and quadratic-residue powering for odd
 characteristic.  roots builds a Frobenius map of K[X]/(g) once per call;
-X^order mod g is order_steps applications of it.  In characteristic 2,
-K = GF(2^m) with m = n*r, the map squares packed integer rows (_SquareMap),
-X^order is m squarings and the trace of cX over F_2 is m - 1 more.  At odd
-p it is the matrix Q of h -> h^q over F_q (Berlekamp's Q-matrix,
-_QPowerMap), applied n times, and the split powers X + a on scalars.
+X^order mod g is order_steps applications of it, less those that the
+largest power X^(e^k) of degree below deg g, e the map's exponent, already
+is.  In characteristic 2, K = GF(2^m) with m = n*r, the map squares packed
+integer rows (_SquareMap), X^order is at most m squarings and the trace of
+cX over F_2 is m - 1 more.  At odd p it is the matrix Q of h -> h^q over
+F_q (Berlekamp's Q-matrix, _QPowerMap), applied up to n times, and the
+split powers X + a on scalars.
 
 A quadratic factor X^2 + bX + e in characteristic 2 is solved in closed
 form: its roots are bZ and bZ + b, Z being a root of the Artin-Schreier
@@ -72,7 +77,7 @@ def sub(F, f: list, g: list) -> list:
 def scale(F, f: list, s) -> list:
     if s == 0:
         return []
-    return trim([F.mul(c, s) for c in f])
+    return trim(F.scale(s, f))
 
 
 def mul(F, f: list, g: list) -> list:
@@ -80,12 +85,8 @@ def mul(F, f: list, g: list) -> list:
         return []
     out = [0] * (len(f) + len(g) - 1)
     for i, a in enumerate(f):
-        if a == 0:
-            continue
-        for j, b in enumerate(g):
-            if b == 0:
-                continue
-            out[i + j] = F.add(out[i + j], F.mul(a, b))
+        if a:
+            out[i:i + len(g)] = map(F.add, out[i:i + len(g)], F.scale(a, g))
     return trim(out)
 
 
@@ -100,12 +101,17 @@ def square(F, f: list) -> list:
 
 
 def divmod_poly(F, f: list, g: list) -> tuple[list, list]:
-    """Quotient and remainder of f by g; raises ZeroDivisionError on g = 0."""
+    """Quotient and remainder of f by g; raises ZeroDivisionError on g = 0.
+
+    Each quotient coefficient q takes q times g below its top in one
+    F.scale call; the top coefficient of the remainder cancels exactly.
+    """
     if not g:
         raise ZeroDivisionError("polynomial division by zero")
     rem = list(f)
     dg = degree(g)
     lead_inv = 1 if g[dg] == 1 else F.inv(g[dg])
+    tail, sub = g[:dg], F.sub
     quo = [0] * max(0, len(rem) - dg)
     for i in range(len(rem) - dg - 1, -1, -1):
         c = rem[i + dg]
@@ -113,8 +119,8 @@ def divmod_poly(F, f: list, g: list) -> tuple[list, list]:
             continue
         q = c if lead_inv == 1 else F.mul(c, lead_inv)
         quo[i] = q
-        for j in range(dg + 1):
-            rem[i + j] = F.sub(rem[i + j], F.mul(q, g[j]))
+        rem[i + dg] = 0
+        rem[i:i + dg] = map(sub, rem[i:i + dg], F.scale(q, tail))
     return trim(quo), trim(rem)
 
 
@@ -130,10 +136,13 @@ def monic(F, f: list) -> list:
 
 
 def gcd(F, f: list, g: list) -> list:
-    """Monic greatest common divisor; gcd(0, 0) = 0."""
-    while g:
+    """Monic greatest common divisor; gcd(0, 0) = 0.  Each divisor is made
+    monic first: one F.inv and one F.scale, and no product per quotient
+    coefficient beyond its F.scale.  A nonzero constant ends it at 1."""
+    while len(g) > 1:
+        g = monic(F, g)
         f, g = g, mod(F, f, g)
-    return monic(F, f)
+    return monic(F, g or f)
 
 
 def powmod(F, f: list, e: int, m: list) -> list:
@@ -175,7 +184,13 @@ def roots(field, f: list, rng: random.Random | None = None) -> set:
         rng = random.Random()
     g = monic(field, f)
     qpower = (_SquareMap if field.p == 2 else _QPowerMap)(field, g)
-    xq = qpower.poly(qpower.apply(qpower.row(mod(field, X, g)), qpower.order_steps))
+    # X^(e^k), e the map's exponent, is its own residue while its degree is
+    # below deg g, so the map starts from the largest such power
+    start, steps = mod(field, X, g), qpower.order_steps
+    while steps and 0 < degree(start) * qpower.exponent < degree(g):
+        start = [0] * (degree(start) * qpower.exponent) + [1]
+        steps -= 1
+    xq = qpower.poly(qpower.apply(qpower.row(start), steps))
     s = gcd(field, sub(field, xq, X), g)
     out: set = set()
     if degree(s) >= 1:
@@ -201,7 +216,7 @@ class _QPowerMap:
         entries = [c for r in powers for c in r + [0] * (d - len(r))]
         blocks = linalg.times(base, field.coords_array(entries), _frobenius_tensor(field))
         matrix = blocks.reshape(d, d, n, n).transpose(0, 2, 1, 3).reshape(d * n, d * n)
-        self.field, self.d, self.order_steps = field, d, n
+        self.field, self.d, self.exponent, self.order_steps = field, d, q, n
         self.operand = linalg.operand(base, matrix)
 
     def row(self, h: list) -> np.ndarray:
@@ -236,12 +251,12 @@ class _SquareMap:
     h_j^2 R_j with R_j = X^(2j) mod g, and bit i*r + s of h_j adds
     w^(2s) z^(2i) to h_j^2, bit j*m + i*r + s of h maps to the row
     w^(2s) z^(2i) R_j.  The rows are summed through 4-bit Kronrod tables (the
-    "Four Russians", gf2.int_tables): a square is one XOR per table lookup.
+    "Four Russians", gf2.nibble_tables): a square is one XOR per table lookup.
     """
 
     def __init__(self, field, g: list):
         n, r, d = field.n, field.r, degree(g)
-        self.field = field
+        self.field, self.exponent = field, 2
         self.m = self.order_steps = m = n * r
         self.d, width = d, d * m
         # a in F_q times every r-bit digit (digits has bit 0 of each set): bit t
@@ -299,7 +314,7 @@ class _SquareMap:
         rows = [(u >> (j * width)) & full for j in range(d) for u in stack]
         # a byte of h indexes one table with each nibble; an odd last table
         # pairs with a table for the high nibble, which is zero
-        tables = gf2.int_tables(rows, 4) + [[0]]
+        tables = gf2.nibble_tables(rows) + [(0,)]
         self.nbytes = (width + 7) // 8
         self.tables = tuple(zip(tables[0::2], tables[1::2]))
 

@@ -3,6 +3,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hpe import fields
 from hpe.errors import InvalidDegree, InvalidOrder, NotIrreducible
@@ -366,6 +368,43 @@ def test_mul_many_pairwise():
         for i in range(len(a)):
             assert int(got[i]) == field.mul(int(a[i]), int(b[i]))
             assert int(got[i]) == oracle_mul(field, int(a[i]), int(b[i]))
+
+
+# log at r = 1, 2 and 3, clmul up to elements above 2^64, coords at q = 16
+# and at odd p, and base fields at r = 1 and 2
+SCALE_FIELDS = [build_extension(q, n) for q, n in
+                [(2, 16), (4, 8), (8, 6), (2, 21), (2, 32), (2, 65), (16, 6), (3, 13)]]
+SCALE_FIELDS += [base_field(q) for q in (2, 4, 9)]
+
+
+@st.composite
+def _scale_cases(draw):
+    field = draw(st.sampled_from(SCALE_FIELDS))
+    top = field.order - 1
+    # 0, every digit q - 1, and every digit 1
+    element = st.one_of(st.sampled_from([0, top, top // (field.q - 1)]), st.integers(0, top))
+    return field, draw(element), draw(st.lists(element, max_size=12))
+
+
+@example(case=(build_extension(2, 65), 0, [(1 << 65) - 1, 0, 1]))
+@example(case=(build_extension(2, 65), (1 << 65) - 1, [(1 << 65) - 1, 0, 1 << 64]))
+@example(case=(build_extension(3, 13), 3**13 - 1, [0, 3**13 - 1, (3**13 - 1) // 2]))
+@settings(max_examples=150, deadline=None)
+@given(case=_scale_cases())
+def test_scale_is_mul_of_each_coefficient(case):
+    # upoly multiplies a whole coefficient list by one scalar in one call;
+    # each backend builds what a depends on (window, log, coordinates) once
+    field, a, bs = case
+    got = field.scale(a, bs)
+    assert got == [field.mul(a, b) for b in bs]
+    assert all(type(c) is int for c in got)
+    if isinstance(field, fields.ExtensionField):
+        assert got == [oracle_mul(field, a, b) for b in bs]
+
+
+def test_scale_fields_cover_every_backend():
+    extensions = [f for f in SCALE_FIELDS if isinstance(f, fields.ExtensionField)]
+    assert {f.backend for f in extensions} == {"log", "clmul", "coords"}
 
 
 def test_base_embedding_is_homomorphic():

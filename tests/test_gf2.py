@@ -1,6 +1,9 @@
 """The packed F_2 primitives of hpe.mvpoly.gf2 against naive bit loops."""
 
+import random
+
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -95,3 +98,16 @@ def test_int_tables_match_a_naive_xor(m, k, seed):
     for j in np.flatnonzero(v):
         want ^= rows[j]
     assert got == want
+
+
+# row counts that are not multiples of 4, so the last group is padded
+@pytest.mark.parametrize("count", [1, 5, 289])
+def test_nibble_tables_match_int_tables(count):
+    rng = random.Random(count)
+    rows = [(1 << 300) - 1] + [rng.getrandbits(300) for _ in range(count - 1)]
+    want = gf2.int_tables(rows, 4)
+    got = gf2.nibble_tables(rows)
+    assert len(got) == len(want)
+    for table, ref in zip(got, want):
+        assert type(table) is tuple and len(table) == 16
+        assert [table[v] for v in range(16)] == [ref[v % len(ref)] for v in range(16)]

@@ -119,6 +119,10 @@ def test_upoly_gcd_divides_both():
         for prod in (a, b):
             _, r = upoly.divmod_poly(field, prod, d)
             assert not r
+    # a nonzero constant on either side gives 1, and 0 leaves the other monic
+    assert upoly.gcd(field, a, [5]) == upoly.gcd(field, [5], a) == [1]
+    assert upoly.gcd(field, a, []) == upoly.gcd(field, [], a) == upoly.monic(field, a)
+    assert upoly.gcd(field, [], []) == []
 
 
 def test_upoly_powmod_matches_direct():
@@ -244,20 +248,24 @@ def test_roots_match_scalar_reference(q, n):
     # Every field finds roots through a Frobenius map on K[X]/(g); the
     # scalar algorithm must agree on the roots and on the draws from rng.
     # q=2 n=65 packs elements above 2^64.
+    # Degrees 1, 2, 3 and 9 start the map from X^(e^k), e its exponent,
+    # the largest such power below deg g, and from X mod g at degree 1.
     field = build_extension(q, n)
     rng = random.Random(100 * q + n)
-    for trial in range(3):
+    # (distinct roots, times a cubic with none): degrees 5, 6, 7, 1, 2, 3, 9
+    shapes = [(2, True), (3, True), (4, True), (1, False), (2, False), (3, False), (6, True)]
+    for trial, (count, cubic) in enumerate(shapes):
         want = set()
-        while len(want) < 2 + trial:
+        while len(want) < count:
             want.add(field.random(rng))
         f = [1]
         for r in want:
             f = upoly.mul(field, f, [field.neg(r), 1])
-        while True:  # a monic cubic factor with no root in the field
+        while cubic:  # a monic cubic factor with no root in the field
             extra = [field.random_nonzero(rng), field.random(rng), field.random(rng), 1]
             if not _reference_roots(field, extra, random.Random(0)):
+                f = upoly.mul(field, f, extra)
                 break
-        f = upoly.mul(field, f, extra)
         got_rng, ref_rng = random.Random(trial), random.Random(trial)
         got = upoly.roots(field, f, got_rng)
         assert got == want
